@@ -5,10 +5,10 @@
 //   - any phase's p50 latency grows more than 20% over the baseline
 //     (with an absolute slack of 5µs, so nanosecond-scale phases don't
 //     gate on noise; phases under 100 observations in either run are
-//     skipped, as are blocking-dominated phases — p50 over -max-p50-ms,
-//     default 100ms, in either run — which measure backpressure waits
-//     like lease_wait whose duration is a host-scheduling lottery, not
-//     commit-path work)
+//     skipped, as are blocking-dominated phases — the wait phases
+//     lease_wait, gc_enqueue and gc_lead, and any phase with a p50 over
+//     -max-p50-ms, default 100ms, in either run — whose duration is a
+//     host-scheduling lottery, not commit-path work)
 //   - fences per committed transaction (the sum of the commit path's
 //     per-phase fence counters over mtm_commits_total) grows more than
 //     20% plus an absolute slack of 0.05
@@ -51,6 +51,15 @@ import (
 	"os"
 	"sort"
 )
+
+// waitPhases time how long a thread sat parked, not commit-path work: for
+// a free log slot, or on a group-commit epoch (the enqueue span is a
+// member's wait for the done broadcast, the lead span holds the leader's
+// gathering window). Their p50 flips between a few µs and the 50µs window
+// with whether committers happen to overlap — BENCH_5's two runs of one
+// binary read 9µs and 55µs — so they are reported and never gated; the
+// epoch's work is gc_flush, which is.
+var waitPhases = map[string]bool{"lease_wait": true, "gc_enqueue": true, "gc_lead": true}
 
 // sortedKeys returns the map's keys in stable order, so the gate report
 // is deterministic run to run.
@@ -255,8 +264,8 @@ func main() {
 		if b.P50Ns <= 0 {
 			continue
 		}
-		if b.P50Ns > *maxP50Ms*1e6 || c.P50Ns > *maxP50Ms*1e6 {
-			fmt.Printf("skip phase %-14s p50 %8.0fms -> %8.0fms (blocking-dominated; not gated)\n",
+		if waitPhases[name] || b.P50Ns > *maxP50Ms*1e6 || c.P50Ns > *maxP50Ms*1e6 {
+			fmt.Printf("skip phase %-14s p50 %8.3fms -> %8.3fms (blocking-dominated; not gated)\n",
 				name, b.P50Ns/1e6, c.P50Ns/1e6)
 			continue
 		}

@@ -433,6 +433,10 @@ func (pm *PM) CreateLog(name string, words int64) (*rawl.Log, error) {
 // transactions or allocations. extraRoots pins blocks referenced only
 // from volatile memory.
 func (pm *PM) Collect(extraRoots ...pmem.Addr) (pgc.Report, error) {
+	// Under asynchronous truncation a committed free is released only once
+	// the log manager has truncated its record; until then the block still
+	// counts as allocated and the sweep would free it a second time.
+	pm.tm.Drain()
 	gc, err := pgc.New(pm.rt, pm.heap)
 	if err != nil {
 		return pgc.Report{}, err

@@ -5,17 +5,20 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/pheap"
 	"repro/internal/pmem"
 	"repro/internal/rawl"
 	"repro/internal/telemetry"
 )
 
 // truncJob asks the log manager to make one committed transaction's
-// in-place data durable and then truncate its log through pos.
+// in-place data and heap ops durable and then truncate its log through pos.
 type truncJob struct {
-	t     *Thread
-	pos   rawl.Pos
-	lines []pmem.Addr
+	t          *Thread
+	pos        rawl.Pos
+	lines      []pmem.Addr
+	bits       []pheap.BitOp
+	allocBytes int64
 }
 
 // logManager is the separate thread of §5: "A separate log manager thread
@@ -29,6 +32,10 @@ type logManager struct {
 	halted  atomic.Bool
 	pending atomic.Int64
 	wg      sync.WaitGroup
+
+	// process scratch (the manager goroutine only).
+	bits []pheap.BitOp
+	sbs  []int32
 }
 
 func newLogManager(tm *TM) *logManager {
@@ -73,19 +80,22 @@ func (m *logManager) run() {
 	}
 }
 
-// process makes every job's in-place data durable under one fence, then
-// truncates all their logs with deferred head updates covered by a
-// single trailing fence (freed log space must not be reused before the
-// new heads are durable).
+// process makes every job's in-place data and heap ops durable under one
+// fence, then truncates all their logs with deferred head updates covered
+// by a single trailing fence (freed log space must not be reused before
+// the new heads are durable). Only then do the blocks the jobs freed
+// become allocatable: their records can no longer replay.
 func (m *logManager) process(mem pmem.Memory, batch []truncJob) {
 	sp := telemetry.SpanBegin(telemetry.PhaseAsyncTrunc, 0, 0)
 	defer sp.End()
+	m.bits = m.bits[:0]
 	for _, job := range batch {
 		for _, line := range job.lines {
 			mem.Flush(line)
 		}
+		m.bits = append(m.bits, job.bits...)
 	}
-	mem.Fence()
+	m.sbs = m.tm.fenceBits(mem, m.bits, m.sbs, mem.Fence)
 	telemetry.CountPhaseFence(telemetry.PhaseAsyncTrunc)
 	// The data is durable; the redo records up to each pos are no
 	// longer needed.
@@ -95,6 +105,9 @@ func (m *logManager) process(mem pmem.Memory, batch []truncJob) {
 	mem.Fence()
 	telemetry.CountPhaseFence(telemetry.PhaseAsyncTrunc)
 	for _, job := range batch {
+		if len(job.bits) > 0 {
+			telPostCommitErr.Add(uint64(m.tm.cfg.Heap.Committed(job.bits, job.allocBytes)))
+		}
 		job.t.pendingTrunc.Add(-1)
 		m.pending.Add(-1)
 	}

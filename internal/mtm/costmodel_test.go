@@ -1,6 +1,8 @@
 package mtm
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -8,6 +10,7 @@ import (
 	"repro/internal/pmem"
 	"repro/internal/region"
 	"repro/internal/scm"
+	"repro/internal/telemetry"
 )
 
 // The accounting delay mode makes the emulator's cost model deterministic,
@@ -21,7 +24,7 @@ import (
 // These tests pin the transaction system to that model; any regression
 // that adds fences or flushes to the commit path fails them.
 
-func costEnv(t *testing.T) (*TM, *Thread, pmem.Addr, *scm.Device) {
+func costEnv(t *testing.T, cfg Config) (*TM, *Thread, pmem.Addr, *scm.Device) {
 	t.Helper()
 	dev, err := scm.Open(scm.Config{
 		Size:           64 << 20,
@@ -44,7 +47,8 @@ func costEnv(t *testing.T) (*TM, *Thread, pmem.Addr, *scm.Device) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tm, err := Open(rt, "cost", Config{Heap: heap, Slots: 2})
+	cfg.Heap, cfg.Slots = heap, 2
+	tm, err := Open(rt, "cost", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +77,7 @@ func TestCommitCostModel(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, th, data, _ := costEnv(t)
+			_, th, data, _ := costEnv(t, Config{})
 			// Warm up allocator/table state outside the measured tx.
 			if err := th.Atomic(func(tx *Tx) error {
 				tx.StoreU64(data.Add(1<<19), 1)
@@ -118,8 +122,139 @@ func logStreamBytes(k int) int64 {
 	return (bits + 62) / 63 * 8
 }
 
+// overwritePut is the transaction an overwrite Put issues: free the old
+// value block, allocate and fill a new 64-byte one, swing the pointer and
+// bump a counter on another line. Ten words over three cache lines.
+func overwritePut(tx *Tx, root pmem.Addr, v uint64) error {
+	if old := pmem.Addr(tx.LoadU64(root)); old != pmem.Nil {
+		if err := tx.FreeBlock(old); err != nil {
+			return err
+		}
+	}
+	b, err := tx.Alloc(64)
+	if err != nil {
+		return err
+	}
+	for w := int64(0); w < 8; w++ {
+		tx.StoreU64(b.Add(w*8), v)
+	}
+	tx.StoreU64(root, uint64(b))
+	tx.StoreU64(root.Add(128), v)
+	return nil
+}
+
+// TestTxAllocCostModel pins what allocation inside a transaction costs:
+// nothing beyond the commit protocol. The allocation and the free ride the
+// transaction's own record as two more pairs and drain with its write-back
+// fence as two write-through words; pheap's lane log is never touched.
+func TestTxAllocCostModel(t *testing.T) {
+	const lat = 100 * time.Nanosecond
+	ns := func(bytes int64) time.Duration {
+		return time.Duration(float64(bytes) / float64(8<<30) * 1e9)
+	}
+	const pairs = 10 + 2 // ten words, one BitSet, one BitClear
+	cases := []struct {
+		name                  string
+		cfg                   Config
+		fences, appends, trun uint64
+		model                 time.Duration
+	}{
+		// Log flush, three line flushes, write-back fence draining the two
+		// bitmap words, truncation fence draining the head.
+		{"redo", Config{}, 3, 1, 1,
+			lat + ns(logStreamBytes(3+2*pairs)) + 3*lat + lat + ns(16) + lat + ns(8)},
+		// Batch flush, three line flushes, marker fence draining the
+		// bitmap words with it; truncation is amortized away.
+		{"hybrid", Config{CommitMode: "hybrid"}, 2, 2, 0,
+			lat + ns(logStreamBytes(2+2*pairs)) + 3*lat + lat + ns(16+logStreamBytes(2))},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, th, data, dev := costEnv(t, c.cfg)
+			// The first put adopts the size class's superblock (a durable
+			// class assignment, once per 128 blocks) and has nothing to
+			// free; the second is the steady state.
+			for v := uint64(1); v <= 2; v++ {
+				if err := th.Atomic(func(tx *Tx) error { return overwritePut(tx, data, v) }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ctx := th.Memory().Context()
+			ctx.ResetAccounting()
+			dev0, tel0 := dev.Snapshot(), telemetry.Default.Snapshot()
+			if err := th.Atomic(func(tx *Tx) error { return overwritePut(tx, data, 3) }); err != nil {
+				t.Fatal(err)
+			}
+			dev1, tel1 := dev.Snapshot(), telemetry.Default.Snapshot()
+			if got := dev1.Fences - dev0.Fences; got != c.fences {
+				t.Errorf("fences = %d, want %d", got, c.fences)
+			}
+			if got := dev1.Flushes - dev0.Flushes; got != 3 {
+				t.Errorf("flushed lines = %d, want 3", got)
+			}
+			for _, m := range []struct {
+				name string
+				want float64
+			}{
+				{"rawl_appends_total", float64(c.appends)},
+				{"rawl_truncations_total", float64(c.trun)},
+				{"pheap_lane_log_appends_total", 0},
+				{"pheap_tx_reservations_total", 1},
+				{"pheap_allocs_total", 1},
+				{"pheap_frees_total", 1},
+				{"pheap_alloc_bytes_total", 64},
+			} {
+				if got := tel1[m.name] - tel0[m.name]; got != m.want {
+					t.Errorf("%s advanced by %v, want %v", m.name, got, m.want)
+				}
+			}
+			if got := ctx.AccountedTime(); got < c.model-10*time.Nanosecond || got > c.model+10*time.Nanosecond {
+				t.Errorf("accounted %v, model %v", got, c.model)
+			}
+		})
+	}
+}
+
+// TestAbortedAllocCostsNothing: a transaction that allocates and aborts
+// touches SCM not at all — no fence, no flush, no write-through word left
+// pending — and the block it held is the next one handed out.
+func TestAbortedAllocCostsNothing(t *testing.T) {
+	_, th, data, dev := costEnv(t, Config{})
+	if err := th.Atomic(func(tx *Tx) error { return overwritePut(tx, data, 1) }); err != nil {
+		t.Fatal(err)
+	}
+	dev0, pending0, dirty0 := dev.Snapshot(), dev.PendingWTWords(), dev.DirtyLines()
+	boom := errors.New("abort")
+	var held pmem.Addr
+	if err := th.Atomic(func(tx *Tx) (err error) {
+		if held, err = tx.Alloc(64); err != nil {
+			return err
+		}
+		tx.StoreU64(held, 9)
+		tx.StoreU64(data.Add(256), uint64(held))
+		return boom
+	}); !errors.Is(err, boom) {
+		t.Fatalf("Atomic returned %v, want the abort", err)
+	}
+	dev1 := dev.Snapshot()
+	if dev1.Fences != dev0.Fences || dev1.Flushes != dev0.Flushes ||
+		dev.PendingWTWords() != pending0 || dev.DirtyLines() != dirty0 {
+		t.Fatalf("aborted allocation touched SCM: %+v -> %+v, pending WT words %d -> %d, dirty lines %d -> %d",
+			dev0, dev1, pending0, dev.PendingWTWords(), dirty0, dev.DirtyLines())
+	}
+	if err := th.Atomic(func(tx *Tx) error {
+		again, err := tx.Alloc(64)
+		if err == nil && again != held {
+			err = fmt.Errorf("aborted block %v not handed out again (got %v)", held, again)
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestReadOnlyTxCostsNothing(t *testing.T) {
-	_, th, data, _ := costEnv(t)
+	_, th, data, _ := costEnv(t, Config{})
 	if err := th.Atomic(func(tx *Tx) error {
 		tx.StoreU64(data, 7)
 		return nil

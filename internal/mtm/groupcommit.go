@@ -6,7 +6,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/pmem"
+	"repro/internal/pheap"
 	"repro/internal/rawl"
 	"repro/internal/scm"
 	"repro/internal/telemetry"
@@ -69,6 +69,8 @@ type groupCommitter struct {
 	// single set is safe.
 	live  []*pendingCommit
 	peers []*scm.Context
+	bits  []pheap.BitOp // every live member's heap ops
+	sbs   []int32       // superblocks locked while bits drain
 }
 
 func newGroupCommitter(tm *TM) *groupCommitter {
@@ -191,9 +193,9 @@ func (gc *groupCommitter) flushEpoch(id uint64, members []*pendingCommit) {
 	// whole epoch at recovery.
 	live := gc.live[:0]
 	for _, pc := range members {
-		if need := int64(5 + 2*len(pc.tx.writes)); need > pc.tx.t.log.MaxRecordWords() {
+		if need := int64(5 + 2*pc.tx.pairs()); need > pc.tx.t.log.MaxRecordWords() {
 			pc.err = fmt.Errorf("mtm: transaction of %d writes overflows the thread log (%d payload words, max %d)",
-				len(pc.tx.writes), need, pc.tx.t.log.MaxRecordWords())
+				pc.tx.pairs(), need, pc.tx.t.log.MaxRecordWords())
 			continue
 		}
 		live = append(live, pc)
@@ -212,13 +214,8 @@ func (gc *groupCommitter) flushEpoch(id uint64, members []*pendingCommit) {
 	// broadcast order the handoff both ways.
 	for _, pc := range live {
 		tx := pc.tx
-		rec := tx.recBuf[:0]
-		rec = append(rec, tagRedoGroup, pc.ts, id, n, uint64(len(tx.writes)))
-		for _, w := range tx.writes {
-			rec = append(rec, uint64(w.addr), w.val)
-		}
-		tx.recBuf = rec
-		tx.t.appendGroupRecord(rec)
+		tx.recBuf = tx.appendPairs(append(tx.recBuf[:0], tagRedoGroup, pc.ts, id, n, uint64(tx.pairs())))
+		tx.t.appendGroupRecord(tx.recBuf)
 	}
 
 	// One fence covers every member's appended records: the epoch's
@@ -246,24 +243,26 @@ func (gc *groupCommitter) flushEpoch(id uint64, members []*pendingCommit) {
 		// while another member's in-place data is still volatile.
 		batch := make([]truncJob, 0, len(live))
 		for _, pc := range live {
-			t := pc.tx.t
-			lines := append([]pmem.Addr(nil), pc.tx.distinctLines(pc.tx.writes)...)
-			batch = append(batch, truncJob{t: t, pos: t.logPos, lines: lines})
+			batch = append(batch, pc.tx.truncJob(pc.tx.t.logPos))
 		}
 		tm.mgr.submitBatch(batch)
 	} else {
-		// Synchronous truncation: flush every member's written lines,
-		// fence once for the whole epoch, then truncate every member log
-		// with deferred head updates under one trailing fence (freed log
-		// space must not be reused before the new heads are durable).
-		if !tm.cfg.WriteThroughWriteback {
-			for _, pc := range live {
+		// Synchronous truncation: flush every member's written lines and
+		// write every member's heap ops through, fence once for the whole
+		// epoch, then truncate every member log with deferred head updates
+		// under one trailing fence (freed log space must not be reused
+		// before the new heads are durable).
+		bits := gc.bits[:0]
+		for _, pc := range live {
+			if !tm.cfg.WriteThroughWriteback {
 				for _, line := range pc.tx.distinctLines(pc.tx.writes) {
 					pc.tx.t.mem.Flush(line)
 				}
 			}
+			bits = append(bits, pc.tx.bits...)
 		}
-		leaderMem.Context().FenceGroup(peers...)
+		gc.bits = bits
+		gc.sbs = tm.fenceBits(leaderMem, bits, gc.sbs, func() { leaderMem.Context().FenceGroup(peers...) })
 		telGCFences.Inc()
 		telemetry.CountPhaseFence(telemetry.PhaseTruncate)
 		for _, pc := range live {
@@ -298,7 +297,6 @@ func (gc *groupCommitter) finish(pc *pendingCommit) error {
 		return pc.err
 	}
 	tx.runDeferredFrees()
-	tx.clearScratch()
 	gc.tm.stats.Commits.Add(1)
 	telCommits.Inc()
 	telRedoCommits.Inc()

@@ -144,7 +144,17 @@ func TestCloseQuarantinesSlotOnHeldLock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.tm.locks[123].Store(lockedBit | th.id)
+	// A leaked lock is one a transaction took and no exit path released,
+	// so it sits in the thread's last lock set: commit, then re-plant it.
+	if err := th.Atomic(func(tx *Tx) error {
+		tx.StoreU64(e.data, 1)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	leaked := e.tm.lockAt(e.tm.lockIdx(e.data))
+	version := leaked.Load()
+	leaked.Store(lockedBit | th.id)
 	if err := th.Close(); err == nil {
 		t.Fatal("close with a held lock word must fail")
 	}
@@ -152,7 +162,7 @@ func TestCloseQuarantinesSlotOnHeldLock(t *testing.T) {
 		t.Fatalf("quarantined slot was recycled (free slots = %d)", got)
 	}
 	// Releasing the lock makes the thread closable again.
-	e.tm.locks[123].Store(0)
+	leaked.Store(version)
 	if err := th.Close(); err != nil {
 		t.Fatalf("close after lock release: %v", err)
 	}

@@ -272,10 +272,6 @@ type RecoveryStats struct {
 	Duration time.Duration
 }
 
-// scratchSlots is the number of persistent pointer slots in each thread's
-// scratch page, used as pmalloc/pfree destinations inside transactions.
-const scratchSlots = scm.PageSize / 8
-
 // TM is a durable transaction system over a region runtime.
 type TM struct {
 	rt   *region.Runtime
@@ -284,7 +280,7 @@ type TM struct {
 
 	base     pmem.Addr // TM region: header page + per-thread slots
 	logBytes int64     // log portion of a slot
-	slotSize int64     // log portion + scratch page
+	slotSize int64     // log portion + the page holding the thread's large-object pointer word
 
 	clock atomic.Uint64
 	locks []atomic.Uint64
@@ -321,7 +317,8 @@ type TM struct {
 
 	stats Stats
 
-	recovery RecoveryStats
+	recovery     RecoveryStats
+	heapReplayed bool // recovery re-applied a heap bitmap op
 }
 
 // Stats counts transaction outcomes.
@@ -441,6 +438,20 @@ func (tm *TM) create(mem pmem.Memory) error {
 	return nil
 }
 
+// replayPair applies one logged (address, value) pair at recovery: a data
+// word is stored, a heap bitmap op re-applied.
+func (tm *TM) replayPair(mem pmem.Memory, addr, val uint64) error {
+	if !pheap.IsBitOp(pmem.Addr(addr)) {
+		mem.WTStoreU64(pmem.Addr(addr), val)
+		return nil
+	}
+	if tm.cfg.Heap == nil {
+		return fmt.Errorf("mtm: log holds heap bitmap entry %#x but no heap is attached", addr)
+	}
+	tm.heapReplayed = true
+	return tm.cfg.Heap.ReplayBit(mem, pheap.BitOp{Word: pmem.Addr(addr), Mask: val})
+}
+
 // Recovery returns what Open replayed.
 func (tm *TM) Recovery() RecoveryStats { return tm.recovery }
 
@@ -509,7 +520,9 @@ func (tm *TM) slotAddr(i int) pmem.Addr {
 	return tm.base.Add(scm.PageSize + int64(i)*tm.slotSize)
 }
 
-func (tm *TM) scratchAddr(i int) pmem.Addr {
+// largeSlotAddr is slot i's persistent pointer word (Thread.largeSlot): the
+// first word of the page after the log.
+func (tm *TM) largeSlotAddr(i int) pmem.Addr {
 	return tm.slotAddr(i).Add(tm.logBytes)
 }
 
@@ -532,6 +545,12 @@ func (tm *TM) lockAt(i uint32) *atomic.Uint64 { return &tm.locks[i] }
 // tornbit protocol, a torn record does not count as present), which rolls
 // the entire epoch back — no member of an unfenced epoch can have reached
 // in-place memory, since write-back strictly follows the fence.
+//
+// A pair whose address carries pheap's bitmap-op tag is a transactional
+// allocation or free (or, in an undo record, its inverse) and is applied to
+// the heap's persistent bitmap instead of stored; setting and clearing a
+// bit are idempotent, and timestamp order replays a free before a later
+// transaction's reallocation of the same block.
 func (tm *TM) recover(mem pmem.Memory) error {
 	start := time.Now()
 	type committed struct {
@@ -619,7 +638,9 @@ func (tm *TM) recover(mem pmem.Memory) error {
 		// transaction: roll its writes back in reverse order.
 		for j := len(pendingUndo) - 1; j >= 0; j-- {
 			r := pendingUndo[j]
-			mem.WTStoreU64(pmem.Addr(r[1]), r[2])
+			if err := tm.replayPair(mem, r[1], r[2]); err != nil {
+				return err
+			}
 		}
 		// A torn undo apply — the batch record fenced, the in-place
 		// stores interrupted — rolls back exactly: every address reverts
@@ -628,7 +649,9 @@ func (tm *TM) recover(mem pmem.Memory) error {
 			r := pendingBatch[j]
 			n := r[1]
 			for k := int64(n) - 1; k >= 0; k-- {
-				mem.WTStoreU64(pmem.Addr(r[2+2*k]), r[3+2*k])
+				if err := tm.replayPair(mem, r[2+2*k], r[3+2*k]); err != nil {
+					return err
+				}
 			}
 		}
 		if len(pendingUndo) > 0 || len(pendingBatch) > 0 {
@@ -657,7 +680,9 @@ func (tm *TM) recover(mem pmem.Memory) error {
 	for _, c := range redo {
 		n := uint64(len(c.pairs) / 2)
 		for k := uint64(0); k < n; k++ {
-			mem.WTStoreU64(pmem.Addr(c.pairs[2*k]), c.pairs[2*k+1])
+			if err := tm.replayPair(mem, c.pairs[2*k], c.pairs[2*k+1]); err != nil {
+				return err
+			}
 		}
 		tm.recovery.Replayed++
 		if telemetry.TraceEnabled() {
@@ -666,6 +691,11 @@ func (tm *TM) recover(mem pmem.Memory) error {
 	}
 	if len(redo) > 0 {
 		mem.Fence()
+	}
+	if tm.heapReplayed {
+		// The heap scavenged its bitmaps before these logs were replayed
+		// over them.
+		tm.cfg.Heap.Rescan()
 	}
 	tm.clock.Store(maxTs)
 	tm.recovery.Duration = time.Since(start)

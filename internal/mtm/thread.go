@@ -98,8 +98,10 @@ type Thread struct {
 	logPos rawl.Pos
 	alloc  *pheap.Allocator
 
-	scratch    pmem.Addr // per-thread persistent pointer slots
-	scratchIdx int64
+	// largeSlot is the thread's one persistent pointer word: the
+	// destination pheap's lane log needs for a large-object PMalloc or
+	// FreeAddr issued inside a transaction. Small blocks never touch it.
+	largeSlot pmem.Addr
 
 	// pendingTrunc counts this slot's truncation jobs still queued at the
 	// asynchronous log manager; Close drains it to zero before the slot
@@ -184,13 +186,13 @@ func (tm *TM) bindSlot(slot int) (*Thread, error) {
 		return nil, fmt.Errorf("mtm: slot %d has live records", slot)
 	}
 	t := &Thread{
-		tm:      tm,
-		id:      uint64(slot + 1),
-		slot:    slot,
-		mem:     mem,
-		log:     log,
-		scratch: tm.scratchAddr(slot),
-		rng:     rand.New(rand.NewSource(int64(slot + 1))),
+		tm:        tm,
+		id:        uint64(slot + 1),
+		slot:      slot,
+		mem:       mem,
+		log:       log,
+		largeSlot: tm.largeSlotAddr(slot),
+		rng:       rand.New(rand.NewSource(int64(slot + 1))),
 	}
 	if tm.cfg.Heap != nil {
 		t.alloc = tm.cfg.Heap.NewAllocator()
@@ -263,8 +265,8 @@ func (tm *TM) LeaseThread(timeout time.Duration) (*Thread, error) {
 // Close retires the thread and returns its log slot for reuse. The
 // handoff contract is an empty, durably truncated log: Close drains any
 // truncation jobs still queued for the slot, verifies the RAWL holds no
-// live words, durably clears the scratch page, and asserts no lock word
-// still carries the thread's id. On any violation the slot is quarantined
+// live words, and asserts that no lock the thread's last transaction took
+// still carries its id. On any violation the slot is quarantined
 // (never recycled) and the error describes the invariant that broke.
 // Close must not be called concurrently with Atomic on the same thread;
 // closing an already-closed thread is a no-op.
@@ -311,17 +313,13 @@ func (t *Thread) closeCheck() error {
 	if used := t.log.UsedWords(); used != 0 {
 		return fmt.Errorf("mtm: thread %d closed with %d live log words", t.id, used)
 	}
-	// Clear the scratch page durably so the next lease of this slot
-	// starts from deterministic state and stale block addresses cannot
-	// conservatively retain garbage during a GC scan.
-	for i := int64(0); i < scratchSlots; i++ {
-		t.mem.WTStoreU64(t.scratch.Add(i*8), 0)
-	}
-	t.mem.Fence()
+	// Every exit from a transaction releases the locks in tx.locks, and a
+	// thread holds none between transactions, so its last lock set is the
+	// only place a leaked lock can be.
 	owner := lockedBit | t.id
-	for i := range tm.locks {
-		if tm.locks[i].Load() == owner {
-			return fmt.Errorf("mtm: thread %d closed while still owning lock %d", t.id, i)
+	for _, le := range t.tx.locks {
+		if tm.lockAt(le.idx).Load() == owner {
+			return fmt.Errorf("mtm: thread %d closed while still owning lock %d", t.id, le.idx)
 		}
 	}
 	return nil
@@ -334,35 +332,6 @@ func (t *Thread) Memory() *region.Mem { return t.mem }
 // ID returns the thread's 1-based log-slot id, stable for the thread's
 // lifetime. Telemetry uses it as the trace thread id.
 func (t *Thread) ID() uint64 { return t.id }
-
-// nextScratch rotates through the thread's persistent scratch pointer
-// slots, used as pmalloc/pfree destinations for transaction-internal
-// allocation bookkeeping.
-func (t *Thread) nextScratch() pmem.Addr {
-	slot := t.scratch.Add((t.scratchIdx % scratchSlots) * 8)
-	t.scratchIdx++
-	return slot
-}
-
-// scratchAlloc allocates via the heap with a scratch slot as the
-// leak-avoidance destination pointer.
-func (t *Thread) scratchAlloc(size int64) (pmem.Addr, error) {
-	return t.alloc.PMalloc(size, t.nextScratch())
-}
-
-// scratchFor durably stores block into a scratch slot and returns the
-// slot, so the heap's pointer-based PFree can be applied to it.
-func (t *Thread) scratchFor(block pmem.Addr) pmem.Addr {
-	slot := t.nextScratch()
-	pmem.StoreDurable(t.mem, slot, uint64(block))
-	return slot
-}
-
-func (t *Thread) freeBlock(block pmem.Addr) {
-	if err := t.alloc.PFree(t.scratchFor(block)); err != nil {
-		panic(fmt.Sprintf("mtm: rollback free: %v", err))
-	}
-}
 
 // writeEntry is one buffered transactional write.
 type writeEntry struct {
@@ -400,16 +369,24 @@ type Tx struct {
 	recBuf  []uint64    // scratch: redo record assembly
 
 	undoWrites []writeEntry // undo mode: old values, in write order
-	allocs     []pmem.Addr  // blocks allocated this tx, freed on abort
-	frees      []pmem.Addr  // scratch slots to free at commit
+
+	// Small-block allocations (BitSet) and frees (BitClear) of this
+	// transaction, in program order. The blocks are reserved in pheap's
+	// volatile bitmap only; the ops ride the commit record after the write
+	// set and reach the persistent bitmaps at write-back.
+	bits       []pheap.BitOp
+	allocBytes int64   // bytes requested by the allocations in bits
+	sbs        []int32 // scratch: superblocks locked while bits drain
+
+	// Large objects keep pheap's own lane log (see Tx.Alloc).
+	largeAllocs []pmem.Addr // freed again on abort
+	largeFrees  []pmem.Addr // freed after commit
 
 	// writing is set (group-commit mode only) while this transaction is
 	// counted in TM.activeWriters — from begin until it enqueues on an
 	// epoch, rolls back, or commits read-only. Epoch leaders use the
 	// count to decide whether a gathering wait can pay off.
 	writing bool
-
-	scratchStart int64 // thread scratch cursor at begin, for clearing
 }
 
 // Atomic runs fn as a durable memory transaction — the library equivalent
@@ -584,11 +561,12 @@ func (tx *Tx) begin() {
 	tx.reads = tx.reads[:0]
 	tx.locks = tx.locks[:0]
 	tx.undoWrites = tx.undoWrites[:0]
-	tx.allocs = tx.allocs[:0]
-	tx.frees = tx.frees[:0]
+	tx.bits = tx.bits[:0]
+	tx.allocBytes = 0
+	tx.largeAllocs = tx.largeAllocs[:0]
+	tx.largeFrees = tx.largeFrees[:0]
 	tx.windex.reset()
 	tx.owned.reset()
-	tx.scratchStart = tx.t.scratchIdx
 }
 
 func (tx *Tx) abort() {
@@ -597,8 +575,9 @@ func (tx *Tx) abort() {
 
 // rollback undoes the attempt: in undo mode the in-place writes are
 // reverted (before locks release, so no other transaction can observe
-// them), allocations made inside the transaction are freed, and locks are
-// restored to their pre-acquisition versions.
+// them), locks are restored to their pre-acquisition versions, and blocks
+// allocated inside the transaction go back to the heap — small ones by
+// dropping their volatile reservation, at no SCM cost.
 func (tx *Tx) rollback() {
 	t := tx.t
 	tx.endWriting()
@@ -614,26 +593,16 @@ func (tx *Tx) rollback() {
 	for i := len(tx.locks) - 1; i >= 0; i-- {
 		t.tm.lockAt(tx.locks[i].idx).Store(tx.locks[i].prev)
 	}
-	for _, block := range tx.allocs {
-		t.freeBlock(block)
+	if len(tx.bits) > 0 {
+		t.tm.cfg.Heap.Aborted(tx.bits)
+		tx.bits = tx.bits[:0]
 	}
-	tx.clearScratch()
-}
-
-// clearScratch zeroes the scratch pointer slots this transaction used, so
-// stale block addresses do not conservatively retain garbage during a GC
-// scan. The stores are unfenced: losing them in a crash merely makes a
-// later collection conservative, never unsafe.
-func (tx *Tx) clearScratch() {
-	t := tx.t
-	used := t.scratchIdx - tx.scratchStart
-	if used > scratchSlots {
-		used = scratchSlots
+	for _, block := range tx.largeAllocs {
+		if err := t.alloc.FreeAddr(block, t.largeSlot); err != nil {
+			panic(fmt.Sprintf("mtm: rollback free: %v", err))
+		}
 	}
-	for i := int64(0); i < used; i++ {
-		slot := t.scratch.Add(((tx.scratchStart + i) % scratchSlots) * 8)
-		t.mem.WTStoreU64(slot, 0)
-	}
+	tx.largeAllocs = tx.largeAllocs[:0]
 }
 
 // read implements transactional load of one word.
@@ -756,11 +725,12 @@ func (tx *Tx) commit() error {
 	if tm.cfg.UndoLogging {
 		return tx.commitUndo()
 	}
-	if len(tx.writes) == 0 {
+	if tx.pairs() == 0 {
 		tx.endWriting()
 		tm.stats.ReadOnly.Add(1)
 		telReadOnly.Inc()
 		tx.releaseLocksNoCommit()
+		tx.runDeferredFrees()
 		return nil
 	}
 	validate := telemetry.SpanBegin(telemetry.PhaseValidate, t.id, t.txnSpan)
@@ -793,11 +763,7 @@ func (tx *Tx) commit() error {
 	// Write-ahead redo log: [tag, ts, n, (addr,val)...], one record,
 	// one flush. This fence is where durability happens.
 	appendSp := telemetry.SpanBegin(telemetry.PhaseLogAppend, t.id, t.txnSpan)
-	rec := tx.recBuf[:0]
-	rec = append(rec, tagRedo, ts, uint64(len(tx.writes)))
-	for _, w := range tx.writes {
-		rec = append(rec, uint64(w.addr), w.val)
-	}
+	rec := tx.appendPairs(append(tx.recBuf[:0], tagRedo, ts, uint64(tx.pairs())))
 	tx.recBuf = rec
 	if err := t.appendRecord(rec); err != nil {
 		appendSp.End()
@@ -820,19 +786,18 @@ func (tx *Tx) commit() error {
 	if tm.mgr != nil {
 		// Asynchronous truncation: the log manager flushes the
 		// modified lines and truncates later; commit latency excludes
-		// that work. The line list escapes to the manager, so it is
-		// built fresh rather than from the scratch buffer.
-		lines := append([]pmem.Addr(nil), tx.distinctLines(tx.writes)...)
-		tm.mgr.submit(truncJob{t: t, pos: pos, lines: lines})
+		// that work.
+		tm.mgr.submit(tx.truncJob(pos))
 	} else {
 		// Synchronous truncation: flush every distinct cache line
-		// written, fence, truncate the whole log.
+		// written, write the heap ops through, fence, truncate the whole
+		// log.
 		if !tm.cfg.WriteThroughWriteback {
 			for _, line := range tx.distinctLines(tx.writes) {
 				t.mem.Flush(line)
 			}
 		}
-		t.mem.Fence()
+		tx.fenceBits(t.mem.Fence)
 		telemetry.CountPhaseFence(telemetry.PhaseTruncate)
 		t.log.TruncateAll()
 	}
@@ -844,11 +809,56 @@ func (tx *Tx) commit() error {
 	}
 
 	tx.runDeferredFrees()
-	tx.clearScratch()
 	tm.stats.Commits.Add(1)
 	telCommits.Inc()
 	telRedoCommits.Inc()
 	return nil
+}
+
+// pairs is the number of (address, value) pairs the commit record
+// carries: the write set plus the heap ops.
+func (tx *Tx) pairs() int { return len(tx.writes) + len(tx.bits) }
+
+// appendPairs appends the commit record's pairs to rec: the write set,
+// then each heap op as (tagged bitmap-word address, mask). Recovery tells
+// the two apart by the address's low bits (pheap.IsBitOp).
+func (tx *Tx) appendPairs(rec []uint64) []uint64 {
+	for _, w := range tx.writes {
+		rec = append(rec, uint64(w.addr), w.val)
+	}
+	for _, op := range tx.bits {
+		rec = append(rec, uint64(op.Word), op.Mask)
+	}
+	return rec
+}
+
+// fenceBits issues fence, which must drain t.mem, with the transaction's
+// heap ops written through to the persistent bitmaps ahead of it. Like
+// writeBack it must run after the fence that made the commit record
+// durable.
+func (tx *Tx) fenceBits(fence func()) {
+	tx.sbs = tx.t.tm.fenceBits(tx.t.mem, tx.bits, tx.sbs, fence)
+}
+
+// fenceBits writes heap ops through on mem and issues fence, which must
+// drain mem, before any other context may touch the bitmap words again
+// (pheap.ApplyBits). sbs is scratch, returned for reuse.
+func (tm *TM) fenceBits(mem pmem.Memory, bits []pheap.BitOp, sbs []int32, fence func()) []int32 {
+	if len(bits) == 0 {
+		fence()
+		return sbs
+	}
+	return tm.cfg.Heap.ApplyBits(mem, bits, sbs, fence)
+}
+
+// truncJob hands a committed transaction to the asynchronous log manager,
+// which flushes its lines, applies its heap ops and truncates the log
+// through pos. The slices escape to the manager, so they are copies.
+func (tx *Tx) truncJob(pos rawl.Pos) truncJob {
+	job := truncJob{t: tx.t, pos: pos, allocBytes: tx.allocBytes}
+	job.lines = append(job.lines, tx.distinctLines(tx.writes)...)
+	job.bits = append(job.bits, tx.bits...)
+	return job
 }
 
 // useUndoPath reports whether this validated writing transaction commits
@@ -874,7 +884,7 @@ func (tx *Tx) useUndoPath() bool {
 // undoNeedWords is the log space one batched undo commit consumes: the
 // [tag, n, (addr,old)...] batch record plus the [tag, ts] marker.
 func (tx *Tx) undoNeedWords() int64 {
-	return rawl.RecordWords(int64(2+2*len(tx.writes))) + rawl.RecordWords(2)
+	return rawl.RecordWords(int64(2+2*tx.pairs())) + rawl.RecordWords(2)
 }
 
 // commitHybrid commits a validated transaction through the batched undo
@@ -907,10 +917,15 @@ func (tx *Tx) commitHybrid() error {
 	// Old-value batch: one record, one flush — the single ordering point
 	// that must precede every in-place store.
 	undoSp := telemetry.SpanBegin(telemetry.PhaseUndoLog, t.id, t.txnSpan)
-	rec := tx.recBuf[:0]
-	rec = append(rec, tagUndoBatch, uint64(len(tx.writes)))
+	// A heap op's "old value" is its inverse op: rolling the batch back
+	// clears the bit an allocation set and sets the one a free cleared.
+	rec := append(tx.recBuf[:0], tagUndoBatch, uint64(tx.pairs()))
 	for _, w := range tx.writes {
 		rec = append(rec, uint64(w.addr), t.mem.LoadU64(w.addr))
+	}
+	for _, op := range tx.bits {
+		inv := op.Inverse()
+		rec = append(rec, uint64(inv.Word), inv.Mask)
 	}
 	tx.recBuf = rec
 	if _, err := t.log.Append(rec); err != nil {
@@ -939,7 +954,7 @@ func (tx *Tx) commitHybrid() error {
 		// strand an unterminated batch over already-stored data.
 		panic(fmt.Sprintf("mtm: undo commit marker append: %v", err))
 	}
-	t.log.Flush()
+	tx.fenceBits(t.log.Flush)
 	telemetry.CountPhaseFence(telemetry.PhaseUndoApply)
 	applySp.End()
 	t.undoDirty = true
@@ -950,7 +965,6 @@ func (tx *Tx) commitHybrid() error {
 	}
 
 	tx.runDeferredFrees()
-	tx.clearScratch()
 	tm.stats.Commits.Add(1)
 	telCommits.Inc()
 	telUndoCommits.Inc()
@@ -983,15 +997,22 @@ func (tx *Tx) writeBack() {
 	}
 }
 
-// runDeferredFrees executes the frees deferred to commit. The transaction
-// is already durable at this point — its redo (or commit) record survived
-// a fence and its locks carry the commit timestamp — so a failing free
-// must not surface as a transaction error: callers would report failure
-// for a write that actually committed. The block stays allocated (a leak
-// the conservative GC can reclaim) and the failure is counted.
+// runDeferredFrees releases what the transaction freed, once it is
+// durable and its commit record can no longer be replayed (truncated, or
+// terminated by its marker): small blocks become allocatable again
+// (under asynchronous truncation the log manager does this, after it has
+// truncated the record), and large blocks are freed through the lane log.
+// A failing free must not surface as a transaction error: callers would
+// report failure for a write that actually committed. The block stays
+// allocated (a leak the conservative GC can reclaim) and the failure is
+// counted.
 func (tx *Tx) runDeferredFrees() {
-	for _, slot := range tx.frees {
-		if err := tx.t.alloc.PFree(slot); err != nil {
+	t := tx.t
+	if len(tx.bits) > 0 && t.tm.mgr == nil {
+		telPostCommitErr.Add(uint64(t.tm.cfg.Heap.Committed(tx.bits, tx.allocBytes)))
+	}
+	for _, block := range tx.largeFrees {
+		if err := t.alloc.FreeAddr(block, t.largeSlot); err != nil {
 			telPostCommitErr.Inc()
 		}
 	}
@@ -1002,25 +1023,45 @@ func (tx *Tx) runDeferredFrees() {
 func (tx *Tx) commitUndo() error {
 	t := tx.t
 	tm := t.tm
-	if len(tx.undoWrites) == 0 {
+	if len(tx.undoWrites) == 0 && len(tx.bits) == 0 {
 		tm.stats.ReadOnly.Add(1)
 		telReadOnly.Inc()
 		tx.releaseLocksNoCommit()
+		tx.runDeferredFrees()
 		return nil
 	}
 	if !tx.validate() {
 		tx.rollback()
 		return conflictErr{}
 	}
+	// Past this point the transaction cannot roll back, so the space for
+	// the heap ops' undo records and the commit record is checked first.
+	need := int64(len(tx.bits))*rawl.RecordWords(3) + rawl.RecordWords(2)
+	if need > t.log.FreeWords() {
+		tx.rollback()
+		return fmt.Errorf("mtm: transaction overflows undo log (%d words free)", t.log.FreeWords())
+	}
+	// Heap ops are undo-logged like writes — the inverse op is the old
+	// value — but behind one fence for all of them: nothing reads a
+	// persistent bitmap until recovery, so they can apply together here.
+	if len(tx.bits) > 0 {
+		for _, op := range tx.bits {
+			inv := op.Inverse()
+			if _, err := t.log.Append([]uint64{tagUndoWrite, uint64(inv.Word), inv.Mask}); err != nil {
+				panic(fmt.Sprintf("mtm: undo bitmap record append: %v", err))
+			}
+		}
+		t.log.Flush()
+		telemetry.CountPhaseFence(telemetry.PhaseLogFence)
+	}
 	for _, line := range tx.distinctLines(tx.undoWrites) {
 		t.mem.Flush(line)
 	}
-	t.mem.Fence()
+	tx.fenceBits(t.mem.Fence)
 	telemetry.CountPhaseFence(telemetry.PhaseWriteBack)
 	ts := tm.clock.Add(1)
-	if err := t.appendRecord([]uint64{tagUndoCommit, ts}); err != nil {
-		tx.rollback()
-		return err
+	if _, err := t.log.Append([]uint64{tagUndoCommit, ts}); err != nil {
+		panic(fmt.Sprintf("mtm: undo commit record append: %v", err))
 	}
 	t.log.Flush()
 	telemetry.CountPhaseFence(telemetry.PhaseLogFence)
@@ -1029,7 +1070,6 @@ func (tx *Tx) commitUndo() error {
 		t.tm.lockAt(le.idx).Store(ts)
 	}
 	tx.runDeferredFrees()
-	tx.clearScratch()
 	tm.stats.Commits.Add(1)
 	telCommits.Inc()
 	telUndoCommits.Inc()
@@ -1141,40 +1181,50 @@ func (tx *Tx) Store(a pmem.Addr, buf []byte) {
 // address through ptr is transactional; the allocation itself is undone if
 // the transaction aborts.
 func (tx *Tx) PMalloc(size int64, ptr pmem.Addr) (pmem.Addr, error) {
-	t := tx.t
-	if t.alloc == nil {
-		return pmem.Nil, errors.New("mtm: no heap attached")
-	}
-	block, err := t.scratchAlloc(size)
+	block, err := tx.Alloc(size)
 	if err != nil {
 		return pmem.Nil, err
 	}
-	tx.allocs = append(tx.allocs, block)
 	tx.write(ptr, uint64(block))
 	return block, nil
 }
 
 // Alloc allocates persistent memory inside the transaction without
 // writing any user pointer; the caller links the block into its data
-// structure with transactional stores. Leak avoidance is preserved
-// internally: the heap's destination pointer is a per-thread persistent
-// scratch slot. The allocation is undone if the transaction aborts.
+// structure with transactional stores. A block of at most pheap.MaxSmall
+// bytes is only reserved here: the allocation becomes persistent with the
+// transaction's commit record, so an abort or a crash before commit costs
+// nothing and leaks nothing. A larger one runs pheap's lane log at once,
+// with the thread's persistent pointer word as its destination, and is
+// freed again if the transaction aborts (a crash before commit leaks it to
+// the garbage collector).
 func (tx *Tx) Alloc(size int64) (pmem.Addr, error) {
 	t := tx.t
 	if t.alloc == nil {
 		return pmem.Nil, errors.New("mtm: no heap attached")
 	}
-	block, err := t.scratchAlloc(size)
+	if size > pheap.MaxSmall {
+		block, err := t.alloc.PMalloc(size, t.largeSlot)
+		if err != nil {
+			return pmem.Nil, err
+		}
+		tx.largeAllocs = append(tx.largeAllocs, block)
+		return block, nil
+	}
+	block, op, err := t.alloc.Reserve(size)
 	if err != nil {
 		return pmem.Nil, err
 	}
-	tx.allocs = append(tx.allocs, block)
+	tx.bits = append(tx.bits, op)
+	tx.allocBytes += size
 	return block, nil
 }
 
 // FreeBlock frees the block at addr when the transaction commits; an
 // abort leaves the block intact. The caller is responsible for
-// transactionally unlinking every pointer to it.
+// transactionally unlinking every pointer to it. Freeing a small block
+// that is not allocated fails here; anything outside the superblock area
+// is handed to the heap after commit, where a failure is only counted.
 func (tx *Tx) FreeBlock(addr pmem.Addr) error {
 	t := tx.t
 	if t.alloc == nil {
@@ -1183,7 +1233,16 @@ func (tx *Tx) FreeBlock(addr pmem.Addr) error {
 	if addr == pmem.Nil {
 		return errors.New("mtm: free of nil block")
 	}
-	tx.frees = append(tx.frees, t.scratchFor(addr))
+	heap := t.tm.cfg.Heap
+	if !heap.IsSmall(addr) {
+		tx.largeFrees = append(tx.largeFrees, addr)
+		return nil
+	}
+	op, err := heap.FreeOp(addr)
+	if err != nil {
+		return err
+	}
+	tx.bits = append(tx.bits, op)
 	return nil
 }
 
@@ -1192,8 +1251,7 @@ func (tx *Tx) FreeBlock(addr pmem.Addr) error {
 // itself is released only after the transaction commits, so an abort
 // leaves it intact.
 func (tx *Tx) PFree(ptr pmem.Addr) error {
-	t := tx.t
-	if t.alloc == nil {
+	if tx.t.alloc == nil {
 		return errors.New("mtm: no heap attached")
 	}
 	block := pmem.Addr(tx.read(ptr))
@@ -1201,6 +1259,5 @@ func (tx *Tx) PFree(ptr pmem.Addr) error {
 		return errors.New("mtm: pfree of nil pointer")
 	}
 	tx.write(ptr, 0)
-	tx.frees = append(tx.frees, t.scratchFor(block))
-	return nil
+	return tx.FreeBlock(block)
 }

@@ -19,6 +19,10 @@ var (
 		"bytes requested from the persistent heap")
 	telFrees = telemetry.NewCounter("pheap_frees_total",
 		"persistent frees (pfree)")
+	telReservations = telemetry.NewCounter("pheap_tx_reservations_total",
+		"small blocks reserved volatile-only inside a transaction (published by its commit record, no lane log)")
+	telLaneAppends = telemetry.NewCounter("pheap_lane_log_appends_total",
+		"allocator operations that paid the lane redo log (calls outside a transaction, large objects)")
 )
 
 // Redo record opcodes. Each record starts with the global sequence number,
@@ -104,10 +108,9 @@ func (a *Allocator) PFree(ptr pmem.Addr) error {
 		return errors.New("pheap: pfree of nil pointer")
 	}
 	h := a.h
-	sbEnd := h.sbData.Add(h.sbCount * SuperblockSize)
 	var err error
 	switch {
-	case block >= h.sbData && block < sbEnd:
+	case h.IsSmall(block):
 		err = a.smallFree(block, ptr)
 	case block >= h.largeAt.Add(chunkHdr) && block < h.largeAt.Add(h.largeSz):
 		err = a.largeFree(block, ptr)
@@ -126,8 +129,7 @@ func (a *Allocator) PFree(ptr pmem.Addr) error {
 // UsableSize reports the capacity of the block at addr (which must be a
 // live allocation).
 func (h *Heap) UsableSize(addr pmem.Addr) (int64, error) {
-	sbEnd := h.sbData.Add(h.sbCount * SuperblockSize)
-	if addr >= h.sbData && addr < sbEnd {
+	if h.IsSmall(addr) {
 		sb := int32(addr.Sub(h.sbData) / SuperblockSize)
 		st := &h.sbState[sb]
 		st.mu.Lock()
@@ -150,16 +152,12 @@ func (h *Heap) UsableSize(addr pmem.Addr) (int64, error) {
 	return 0, fmt.Errorf("pheap: foreign address %v", addr)
 }
 
-func (a *Allocator) smallAlloc(size int64, ptr pmem.Addr) (pmem.Addr, error) {
+// claimBlock finds a free block of class c on the allocator's lane — in
+// the lane's active superblock, else in a partial or free superblock it
+// adopts — and returns the superblock and bit index with st.mu held. The
+// caller holds the lane lock and marks the bit.
+func (a *Allocator) claimBlock(c int) (sb int32, st *sbState, bit int, err error) {
 	h := a.h
-	c := classFor(size)
-	a.lane.mu.Lock()
-	defer a.lane.mu.Unlock()
-
-	// Find a superblock with a free block: the lane's active one, else
-	// adopt a partial or free superblock. Returns with st.mu held.
-	var sb int32
-	var st *sbState
 	for {
 		sb = a.lane.active[c]
 		if sb >= 0 {
@@ -177,88 +175,137 @@ func (a *Allocator) smallAlloc(size int64, ptr pmem.Addr) (pmem.Addr, error) {
 		var ok bool
 		sb, ok = h.adoptSB(c, a.idx)
 		if !ok {
-			return pmem.Nil, ErrOutOfMemory
+			return 0, nil, 0, ErrOutOfMemory
 		}
 		a.lane.active[c] = sb
 	}
-	defer st.mu.Unlock()
+	return sb, st, st.firstFree(int(SuperblockSize / classSize(c))), nil
+}
 
-	bs := classSize(c)
-	blocks := int(SuperblockSize / bs)
-	bit := -1
+// firstFree returns the lowest clear bit of the volatile bitmap, which
+// counts open reservations and not-yet-released frees as taken. Caller
+// holds st.mu and has checked st.free > 0.
+func (st *sbState) firstFree(blocks int) int {
 	for w := 0; w*64 < blocks; w++ {
-		v := st.bitmap[w]
-		if v != ^uint64(0) {
-			b := bits.TrailingZeros64(^v)
-			if w*64+b < blocks {
-				bit = w*64 + b
-				break
+		if v := st.bitmap[w]; v != ^uint64(0) {
+			if b := w*64 + bits.TrailingZeros64(^v); b < blocks {
+				return b
 			}
 		}
 	}
-	if bit < 0 {
-		// free count said otherwise; corrupted volatile state.
-		panic("pheap: free count and bitmap disagree")
+	// free count said otherwise; corrupted volatile state.
+	panic("pheap: free count and bitmap disagree")
+}
+
+// bitmapWord is the persistent address of word w of sb's bitmap.
+func (h *Heap) bitmapWord(sb int32, w int) pmem.Addr {
+	return h.sbMetaAddr(sb).Add(16 + int64(w)*8)
+}
+
+// rmwBits sets or clears mask in one persistent bitmap word with a
+// write-through store. The persistent word is read and rewritten, never
+// overwritten from the volatile copy: that one also holds uncommitted
+// reservations (which must not persist) and committed frees not yet
+// released (which must not resurrect). Caller holds the superblock's lock
+// until mem is fenced.
+func rmwBits(mem pmem.Memory, word pmem.Addr, mask uint64, set bool) {
+	v := mem.LoadU64(word)
+	if set {
+		v |= mask
+	} else {
+		v &^= mask
 	}
-	block := h.sbDataAddr(sb).Add(int64(bit) * bs)
+	mem.WTStoreU64(word, v)
+}
+
+func (a *Allocator) smallAlloc(size int64, ptr pmem.Addr) (pmem.Addr, error) {
+	h := a.h
+	c := classFor(size)
+	a.lane.mu.Lock()
+	defer a.lane.mu.Unlock()
+	sb, st, bit, err := a.claimBlock(c)
+	if err != nil {
+		return pmem.Nil, err
+	}
+	defer st.mu.Unlock()
+	block := h.sbDataAddr(sb).Add(int64(bit) * classSize(c))
 
 	// Log the redo record, make it durable, then apply: one SCM write to
 	// set the bitmap bit, one to store the destination pointer.
 	seq := h.seq.Add(1)
-	a.appendLog([]uint64{seq, opSmallAlloc, uint64(sb), uint64(bit), uint64(ptr), uint64(block)})
+	a.appendLog(telemetry.PhaseAlloc, []uint64{seq, opSmallAlloc, uint64(sb), uint64(bit), uint64(ptr), uint64(block)})
 	w, mask := bit/64, uint64(1)<<(bit%64)
-	a.lane.mem.WTStoreU64(h.sbMetaAddr(sb).Add(16+int64(w)*8), st.bitmap[w]|mask)
+	rmwBits(a.lane.mem, h.bitmapWord(sb, w), mask, true)
 	a.lane.mem.WTStoreU64(ptr, uint64(block))
-	a.lane.mem.Fence()
-	// Retire the record now that its effect is durable, before the block
-	// is published. A record left in an idle lane's log would be replayed
-	// at the next Open over state that other lanes have since advanced
-	// (and truncated), un-doing their applied operations.
-	a.lane.log.TruncateAll()
+	a.retire(telemetry.PhaseAlloc)
 
 	st.bitmap[w] |= mask
 	st.free--
 	return block, nil
 }
 
-func (a *Allocator) smallFree(block, ptr pmem.Addr) error {
-	h := a.h
-	sb := int32(block.Sub(h.sbData) / SuperblockSize)
+// smallBit locates the live small block at addr: its superblock and bit
+// index. It fails on an address that is not the start of an allocated
+// block of the superblock's class. Caller holds the superblock's lock.
+func (h *Heap) smallBit(block pmem.Addr) (sb int32, bit int, err error) {
+	sb = int32(block.Sub(h.sbData) / SuperblockSize)
 	st := &h.sbState[sb]
-	st.mu.Lock()
 	if st.class < 0 {
-		st.mu.Unlock()
-		return fmt.Errorf("pheap: pfree of %v in unassigned superblock", block)
+		return 0, 0, fmt.Errorf("pheap: pfree of %v in unassigned superblock", block)
 	}
 	bs := classSize(int(st.class))
 	off := block.Sub(h.sbDataAddr(sb))
 	if off%bs != 0 {
-		st.mu.Unlock()
-		return fmt.Errorf("pheap: pfree of misaligned address %v", block)
+		return 0, 0, fmt.Errorf("pheap: pfree of misaligned address %v", block)
 	}
-	bit := int(off / bs)
-	w, mask := bit/64, uint64(1)<<(bit%64)
-	if st.bitmap[w]&mask == 0 {
+	bit = int(off / bs)
+	if st.bitmap[bit/64]&(1<<(bit%64)) == 0 {
+		return 0, 0, ErrDoubleFree
+	}
+	return sb, bit, nil
+}
+
+// IsSmall reports whether addr lies in the superblock data area, i.e.
+// whether a transaction's free of it can ride the commit record (FreeOp)
+// instead of the lane log.
+func (h *Heap) IsSmall(addr pmem.Addr) bool {
+	return addr >= h.sbData && addr < h.sbData.Add(h.sbCount*SuperblockSize)
+}
+
+func (a *Allocator) smallFree(block, ptr pmem.Addr) error {
+	h := a.h
+	st := &h.sbState[block.Sub(h.sbData)/SuperblockSize]
+	st.mu.Lock()
+	sb, bit, err := h.smallBit(block)
+	if err != nil {
 		st.mu.Unlock()
-		return ErrDoubleFree
+		return err
 	}
 
 	seq := h.seq.Add(1)
-	a.appendLog([]uint64{seq, opSmallFree, uint64(sb), uint64(bit), uint64(ptr)})
-	a.lane.mem.WTStoreU64(h.sbMetaAddr(sb).Add(16+int64(w)*8), st.bitmap[w]&^mask)
+	a.appendLog(telemetry.PhaseFree, []uint64{seq, opSmallFree, uint64(sb), uint64(bit), uint64(ptr)})
+	w, mask := bit/64, uint64(1)<<(bit%64)
+	rmwBits(a.lane.mem, h.bitmapWord(sb, w), mask, false)
 	a.lane.mem.WTStoreU64(ptr, 0)
-	a.lane.mem.Fence()
 	// Retire before the bit is published as free (see smallAlloc).
-	a.lane.log.TruncateAll()
+	a.retire(telemetry.PhaseFree)
 
+	h.unmark(sb, st, w, mask)
+	return nil
+}
+
+// unmark clears a block's volatile bit, making it allocatable again, and
+// publishes the superblock on the availability lists when it just stopped
+// being full or became empty. Called with st.mu held; releases it (the
+// lists nest outside: sbMu before st.mu).
+func (h *Heap) unmark(sb int32, st *sbState, w int, mask uint64) {
 	st.bitmap[w] &^= mask
 	st.free++
 	wasFull := st.free == 1
-	becameEmpty := int64(st.free) == SuperblockSize/bs && st.owner == -1
 	class := int(st.class)
+	becameEmpty := int64(st.free) == SuperblockSize/classSize(class) && st.owner == -1
 	st.mu.Unlock()
 
-	// Publish availability outside st.mu (lock order: sbMu before st.mu).
 	if becameEmpty || wasFull {
 		h.sbMu.Lock()
 		if becameEmpty {
@@ -268,7 +315,6 @@ func (a *Allocator) smallFree(block, ptr pmem.Addr) error {
 		}
 		h.sbMu.Unlock()
 	}
-	return nil
 }
 
 // adoptSB finds a superblock for class c and lane: a partially-used one of
@@ -311,6 +357,7 @@ func (h *Heap) adoptSB(c int, laneIdx int8) (int32, bool) {
 			}
 			h.mem.WTStoreU64(meta, uint64(bs))
 			h.mem.Fence()
+			telemetry.CountPhaseFence(telemetry.PhaseAlloc)
 			st.class = int8(c)
 			st.free = int32(SuperblockSize / bs)
 			st.owner = laneIdx
@@ -327,18 +374,33 @@ func (h *Heap) adoptSB(c int, laneIdx int8) (int32, bool) {
 
 // appendLog appends a redo record to the lane log, truncating first if the
 // log is full (every record already applied is safe to drop), and makes
-// it durable with the tornbit log's single fence.
-func (a *Allocator) appendLog(rec []uint64) {
+// it durable with the tornbit log's single fence. The lane log's ordering
+// points are charged to phase (PhaseAlloc or PhaseFree).
+func (a *Allocator) appendLog(phase telemetry.Phase, rec []uint64) {
 	if _, err := a.lane.log.Append(rec); err != nil {
 		if err != rawl.ErrLogFull {
 			panic(fmt.Sprintf("pheap: log append: %v", err))
 		}
 		a.lane.log.TruncateAll()
+		telemetry.CountPhaseFence(phase)
 		if _, err := a.lane.log.Append(rec); err != nil {
 			panic(fmt.Sprintf("pheap: log append after truncate: %v", err))
 		}
 	}
 	a.lane.log.Flush()
+	telemetry.CountPhaseFence(phase)
+	telLaneAppends.Inc()
+}
+
+// retire fences the applied small-object operation and truncates its
+// record. A record left in an idle lane's log would be replayed at the
+// next Open over state that other lanes have since advanced (and
+// truncated), un-doing their applied operations.
+func (a *Allocator) retire(phase telemetry.Phase) {
+	a.lane.mem.Fence()
+	telemetry.CountPhaseFence(phase)
+	a.lane.log.TruncateAll()
+	telemetry.CountPhaseFence(phase)
 }
 
 // replay applies one redo record during Open. Each lane log holds at most

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/pmem"
+	"repro/internal/telemetry"
 )
 
 // The large-object allocator covers requests above MaxSmall with a
@@ -57,7 +58,7 @@ func (a *Allocator) largeAlloc(size int64, ptr pmem.Addr) (pmem.Addr, error) {
 	}
 
 	seq := h.seq.Add(1)
-	a.appendLog([]uint64{seq, opLargeAlloc, uint64(c.off), uint64(c.size), uint64(taken), uint64(ptr)})
+	a.appendLog(telemetry.PhaseAlloc, []uint64{seq, opLargeAlloc, uint64(c.off), uint64(c.size), uint64(taken), uint64(ptr)})
 	// Remainder header first, then the allocated header, then the
 	// destination pointer; the chunk chain stays walkable at every
 	// crash point, and the log makes the pointer update replayable.
@@ -68,9 +69,11 @@ func (a *Allocator) largeAlloc(size int64, ptr pmem.Addr) (pmem.Addr, error) {
 	block := h.largeAt.Add(c.off + chunkHdr)
 	h.largeMem.WTStoreU64(ptr, uint64(block))
 	h.largeMem.Fence()
+	telemetry.CountPhaseFence(telemetry.PhaseAlloc)
 	// Retire the record now that its effect is durable, before the chunk
-	// leaves the free index (see smallAlloc).
+	// leaves the free index (see retire).
 	a.lane.log.TruncateAll()
+	telemetry.CountPhaseFence(telemetry.PhaseAlloc)
 
 	if taken < c.size {
 		h.largeFree[ci] = chunk{off: c.off + taken, size: c.size - taken}
@@ -96,12 +99,14 @@ func (a *Allocator) largeFree(block, ptr pmem.Addr) error {
 	}
 
 	seq := h.seq.Add(1)
-	a.appendLog([]uint64{seq, opLargeFree, uint64(off), uint64(ptr)})
+	a.appendLog(telemetry.PhaseFree, []uint64{seq, opLargeFree, uint64(off), uint64(ptr)})
 	h.largeMem.WTStoreU64(h.largeAt.Add(off), packChunk(size, false))
 	h.largeMem.WTStoreU64(ptr, 0)
 	h.largeMem.Fence()
-	// Retire before the chunk is published as free (see smallAlloc).
+	telemetry.CountPhaseFence(telemetry.PhaseFree)
+	// Retire before the chunk is published as free (see retire).
 	a.lane.log.TruncateAll()
+	telemetry.CountPhaseFence(telemetry.PhaseFree)
 
 	// Insert into the sorted free list and coalesce with neighbors.
 	// Durable merges are single idempotent size rewrites.
@@ -123,6 +128,7 @@ func (a *Allocator) largeFree(block, ptr pmem.Addr) error {
 		h.largeFree = append(h.largeFree[:i], h.largeFree[i+1:]...)
 	}
 	h.largeMem.Fence()
+	telemetry.CountPhaseFence(telemetry.PhaseFree)
 	return nil
 }
 

@@ -31,6 +31,7 @@ package pheap
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -38,8 +39,8 @@ import (
 
 	"repro/internal/pmem"
 	"repro/internal/rawl"
-
 	"repro/internal/region"
+	"repro/internal/telemetry"
 )
 
 // ErrNoHeap reports that the memory at base holds no formatted heap:
@@ -277,7 +278,7 @@ func Format(rt *region.Runtime, base pmem.Addr, size int64, cfg Config) (*Heap, 
 	h.mem.Fence()
 
 	h.initVolatile()
-	h.buildIndexes()
+	h.Rescan()
 	return h, nil
 }
 
@@ -332,7 +333,7 @@ func Open(rt *region.Runtime, base pmem.Addr) (*Heap, error) {
 	}
 
 	h.initVolatile()
-	h.buildIndexes()
+	h.Rescan()
 	h.scavenge = time.Since(start)
 	return h, nil
 }
@@ -347,48 +348,57 @@ func (h *Heap) Base() pmem.Addr { return h.base }
 func (h *Heap) initVolatile() {
 	h.largeMem = h.rt.NewMemory()
 	h.sbState = make([]sbState, h.sbCount)
-	for i := range h.lanes {
-		for c := range h.lanes[i].active {
-			h.lanes[i].active[c] = -1
+	h.shadow.mem = h.rt.NewMemory()
+}
+
+// Rescan scavenges the persistent superblock bitmaps and walks the large
+// area to regenerate the volatile indexes from scratch: afterwards every
+// volatile bitmap equals its persistent one and no lane owns a
+// superblock. Format and Open end with it; the transaction system calls it
+// again after its recovery replayed bitmap ops behind the heap's back
+// (ReplayBit). The heap must be quiesced.
+func (h *Heap) Rescan() {
+	h.freeSBs = h.freeSBs[:0]
+	for c := range h.partial {
+		h.partial[c] = h.partial[c][:0]
+	}
+	for _, l := range h.lanes {
+		for c := range l.active {
+			l.active[c] = -1
 		}
 	}
-	h.shadow.mem = h.rt.NewMemory()
 	for c := range h.shadow.active {
 		h.shadow.active[c] = -1
 	}
-}
-
-// buildIndexes scavenges the persistent superblock bitmaps and walks the
-// large area to regenerate the volatile indexes.
-func (h *Heap) buildIndexes() {
 	for sb := int32(0); sb < int32(h.sbCount); sb++ {
 		meta := h.sbMetaAddr(sb)
 		bs := int64(h.mem.LoadU64(meta))
 		st := &h.sbState[sb]
 		st.owner = -1
+		st.class = -1
+		st.free = 0
+		st.bitmap = [bitmapWords]uint64{}
 		if bs == 0 {
-			st.class = -1
 			h.freeSBs = append(h.freeSBs, sb)
 			continue
 		}
 		c := classFor(bs)
-		st.class = int8(c)
 		blocks := int32(SuperblockSize / bs)
 		used := int32(0)
 		for w := 0; w < bitmapWords; w++ {
-			v := h.mem.LoadU64(meta.Add(16 + int64(w)*8))
+			v := h.mem.LoadU64(h.bitmapWord(sb, w))
 			st.bitmap[w] = v
-			for ; v != 0; v &= v - 1 {
-				used++
-			}
+			used += int32(bits.OnesCount64(v))
 		}
 		st.free = blocks - used
 		if used == 0 {
 			// Fully free: make it reassignable to any class.
 			h.freeSBs = append(h.freeSBs, sb)
-			st.class = -1
-		} else if st.free > 0 {
-			h.partial[c] = append(h.partial[c], sb)
+		} else {
+			st.class = int8(c)
+			if st.free > 0 {
+				h.partial[c] = append(h.partial[c], sb)
+			}
 		}
 	}
 	h.rebuildLargeIndex()
@@ -451,6 +461,7 @@ func (h *Heap) ForEachAllocated(fn func(addr pmem.Addr, size int64) bool) {
 func (a *Allocator) FreeAddr(block, scratch pmem.Addr) error {
 	a.lane.mem.WTStoreU64(scratch, uint64(block))
 	a.lane.mem.Fence()
+	telemetry.CountPhaseFence(telemetry.PhaseFree)
 	return a.PFree(scratch)
 }
 

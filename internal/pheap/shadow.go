@@ -2,7 +2,6 @@ package pheap
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
 
 	"repro/internal/pmem"
@@ -143,28 +142,16 @@ func (h *Heap) PMallocShadow(size int64, batch *FlushBatch) (pmem.Addr, error) {
 	defer st.mu.Unlock()
 
 	bs := classSize(c)
-	blocks := int(SuperblockSize / bs)
-	bit := -1
-	for w := 0; w*64 < blocks; w++ {
-		v := st.bitmap[w]
-		if v != ^uint64(0) {
-			b := bits.TrailingZeros64(^v)
-			if w*64+b < blocks {
-				bit = w*64 + b
-				break
-			}
-		}
-	}
-	if bit < 0 {
-		panic("pheap: free count and bitmap disagree")
-	}
+	bit := st.firstFree(int(SuperblockSize / bs))
 	block := h.sbDataAddr(sb).Add(int64(bit) * bs)
 
 	// The one persistent effect: set the bitmap bit, cacheable, and queue
 	// its word for the commit-time flush. No log, no fence, no pointer.
+	// The stored value derives from the persistent word, not the volatile
+	// copy (see rmwBits).
 	w, mask := bit/64, uint64(1)<<(bit%64)
-	wordAddr := h.sbMetaAddr(sb).Add(16 + int64(w)*8)
-	s.mem.StoreU64(wordAddr, st.bitmap[w]|mask)
+	wordAddr := h.bitmapWord(sb, w)
+	s.mem.StoreU64(wordAddr, s.mem.LoadU64(wordAddr)|mask)
 	batch.Add(wordAddr, 8)
 
 	st.bitmap[w] |= mask
