@@ -223,7 +223,7 @@ func TestStatsCommand(t *testing.T) {
 	if p50, p99 := num("req_p50_us"), num("req_p99_us"); p50 <= 0 || p99 < p50 {
 		t.Errorf("latency quantiles p50=%v p99=%v", p50, p99)
 	}
-	for _, k := range []string{"aborts", "readonly", "stores", "wtstores", "flushes", "log_bytes"} {
+	for _, k := range []string{"aborts", "readonly", "stores", "wtstores", "flushes", "log_bytes", "fresh_bytes"} {
 		num(k) // presence check
 	}
 }

@@ -112,6 +112,7 @@ func (ls *localStore) StatsLine() string {
 	add("fences", dev.Fences)
 	add("log_appends", uint64(reg["rawl_appends_total"]))
 	add("log_bytes", uint64(reg["rawl_append_payload_bytes_total"]))
+	add("fresh_bytes", uint64(reg["mtm_fresh_bytes_total"]))
 	add("gc_epochs", uint64(reg["mtm_group_commit_epochs_total"]))
 	add("gc_members", uint64(reg["mtm_group_commit_members_total"]))
 	add("views", tm.Views)

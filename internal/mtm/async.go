@@ -19,6 +19,7 @@ type truncJob struct {
 	lines      []pmem.Addr
 	bits       []pheap.BitOp
 	allocBytes int64
+	largeFrees []pmem.Addr
 }
 
 // logManager is the separate thread of §5: "A separate log manager thread
@@ -84,7 +85,10 @@ func (m *logManager) run() {
 // fence, then truncates all their logs with deferred head updates covered
 // by a single trailing fence (freed log space must not be reused before
 // the new heads are durable). Only then do the blocks the jobs freed
-// become allocatable: their records can no longer replay.
+// become allocatable: their records can no longer replay, and neither can
+// any older record that stores into one of them — a transaction that frees
+// a block committed after every transaction it conflicted with had queued
+// its job, and jobs are processed in queue order.
 func (m *logManager) process(mem pmem.Memory, batch []truncJob) {
 	sp := telemetry.SpanBegin(telemetry.PhaseAsyncTrunc, 0, 0)
 	defer sp.End()
@@ -108,6 +112,7 @@ func (m *logManager) process(mem pmem.Memory, batch []truncJob) {
 		if len(job.bits) > 0 {
 			telPostCommitErr.Add(uint64(m.tm.cfg.Heap.Committed(job.bits, job.allocBytes)))
 		}
+		job.t.freeLarge(job.largeFrees, job.t.largeSlot.Add(8))
 		job.t.pendingTrunc.Add(-1)
 		m.pending.Add(-1)
 	}

@@ -1,6 +1,7 @@
 package mtm
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -122,112 +123,135 @@ func logStreamBytes(k int) int64 {
 	return (bits + 62) / 63 * 8
 }
 
-// overwritePut is the transaction an overwrite Put issues: free the old
-// value block, allocate and fill a new 64-byte one, swing the pointer and
-// bump a counter on another line. Ten words over three cache lines.
-func overwritePut(tx *Tx, root pmem.Addr, v uint64) error {
+// overwritePut is the transaction an overwrite SET issues: free the old
+// value block, allocate a new one, fill it with a length word and n value
+// bytes, and swing the pointer. Whatever n is, the record carries three
+// pairs: the pointer, one BitSet, one BitClear.
+func overwritePut(tx *Tx, root pmem.Addr, n int, v byte) error {
 	if old := pmem.Addr(tx.LoadU64(root)); old != pmem.Nil {
 		if err := tx.FreeBlock(old); err != nil {
 			return err
 		}
 	}
-	b, err := tx.Alloc(64)
+	b, err := tx.Alloc(8 + int64(n))
 	if err != nil {
 		return err
 	}
-	for w := int64(0); w < 8; w++ {
-		tx.StoreU64(b.Add(w*8), v)
-	}
+	tx.StoreU64(b, uint64(n))
+	tx.Store(b.Add(8), bytes.Repeat([]byte{v}, n))
 	tx.StoreU64(root, uint64(b))
-	tx.StoreU64(root.Add(128), v)
 	return nil
 }
 
-// TestTxAllocCostModel pins what allocation inside a transaction costs:
-// nothing beyond the commit protocol. The allocation and the free ride the
+// TestTxAllocCostModel pins what allocating and filling a block inside a
+// transaction costs: nothing beyond the commit protocol and one flush per
+// cache line of the block. The allocation and the free ride the
 // transaction's own record as two more pairs and drain with its write-back
-// fence as two write-through words; pheap's lane log is never touched.
+// fence as two write-through words; pheap's lane log is never touched; the
+// value bytes go to the block with cacheable stores and are flushed ahead of
+// the record, which therefore is the same three pairs — and the device sees
+// the same write-through bytes — for a 64-byte value and a 2048-byte one. In
+// hybrid mode both are one-word write sets and take the undo path.
 func TestTxAllocCostModel(t *testing.T) {
 	const lat = 100 * time.Nanosecond
 	ns := func(bytes int64) time.Duration {
 		return time.Duration(float64(bytes) / float64(8<<30) * 1e9)
 	}
-	const pairs = 10 + 2 // ten words, one BitSet, one BitClear
-	cases := []struct {
+	const pairs = 3
+	modes := []struct {
 		name                  string
 		cfg                   Config
 		fences, appends, trun uint64
-		model                 time.Duration
+		payload               int64 // record payload bytes appended to the log
+		streamed              int64 // bytes written through: log stream, bitmap words, head
+		model                 func(lines int64) time.Duration
 	}{
-		// Log flush, three line flushes, write-back fence draining the two
-		// bitmap words, truncation fence draining the head.
-		{"redo", Config{}, 3, 1, 1,
-			lat + ns(logStreamBytes(3+2*pairs)) + 3*lat + lat + ns(16) + lat + ns(8)},
-		// Batch flush, three line flushes, marker fence draining the
-		// bitmap words with it; truncation is amortized away.
-		{"hybrid", Config{CommitMode: "hybrid"}, 2, 2, 0,
-			lat + ns(logStreamBytes(2+2*pairs)) + 3*lat + lat + ns(16+logStreamBytes(2))},
+		// Value-line flushes, log flush, pointer-line flush, write-back fence
+		// draining the two bitmap words, truncation fence draining the head.
+		{"redo", Config{}, 3, 1, 1, 8 * (3 + 2*pairs), logStreamBytes(3+2*pairs) + 16 + 8,
+			func(lines int64) time.Duration {
+				return time.Duration(lines)*lat + lat + ns(logStreamBytes(3+2*pairs)) + lat + ns(16) + lat + ns(8)
+			}},
+		// Value-line flushes, batch flush, pointer-line flush, marker fence
+		// draining the bitmap words with it; truncation is amortized away.
+		{"hybrid", Config{CommitMode: "hybrid"}, 2, 2, 0, 8 * (2 + 2*pairs + 2), logStreamBytes(2+2*pairs) + logStreamBytes(2) + 16,
+			func(lines int64) time.Duration {
+				return time.Duration(lines)*lat + lat + ns(logStreamBytes(2+2*pairs)) + lat + ns(16+logStreamBytes(2))
+			}},
 	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			_, th, data, dev := costEnv(t, c.cfg)
-			// The first put adopts the size class's superblock (a durable
-			// class assignment, once per 128 blocks) and has nothing to
-			// free; the second is the steady state.
-			for v := uint64(1); v <= 2; v++ {
-				if err := th.Atomic(func(tx *Tx) error { return overwritePut(tx, data, v) }); err != nil {
+	sizes := []struct {
+		n     int
+		lines int64 // the block's (8+n bytes, class-aligned) plus the pointer's
+	}{{64, 3}, {2048, 34}}
+	for _, c := range modes {
+		for _, sz := range sizes {
+			t.Run(fmt.Sprintf("%s/%dB", c.name, sz.n), func(t *testing.T) {
+				_, th, data, dev := costEnv(t, c.cfg)
+				// The first put adopts the size class's superblock (a durable
+				// class assignment, once per superblock) and has nothing to
+				// free; the second is the steady state.
+				for v := byte(1); v <= 2; v++ {
+					if err := th.Atomic(func(tx *Tx) error { return overwritePut(tx, data, sz.n, v) }); err != nil {
+						t.Fatal(err)
+					}
+				}
+				ctx := th.Memory().Context()
+				ctx.ResetAccounting()
+				dev0, tel0 := dev.Snapshot(), telemetry.Default.Snapshot()
+				if err := th.Atomic(func(tx *Tx) error { return overwritePut(tx, data, sz.n, 3) }); err != nil {
 					t.Fatal(err)
 				}
-			}
-			ctx := th.Memory().Context()
-			ctx.ResetAccounting()
-			dev0, tel0 := dev.Snapshot(), telemetry.Default.Snapshot()
-			if err := th.Atomic(func(tx *Tx) error { return overwritePut(tx, data, 3) }); err != nil {
-				t.Fatal(err)
-			}
-			dev1, tel1 := dev.Snapshot(), telemetry.Default.Snapshot()
-			if got := dev1.Fences - dev0.Fences; got != c.fences {
-				t.Errorf("fences = %d, want %d", got, c.fences)
-			}
-			if got := dev1.Flushes - dev0.Flushes; got != 3 {
-				t.Errorf("flushed lines = %d, want 3", got)
-			}
-			for _, m := range []struct {
-				name string
-				want float64
-			}{
-				{"rawl_appends_total", float64(c.appends)},
-				{"rawl_truncations_total", float64(c.trun)},
-				{"pheap_lane_log_appends_total", 0},
-				{"pheap_tx_reservations_total", 1},
-				{"pheap_allocs_total", 1},
-				{"pheap_frees_total", 1},
-				{"pheap_alloc_bytes_total", 64},
-			} {
-				if got := tel1[m.name] - tel0[m.name]; got != m.want {
-					t.Errorf("%s advanced by %v, want %v", m.name, got, m.want)
+				dev1, tel1 := dev.Snapshot(), telemetry.Default.Snapshot()
+				if got := dev1.Fences - dev0.Fences; got != c.fences {
+					t.Errorf("fences = %d, want %d", got, c.fences)
 				}
-			}
-			if got := ctx.AccountedTime(); got < c.model-10*time.Nanosecond || got > c.model+10*time.Nanosecond {
-				t.Errorf("accounted %v, model %v", got, c.model)
-			}
-		})
+				if got := dev1.Flushes - dev0.Flushes; got != uint64(sz.lines) {
+					t.Errorf("flushed lines = %d, want %d", got, sz.lines)
+				}
+				if got := dev1.BytesWT - dev0.BytesWT; got != uint64(c.streamed) {
+					t.Errorf("write-through bytes = %d, want %d", got, c.streamed)
+				}
+				for _, m := range []struct {
+					name string
+					want float64
+				}{
+					{"rawl_appends_total", float64(c.appends)},
+					{"rawl_append_payload_bytes_total", float64(c.payload)},
+					{"rawl_truncations_total", float64(c.trun)},
+					{"pheap_lane_log_appends_total", 0},
+					{"pheap_tx_reservations_total", 1},
+					{"pheap_allocs_total", 1},
+					{"pheap_frees_total", 1},
+					{"pheap_alloc_bytes_total", float64(8 + sz.n)},
+					{"mtm_fresh_bytes_total", float64(8 + sz.n)},
+					{"mtm_fresh_lines_flushed_total", float64(sz.lines - 1)},
+				} {
+					if got := tel1[m.name] - tel0[m.name]; got != m.want {
+						t.Errorf("%s advanced by %v, want %v", m.name, got, m.want)
+					}
+				}
+				if got, want := ctx.AccountedTime(), c.model(sz.lines); got < want-10*time.Nanosecond || got > want+10*time.Nanosecond {
+					t.Errorf("accounted %v, model %v", got, want)
+				}
+			})
+		}
 	}
 }
 
-// TestAbortedAllocCostsNothing: a transaction that allocates and aborts
-// touches SCM not at all — no fence, no flush, no write-through word left
-// pending — and the block it held is the next one handed out.
+// TestAbortedAllocCostsNothing: a transaction that allocates, stores into
+// the block and aborts costs the device nothing — no fence, no flush, no
+// write-through word left pending; the store sits in the cache, in a line of
+// a block that is free — and the block it held is the next one handed out.
 func TestAbortedAllocCostsNothing(t *testing.T) {
 	_, th, data, dev := costEnv(t, Config{})
-	if err := th.Atomic(func(tx *Tx) error { return overwritePut(tx, data, 1) }); err != nil {
+	if err := th.Atomic(func(tx *Tx) error { return overwritePut(tx, data, 64, 1) }); err != nil {
 		t.Fatal(err)
 	}
 	dev0, pending0, dirty0 := dev.Snapshot(), dev.PendingWTWords(), dev.DirtyLines()
 	boom := errors.New("abort")
 	var held pmem.Addr
 	if err := th.Atomic(func(tx *Tx) (err error) {
-		if held, err = tx.Alloc(64); err != nil {
+		if held, err = tx.Alloc(8 + 64); err != nil { // the class the put warmed up
 			return err
 		}
 		tx.StoreU64(held, 9)
@@ -237,13 +261,13 @@ func TestAbortedAllocCostsNothing(t *testing.T) {
 		t.Fatalf("Atomic returned %v, want the abort", err)
 	}
 	dev1 := dev.Snapshot()
-	if dev1.Fences != dev0.Fences || dev1.Flushes != dev0.Flushes ||
-		dev.PendingWTWords() != pending0 || dev.DirtyLines() != dirty0 {
+	if dev1.Fences != dev0.Fences || dev1.Flushes != dev0.Flushes || dev1.AccountedNs != dev0.AccountedNs ||
+		dev.PendingWTWords() != pending0 || dev.DirtyLines() > dirty0+1 {
 		t.Fatalf("aborted allocation touched SCM: %+v -> %+v, pending WT words %d -> %d, dirty lines %d -> %d",
 			dev0, dev1, pending0, dev.PendingWTWords(), dirty0, dev.DirtyLines())
 	}
 	if err := th.Atomic(func(tx *Tx) error {
-		again, err := tx.Alloc(64)
+		again, err := tx.Alloc(8 + 64)
 		if err == nil && again != held {
 			err = fmt.Errorf("aborted block %v not handed out again (got %v)", held, again)
 		}

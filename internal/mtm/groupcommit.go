@@ -78,8 +78,10 @@ func newGroupCommitter(tm *TM) *groupCommitter {
 }
 
 // commit makes tx durable through a group-commit epoch. Called with the
-// transaction validated and its locks held; on return the transaction is
-// durable (or pc.err-failed and rolled back by the caller via finish).
+// transaction validated, its locks held and what it stored into fresh
+// blocks flushed (a member flushes its own lines before it parks; the
+// leader streams records only); on return the transaction is durable (or
+// pc.err-failed and rolled back by the caller via finish).
 func (gc *groupCommitter) commit(tx *Tx) error {
 	t := tx.t
 	// This transaction has arrived: stop counting it toward the leader's

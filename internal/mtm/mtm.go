@@ -11,7 +11,11 @@
 //     tornbit RAWL. One log flush — a single fence — makes the whole
 //     transaction durable. Memory itself is only updated after the log is
 //     durable, so "the only requirement is that the log is written
-//     completely before any data values are updated."
+//     completely before any data values are updated." The one exception
+//     needs no log at all: what a transaction stores into a block it
+//     allocated itself goes straight to memory and is flushed ahead of
+//     the commit record, since nothing can reach the block until that
+//     record publishes a pointer to it (Tx.storeFresh).
 //
 //   - Eager conflict detection with encounter-time locking over a global
 //     array of volatile locks, each covering a slice of the persistent

@@ -1,11 +1,13 @@
 package mtm
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -63,6 +65,17 @@ var (
 		"transactions committed through redo logging (solo or group commit)")
 )
 
+// Out-of-log payload: what transactions stored straight into blocks they
+// had allocated themselves (Tx.storeFresh), and what that cost in line
+// flushes ahead of the commit record. Counted at the flush, so aborted
+// attempts do not show.
+var (
+	telFreshBytes = telemetry.NewCounter("mtm_fresh_bytes_total",
+		"bytes committed transactions stored into blocks they allocated themselves, bypassing the log")
+	telFreshLines = telemetry.NewCounter("mtm_fresh_lines_flushed_total",
+		"cache lines of such blocks flushed ahead of the commit record")
+)
+
 // UndoCommits returns the process-wide count of transactions committed
 // through the undo path; RedoCommits its redo counterpart. Benchmarks
 // diff them around a run to report the hybrid split.
@@ -98,9 +111,11 @@ type Thread struct {
 	logPos rawl.Pos
 	alloc  *pheap.Allocator
 
-	// largeSlot is the thread's one persistent pointer word: the
-	// destination pheap's lane log needs for a large-object PMalloc or
-	// FreeAddr issued inside a transaction. Small blocks never touch it.
+	// largeSlot is the thread's persistent pointer word: the destination
+	// pheap's lane log needs for a large-object PMalloc or FreeAddr issued
+	// inside a transaction. Small blocks never touch it. The word after it
+	// serves the asynchronous log manager the same way when it frees this
+	// thread's large blocks (freeLarge).
 	largeSlot pmem.Addr
 
 	// pendingTrunc counts this slot's truncation jobs still queued at the
@@ -353,6 +368,13 @@ type readEntry struct {
 	seen uint64
 }
 
+// freshBlock is a block the running transaction allocated. fill is the
+// address past the highest word stored so far: words from there on have
+// never been written and still hold what the block's last owner left.
+type freshBlock struct {
+	lo, end, fill pmem.Addr
+}
+
 // Tx is an executing transaction. A Tx is only valid inside the function
 // passed to Atomic.
 type Tx struct {
@@ -381,6 +403,14 @@ type Tx struct {
 	// Large objects keep pheap's own lane log (see Tx.Alloc).
 	largeAllocs []pmem.Addr // freed again on abort
 	largeFrees  []pmem.Addr // freed after commit
+
+	// Blocks allocated by this transaction, sorted by address, and what was
+	// stored into them out of log (see storeFresh).
+	fresh      []freshBlock
+	freshHit   int         // index in fresh of the last lookup's hit
+	freshLines []pmem.Addr // cache lines stored to, in store order; may repeat
+	freshLine  pmem.Addr   // line of the latest fresh store
+	freshBytes int64
 
 	// writing is set (group-commit mode only) while this transaction is
 	// counted in TM.activeWriters — from begin until it enqueues on an
@@ -565,6 +595,11 @@ func (tx *Tx) begin() {
 	tx.allocBytes = 0
 	tx.largeAllocs = tx.largeAllocs[:0]
 	tx.largeFrees = tx.largeFrees[:0]
+	tx.fresh = tx.fresh[:0]
+	tx.freshHit = 0
+	tx.freshLines = tx.freshLines[:0]
+	tx.freshLine = ^pmem.Addr(0)
+	tx.freshBytes = 0
 	tx.windex.reset()
 	tx.owned.reset()
 }
@@ -575,9 +610,10 @@ func (tx *Tx) abort() {
 
 // rollback undoes the attempt: in undo mode the in-place writes are
 // reverted (before locks release, so no other transaction can observe
-// them), locks are restored to their pre-acquisition versions, and blocks
-// allocated inside the transaction go back to the heap — small ones by
-// dropping their volatile reservation, at no SCM cost.
+// them), locks are released without a commit, and blocks allocated inside
+// the transaction go back to the heap — small ones by dropping their
+// volatile reservation, at no SCM cost. What was stored into them stays
+// behind as garbage in free memory.
 func (tx *Tx) rollback() {
 	t := tx.t
 	tx.endWriting()
@@ -590,9 +626,7 @@ func (tx *Tx) rollback() {
 		t.mem.Fence()
 		t.log.TruncateAll()
 	}
-	for i := len(tx.locks) - 1; i >= 0; i-- {
-		t.tm.lockAt(tx.locks[i].idx).Store(tx.locks[i].prev)
-	}
+	tx.releaseLocksNoCommit()
 	if len(tx.bits) > 0 {
 		t.tm.cfg.Heap.Aborted(tx.bits)
 		tx.bits = tx.bits[:0]
@@ -667,7 +701,8 @@ func (tx *Tx) validate() bool {
 
 // write implements transactional store of one word: encounter-time lock
 // acquisition plus redo buffering (or an immediate undo-logged in-place
-// update in the ablation mode).
+// update in the ablation mode) — or, for a word of a block this
+// transaction allocated, the store itself.
 func (tx *Tx) write(a pmem.Addr, v uint64) {
 	if !a.IsPersistent() {
 		panic(txFailure{fmt.Errorf("mtm: transactional write to non-persistent address %v", a)})
@@ -689,6 +724,10 @@ func (tx *Tx) write(a pmem.Addr, v uint64) {
 		tx.locks = append(tx.locks, lockEntry{idx: li, prev: w})
 	}
 
+	if f := tx.freshAt(a); f != nil {
+		tx.storeFresh(f, a, v)
+		return
+	}
 	if tx.t.tm.cfg.UndoLogging {
 		tx.undoStore(a, v)
 		return
@@ -699,6 +738,84 @@ func (tx *Tx) write(a pmem.Addr, v uint64) {
 	}
 	tx.windex.put(uint64(a), int32(len(tx.writes)))
 	tx.writes = append(tx.writes, writeEntry{addr: a, val: v})
+}
+
+// freshAt returns the block this transaction allocated that contains a, or
+// nil.
+func (tx *Tx) freshAt(a pmem.Addr) *freshBlock {
+	if len(tx.fresh) == 0 {
+		return nil
+	}
+	if f := &tx.fresh[tx.freshHit]; a >= f.lo && a < f.end {
+		return f
+	}
+	i, ok := slices.BinarySearchFunc(tx.fresh, a, func(f freshBlock, a pmem.Addr) int {
+		switch {
+		case f.end <= a:
+			return -1
+		case f.lo > a:
+			return 1
+		}
+		return 0
+	})
+	if !ok {
+		return nil
+	}
+	tx.freshHit = i
+	return &tx.fresh[i]
+}
+
+// noteFresh records a block just allocated by this transaction.
+func (tx *Tx) noteFresh(block pmem.Addr, size int64) {
+	i, _ := slices.BinarySearchFunc(tx.fresh, block, func(f freshBlock, a pmem.Addr) int {
+		return cmp.Compare(f.lo, a)
+	})
+	tx.fresh = slices.Insert(tx.fresh, i, freshBlock{lo: block, end: block.Add((size + 7) &^ 7), fill: block})
+	tx.freshHit = i
+}
+
+// storeFresh stores one word of a block this transaction allocated: a
+// cacheable store straight to memory, with no log entry and no write-back.
+// Nothing can reach the block until the commit record publishes a pointer
+// to it, so it needs no atomicity of its own, only to be durable before
+// that record is (flushFresh). An abort or a crash before then leaves
+// garbage in a block that is persistently free. The caller holds the
+// word's lock, as for any write: a snapshot reader that came through a
+// stale pointer to the block's previous life sees the lock or the new
+// version, never the bytes changing under it.
+func (tx *Tx) storeFresh(f *freshBlock, a pmem.Addr, v uint64) {
+	if line := a &^ (scm.LineSize - 1); line == tx.freshLine {
+		tx.t.mem.StoreU64InDirtyLine(a, v)
+	} else {
+		tx.t.mem.StoreU64(a, v)
+		tx.freshLine = line
+		tx.freshLines = append(tx.freshLines, line)
+	}
+	if a >= f.fill {
+		f.fill = a.Add(8)
+	}
+	tx.freshBytes += 8
+}
+
+// flushFresh makes everything stored into fresh blocks durable: one flush
+// per distinct cache line stored to, and no fence, since a flush is
+// synchronous. It runs once the transaction can no longer abort on a
+// conflict and before any record that could commit it is appended, so a
+// durable commit record always finds the payload it points to durable.
+func (tx *Tx) flushFresh() {
+	if len(tx.freshLines) == 0 {
+		return
+	}
+	tx.lines.reset()
+	for _, line := range tx.freshLines {
+		if _, seen := tx.lines.get(uint64(line)); seen {
+			continue
+		}
+		tx.lines.put(uint64(line), 0)
+		tx.t.mem.Flush(line)
+	}
+	telFreshLines.Add(uint64(tx.lines.n))
+	telFreshBytes.Add(uint64(tx.freshBytes))
 }
 
 // undoStore logs the old value and fences before updating memory in
@@ -730,7 +847,12 @@ func (tx *Tx) commit() error {
 		tm.stats.ReadOnly.Add(1)
 		telReadOnly.Inc()
 		tx.releaseLocksNoCommit()
-		tx.runDeferredFrees()
+		if tm.mgr != nil && len(tx.largeFrees) > 0 {
+			// No record of its own for the frees to follow through the log
+			// manager's queue: wait out every older one instead.
+			tm.mgr.drain()
+		}
+		t.freeLarge(tx.largeFrees, t.largeSlot)
 		return nil
 	}
 	validate := telemetry.SpanBegin(telemetry.PhaseValidate, t.id, t.txnSpan)
@@ -740,6 +862,7 @@ func (tx *Tx) commit() error {
 		tx.rollback()
 		return conflictErr{}
 	}
+	tx.flushFresh()
 
 	// Undo commit path: forced by AtomicUndo, selected by CommitMode
 	// "undo", or chosen in hybrid mode for write sets small enough that
@@ -858,13 +981,17 @@ func (tx *Tx) truncJob(pos rawl.Pos) truncJob {
 	job := truncJob{t: tx.t, pos: pos, allocBytes: tx.allocBytes}
 	job.lines = append(job.lines, tx.distinctLines(tx.writes)...)
 	job.bits = append(job.bits, tx.bits...)
+	job.largeFrees = append(job.largeFrees, tx.largeFrees...)
 	return job
 }
 
 // useUndoPath reports whether this validated writing transaction commits
 // through the batched undo path: forced by AtomicUndo, selected by
-// CommitMode "undo", or chosen in hybrid mode for small write sets. A
-// write set whose batch record plus commit marker cannot fit even an
+// CommitMode "undo", or chosen in hybrid mode for small write sets. What
+// counts is the logged write set: bytes stored into fresh blocks are
+// already durable by now and cost neither path anything, so a transaction
+// that fills a large new value and swings one pointer to it is a small one.
+// A write set whose batch record plus commit marker cannot fit even an
 // empty log always falls back to redo (which splits across truncations).
 func (tx *Tx) useUndoPath() bool {
 	t := tx.t
@@ -999,20 +1126,32 @@ func (tx *Tx) writeBack() {
 
 // runDeferredFrees releases what the transaction freed, once it is
 // durable and its commit record can no longer be replayed (truncated, or
-// terminated by its marker): small blocks become allocatable again
-// (under asynchronous truncation the log manager does this, after it has
-// truncated the record), and large blocks are freed through the lane log.
-// A failing free must not surface as a transaction error: callers would
-// report failure for a write that actually committed. The block stays
-// allocated (a leak the conservative GC can reclaim) and the failure is
-// counted.
+// terminated by its marker): small blocks become allocatable again and
+// large blocks are freed through the lane log. Under asynchronous
+// truncation the log manager does both, after it has truncated the record:
+// whoever reuses a block fills it out of log (storeFresh), so no record
+// that stores into the block may still be replayable by then — not this
+// one, and not an older one, which the manager's queue order puts ahead of
+// it.
 func (tx *Tx) runDeferredFrees() {
 	t := tx.t
-	if len(tx.bits) > 0 && t.tm.mgr == nil {
+	if t.tm.mgr != nil {
+		return
+	}
+	if len(tx.bits) > 0 {
 		telPostCommitErr.Add(uint64(t.tm.cfg.Heap.Committed(tx.bits, tx.allocBytes)))
 	}
-	for _, block := range tx.largeFrees {
-		if err := t.alloc.FreeAddr(block, t.largeSlot); err != nil {
+	t.freeLarge(tx.largeFrees, t.largeSlot)
+}
+
+// freeLarge frees a committed transaction's large blocks through the lane
+// log, with slot as the destination word. A failing free must not surface
+// as a transaction error: callers would report failure for a write that
+// actually committed. The block stays allocated (a leak the conservative
+// GC can reclaim) and the failure is counted.
+func (t *Thread) freeLarge(blocks []pmem.Addr, slot pmem.Addr) {
+	for _, block := range blocks {
+		if err := t.alloc.FreeAddr(block, slot); err != nil {
 			telPostCommitErr.Inc()
 		}
 	}
@@ -1041,6 +1180,7 @@ func (tx *Tx) commitUndo() error {
 		tx.rollback()
 		return fmt.Errorf("mtm: transaction overflows undo log (%d words free)", t.log.FreeWords())
 	}
+	tx.flushFresh()
 	// Heap ops are undo-logged like writes — the inverse op is the old
 	// value — but behind one fence for all of them: nothing reads a
 	// persistent bitmap until recovery, so they can apply together here.
@@ -1076,11 +1216,23 @@ func (tx *Tx) commitUndo() error {
 	return nil
 }
 
-// releaseLocksNoCommit releases locks acquired by a transaction that ends
-// up writing nothing (restoring the old versions).
+// releaseLocksNoCommit releases the locks of a transaction that aborts or
+// ends up logging nothing, restoring the old versions — unless it stored
+// into fresh blocks. Those words changed in memory with no commit behind
+// them, and a snapshot reader still holding a pointer into a recycled
+// block would take the restored version as proof that nothing moved; a new
+// version sends it back to validate the pointer it came through.
 func (tx *Tx) releaseLocksNoCommit() {
+	tm := tx.t.tm
+	if tx.freshBytes > 0 {
+		ts := tm.clock.Add(1)
+		for _, le := range tx.locks {
+			tm.lockAt(le.idx).Store(ts)
+		}
+		return
+	}
 	for i := len(tx.locks) - 1; i >= 0; i-- {
-		tx.t.tm.lockAt(tx.locks[i].idx).Store(tx.locks[i].prev)
+		tm.lockAt(tx.locks[i].idx).Store(tx.locks[i].prev)
 	}
 }
 
@@ -1166,7 +1318,13 @@ func (tx *Tx) Store(a pmem.Addr, buf []byte) {
 			i += 8
 			continue
 		}
-		w := tx.read(wordAddr)
+		// A partial word keeps its other bytes — except in a fresh block
+		// beyond what this transaction has filled, where they are the
+		// previous owner's: that word is built from zero.
+		var w uint64
+		if f := tx.freshAt(wordAddr); f == nil || wordAddr < f.fill {
+			w = tx.read(wordAddr)
+		}
 		for ; shift < 8 && i < n; shift++ {
 			w &^= 0xff << (shift * 8)
 			w |= uint64(buf[i]) << (shift * 8)
@@ -1197,7 +1355,8 @@ func (tx *Tx) PMalloc(size int64, ptr pmem.Addr) (pmem.Addr, error) {
 // nothing and leaks nothing. A larger one runs pheap's lane log at once,
 // with the thread's persistent pointer word as its destination, and is
 // freed again if the transaction aborts (a crash before commit leaks it to
-// the garbage collector).
+// the garbage collector). Either way the block is this transaction's own
+// until it commits, and what it stores there bypasses the log (storeFresh).
 func (tx *Tx) Alloc(size int64) (pmem.Addr, error) {
 	t := tx.t
 	if t.alloc == nil {
@@ -1209,6 +1368,7 @@ func (tx *Tx) Alloc(size int64) (pmem.Addr, error) {
 			return pmem.Nil, err
 		}
 		tx.largeAllocs = append(tx.largeAllocs, block)
+		tx.noteFresh(block, size)
 		return block, nil
 	}
 	block, op, err := t.alloc.Reserve(size)
@@ -1217,6 +1377,7 @@ func (tx *Tx) Alloc(size int64) (pmem.Addr, error) {
 	}
 	tx.bits = append(tx.bits, op)
 	tx.allocBytes += size
+	tx.noteFresh(block, size)
 	return block, nil
 }
 

@@ -8,7 +8,6 @@ import (
 	"repro/internal/crashpoint"
 	"repro/internal/pheap"
 	"repro/internal/pmem"
-	"repro/internal/region"
 	"repro/internal/scm"
 )
 
@@ -156,67 +155,15 @@ func exploreTxAlloc(t *testing.T, mode txAllocMode) {
 		cfg := mode.cfg
 		cfg.Slots, cfg.LogWords = 2, 256
 
-		type stack struct {
-			rt       *region.Runtime
-			heap     *pheap.Heap
-			heapBase pmem.Addr
-			tm       *TM
-			data     pmem.Addr
-		}
-		// openAll opens the stack, creating whatever a crash during set-up
-		// left missing (which the oracle then sees as the empty state).
-		openAll := func() (*stack, error) {
-			rt, err := region.Open(dev, region.Config{Dir: dir, StaticSize: 64 << 10})
-			if err != nil {
-				return nil, err
-			}
-			s := &stack{rt: rt}
-			mapAt := func(name string, size int64) (pmem.Addr, error) {
-				ptr, _, err := rt.Static(name, 8)
-				if err != nil {
-					return pmem.Nil, err
-				}
-				if a := pmem.Addr(rt.NewMemory().LoadU64(ptr)); a != pmem.Nil {
-					return a, nil
-				}
-				return rt.PMapAt(ptr, size, 0)
-			}
-			fail := func(err error) (*stack, error) {
-				rt.Close()
-				return nil, err
-			}
-			if s.heapBase, err = mapAt("mtm.txalloc.heap", txAllocHeapSize); err != nil {
-				return fail(err)
-			}
-			s.heap, err = pheap.Open(rt, s.heapBase)
-			if errors.Is(err, pheap.ErrNoHeap) {
-				s.heap, err = pheap.Format(rt, s.heapBase, txAllocHeapSize, pheap.Config{Lanes: 2})
-			}
-			if err != nil {
-				return fail(err)
-			}
-			c := cfg
-			c.Heap = s.heap
-			if s.tm, err = Open(rt, "txalloc", c); err != nil {
-				return fail(err)
-			}
-			if mode.async {
+		openAll := func() (*heapStack, error) {
+			s, err := openHeapStack(dev, dir, "txalloc", cfg, txAllocHeapSize)
+			if err == nil && mode.async {
 				// The manager goroutine would make the event sequence
 				// depend on scheduling; the body runs its work by hand.
 				s.tm.StopTruncation()
 			}
-			if s.data, err = mapAt("mtm.txalloc.data", scm.PageSize); err != nil {
-				return fail(err)
-			}
-			return s, nil
+			return s, err
 		}
-
-		allocated := func(h *pheap.Heap) map[pmem.Addr]bool {
-			set := map[pmem.Addr]bool{}
-			h.ForEachAllocated(func(a pmem.Addr, _ int64) bool { set[a] = true; return true })
-			return set
-		}
-
 		return &crashpoint.Run{
 			Dev: dev,
 			Body: func() error {
@@ -231,21 +178,7 @@ func exploreTxAlloc(t *testing.T, mode txAllocMode) {
 					}
 				}
 				mgrMem := s.rt.NewMemory()
-				runManager := func() {
-					var batch []truncJob
-					for {
-						select {
-						case jobs := <-s.tm.mgr.jobs:
-							batch = append(batch, jobs...)
-							continue
-						default:
-						}
-						break
-					}
-					if len(batch) > 0 {
-						s.tm.mgr.process(mgrMem, batch)
-					}
-				}
+				runManager := func() { runQueuedJobs(s.tm, mgrMem) }
 				step := 0
 				for u, unit := range txAllocScript {
 					var members []*pendingCommit
@@ -274,6 +207,7 @@ func exploreTxAlloc(t *testing.T, mode txAllocMode) {
 						if !tx.validate() {
 							return fmt.Errorf("step %d failed validation", i)
 						}
+						tx.flushFresh() // as commit does before handing over
 						tx.endWriting()
 						pc := &th.pending
 						pc.tx, pc.ts, pc.err = tx, s.tm.clock.Add(1), nil
@@ -335,7 +269,7 @@ func exploreTxAlloc(t *testing.T, mode txAllocMode) {
 				if err := s.heap.Check(); err != nil {
 					return err
 				}
-				live := allocated(s.heap)
+				live := allocatedSet(s.heap)
 				for b := range reach {
 					if !live[b] {
 						return fmt.Errorf("reachable block %v is free (double allocation ahead)", b)
@@ -348,7 +282,7 @@ func exploreTxAlloc(t *testing.T, mode txAllocMode) {
 				if err != nil {
 					return err
 				}
-				persistent := allocated(rescanned)
+				persistent := allocatedSet(rescanned)
 				for b := range live {
 					if !persistent[b] {
 						return fmt.Errorf("block %v allocated in the recovered volatile bitmap but not the persistent one", b)

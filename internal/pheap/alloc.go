@@ -103,6 +103,11 @@ func (a *Allocator) PFree(ptr pmem.Addr) error {
 	defer sp.End()
 	a.lane.mu.Lock()
 	defer a.lane.mu.Unlock()
+	return a.pfreeLocked(ptr)
+}
+
+// pfreeLocked is PFree with the lane lock held.
+func (a *Allocator) pfreeLocked(ptr pmem.Addr) error {
 	block := pmem.Addr(a.lane.mem.LoadU64(ptr))
 	if block == pmem.Nil {
 		return errors.New("pheap: pfree of nil pointer")

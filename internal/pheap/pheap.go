@@ -459,10 +459,17 @@ func (h *Heap) ForEachAllocated(fn func(addr pmem.Addr, size int64) bool) {
 // garbage collector uses this to reclaim unreachable blocks. The scratch
 // static must be provided by the caller (a persistent 8-byte slot).
 func (a *Allocator) FreeAddr(block, scratch pmem.Addr) error {
+	sp := telemetry.SpanBegin(telemetry.PhaseFree, uint64(a.idx), 0)
+	defer sp.End()
+	// The lane's memory view is shared by every allocator on the lane, and
+	// a transaction thread's allocator is also used by the asynchronous log
+	// manager: the scratch store takes the lane lock like any other use.
+	a.lane.mu.Lock()
+	defer a.lane.mu.Unlock()
 	a.lane.mem.WTStoreU64(scratch, uint64(block))
 	a.lane.mem.Fence()
 	telemetry.CountPhaseFence(telemetry.PhaseFree)
-	return a.PFree(scratch)
+	return a.pfreeLocked(scratch)
 }
 
 // Stats returns current occupancy counters.
