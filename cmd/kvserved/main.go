@@ -81,8 +81,8 @@ var (
 	emulate     = flag.Bool("emulate-latency", false, "spin-emulate PCM write latency")
 	shards      = flag.Int("shards", 1, "independent PM shards behind the front end (1 = classic single-instance layout)")
 	recWorkers  = flag.Int("recovery-workers", 0, "max shards recovering concurrently at boot (0 = one worker per shard)")
-	threads     = flag.Int("threads", 0, "concurrent transaction threads (0 = default 32); caps concurrent connections, not cumulative ones")
-	leaseWait   = flag.Duration("lease-timeout", 0, "how long a connection waits for a transaction thread when all are busy (0 = default 5s)")
+	threads     = flag.Int("threads", 0, "transaction-thread slots per shard (0 = default 32); caps write transactions in flight, not connections")
+	leaseWait   = flag.Duration("lease-timeout", 0, "how long a write waits for a transaction-thread slot when all are running transactions (0 = default 5s)")
 	metricsAddr = flag.String("metrics-addr", "", "serve Prometheus /metrics, expvar and pprof on this address (empty disables)")
 	traceOn     = flag.Bool("trace", false, "record persistence events to the in-memory trace ring (served on /trace)")
 	groupCommit = flag.Bool("group-commit", false, "coalesce durability fences across concurrent commits")

@@ -13,12 +13,12 @@ import (
 )
 
 var (
-	// ErrTooManyThreads reports that every per-thread log slot is
-	// leased; NewThread fails with it immediately, Lease only when it
-	// gives up waiting.
+	// ErrTooManyThreads reports that every per-thread log slot is leased
+	// or running a transaction; NewThread fails with it immediately, and
+	// so does PM.Atomic under a negative LeaseTimeout.
 	ErrTooManyThreads = mtm.ErrTooManyThreads
-	// ErrLeaseTimeout reports that a thread lease gave up waiting for a
-	// free log slot (deadline or cancellation).
+	// ErrLeaseTimeout reports that a thread lease or PM.Atomic gave up
+	// waiting for a free log slot (deadline or cancellation).
 	ErrLeaseTimeout = mtm.ErrLeaseTimeout
 	// ErrLogFull reports a raw word log without room for the record.
 	ErrLogFull = rawl.ErrLogFull

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -143,7 +144,6 @@ func RunReadCacheCell(o ReadCacheOpts, cache string, goroutines int) (ReadCacheR
 	hitCounter := telemetry.Default.Counter("region_readcache_hits_total", "")
 	missCounter := telemetry.Default.Counter("region_readcache_misses_total", "")
 	startHits, startMisses := hitCounter.Value(), missCounter.Value()
-	leaseWait := 30 * time.Second
 
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -163,7 +163,7 @@ func RunReadCacheCell(o ReadCacheOpts, cache string, goroutines int) (ReadCacheR
 					})
 				} else {
 					var th *mtm.Thread
-					if th, err = env.TM.LeaseThread(leaseWait); err == nil {
+					if th, err = env.TM.Lease(context.Background()); err == nil {
 						err = th.Atomic(func(tx *mtm.Tx) error {
 							return tree.Put(tx, key, value)
 						})

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -149,7 +150,6 @@ func RunReadMostlyCell(o ReadMostlyOpts) (ReadMostlyRow, error) {
 	leaseCounter := telemetry.Default.Counter("mtm_thread_leases_total", "")
 	startFences := env.Dev.Snapshot().Fences
 	startLeases := leaseCounter.Value()
-	leaseWait := 30 * time.Second
 
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -170,7 +170,7 @@ func RunReadMostlyCell(o ReadMostlyOpts) (ReadMostlyRow, error) {
 					})
 				} else {
 					var th *mtm.Thread
-					if th, err = env.TM.LeaseThread(leaseWait); err == nil {
+					if th, err = env.TM.Lease(context.Background()); err == nil {
 						if isRead {
 							err = th.Atomic(func(tx *mtm.Tx) error {
 								_, err := tree.Get(tx, key)

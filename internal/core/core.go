@@ -14,7 +14,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -55,13 +54,14 @@ type Config struct {
 	// AsyncTruncation moves transaction-log truncation off the commit
 	// path (Figure 6's optimization).
 	AsyncTruncation bool
-	// Threads bounds concurrent transaction threads (default 32).
-	// Thread slots are leased and recycled, so the bound caps concurrent
-	// threads, not cumulative ones.
+	// Threads is the number of transaction-thread slots (default 32): it
+	// bounds how many transactions run at once through Atomic plus the
+	// threads explicitly held through NewThread. Slots are recycled, so
+	// neither cumulative threads nor idle callers count against it.
 	Threads int
-	// LeaseTimeout bounds how long ThreadPool.Lease waits for a free
-	// transaction thread when all Threads slots are leased (default 5s).
-	// Negative disables waiting: Lease fails immediately when full.
+	// LeaseTimeout bounds how long Atomic waits for a slot when all
+	// Threads of them are busy (default 5s). Negative disables waiting:
+	// Atomic fails immediately with ErrTooManyThreads.
 	LeaseTimeout time.Duration
 	// GroupCommit routes commits through the group-commit coordinator:
 	// concurrent transactions share one durability fence per commit
@@ -309,82 +309,43 @@ func (pm *PM) PUnmap(addr pmem.Addr) error { return pm.rt.PUnmap(addr) }
 func (pm *PM) Memory() *region.Mem { return pm.rt.NewMemory() }
 
 // NewThread returns a transaction thread for the calling goroutine. The
-// caller owns the thread's log slot until Thread.Close returns it; use
-// ThreadPool for lease/release discipline with a bounded wait.
+// caller owns the thread's log slot until Thread.Close returns it; hot
+// loops that want a thread of their own keep one, everything else calls
+// Atomic.
 func (pm *PM) NewThread() (*mtm.Thread, error) { return pm.tm.NewThread() }
 
-// ThreadPool leases transaction threads against the instance's Threads
-// bound. Lease blocks up to the configured LeaseTimeout when every slot
-// is taken — a burst of sessions beyond Threads queues instead of
-// erroring — and Release recycles the thread's log slot for the next
-// lease. Servers take one lease per connection or session.
-type ThreadPool struct {
-	tm      *mtm.TM
-	timeout time.Duration
-}
-
-// ThreadPool returns the instance's thread pool.
-func (pm *PM) ThreadPool() *ThreadPool {
-	return &ThreadPool{tm: pm.tm, timeout: pm.cfg.LeaseTimeout}
-}
-
-// Lease binds a transaction thread to a free log slot. When every slot
-// is leased it waits until one frees, ctx is cancelled, or — when ctx
-// carries no deadline of its own — the instance's LeaseTimeout elapses.
-// The cancellation error matches both mnemosyne's ErrLeaseTimeout and
-// ctx.Err() under errors.Is.
-func (p *ThreadPool) Lease(ctx context.Context) (*mtm.Thread, error) {
-	if p.timeout < 0 {
-		return p.tm.NewThread()
-	}
-	if _, ok := ctx.Deadline(); !ok && p.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, p.timeout)
-		defer cancel()
-	}
-	return p.tm.Lease(ctx)
-}
-
-// LeaseWithTimeout is Lease with a bare timeout instead of a context.
-//
-// Deprecated: use Lease with a context carrying the deadline.
-func (p *ThreadPool) LeaseWithTimeout(timeout time.Duration) (*mtm.Thread, error) {
-	return p.tm.LeaseThread(timeout)
-}
-
-// Release closes the thread, recycling its slot. A non-nil error means
-// the handoff invariants could not be established and the slot was
-// quarantined rather than reused.
-func (p *ThreadPool) Release(th *mtm.Thread) error { return th.Close() }
-
-// Atomic runs fn as a durable memory transaction on a leased thread — a
-// convenience for programs with casual transaction needs; hot paths
-// should keep a Thread per goroutine. The thread is released afterwards,
-// so casual use no longer consumes log slots cumulatively.
+// Atomic runs fn as a durable memory transaction on a thread the
+// transaction system keeps between calls (mtm.TM.AtomicSpanned): once a
+// slot is bound, a transaction pays for its logging, allocation and
+// ordering and nothing for its context. When all Threads slots are running
+// transactions or explicitly leased it waits up to LeaseTimeout for one.
 func (pm *PM) Atomic(fn func(tx *mtm.Tx) error) error {
-	th, err := pm.tm.LeaseThread(pm.cfg.LeaseTimeout)
-	if err != nil {
-		return err
-	}
-	defer th.Close()
-	return th.Atomic(fn)
+	return pm.tm.AtomicSpanned(0, pm.cfg.LeaseTimeout, fn)
 }
 
-// AtomicBatch runs every fn inside one transaction on a single leased
-// thread: one lease, one log append and one durability fence (or one
-// group-commit epoch) for the whole batch, where per-fn Atomic calls
-// would pay a lease and a fence each. The batch commits or aborts as a
-// unit: an error from any fn rolls back them all.
+// AtomicSpanned is Atomic with an explicit parent span id: the transaction
+// and its commit phases are attributed under the caller's span when tracing
+// or attribution is enabled. Parent 0 is equivalent to Atomic.
+func (pm *PM) AtomicSpanned(parent uint64, fn func(tx *mtm.Tx) error) error {
+	return pm.tm.AtomicSpanned(parent, pm.cfg.LeaseTimeout, fn)
+}
+
+// AtomicBatch runs every fn inside one transaction: one log append and one
+// durability fence (or one group-commit epoch) for the whole batch, where
+// per-fn Atomic calls would pay a fence each. The batch commits or aborts
+// as a unit: an error from any fn rolls back them all.
 func (pm *PM) AtomicBatch(fns []func(tx *mtm.Tx) error) error {
 	if len(fns) == 0 {
 		return nil
 	}
-	th, err := pm.tm.LeaseThread(pm.cfg.LeaseTimeout)
-	if err != nil {
-		return err
-	}
-	defer th.Close()
-	return th.AtomicBatch(fns)
+	return pm.Atomic(func(tx *mtm.Tx) error {
+		for _, fn := range fns {
+			if err := fn(tx); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // View runs fn as a slot-free snapshot read transaction — the read-only

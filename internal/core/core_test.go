@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"testing"
 	"time"
@@ -141,43 +140,51 @@ func TestAtomicConvenienceRecyclesSlots(t *testing.T) {
 	}
 }
 
-func TestThreadPoolLeaseReleaseAndTimeout(t *testing.T) {
+// TestAtomicWaitsUpToLeaseTimeout: Threads bounds transactions in flight
+// plus explicitly held threads, and LeaseTimeout how long Atomic queues
+// for a slot when all of them are taken.
+func TestAtomicWaitsUpToLeaseTimeout(t *testing.T) {
 	pm, err := Open(Config{Dir: t.TempDir(), DeviceSize: 64 << 20, Threads: 2,
 		LeaseTimeout: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := pm.ThreadPool()
-	t1, err := pool.Lease(context.Background())
+	nop := func(*mtm.Tx) error { return nil }
+	// A parked thread does not count against the bound: both slots can
+	// still be taken explicitly.
+	if err := pm.Atomic(nop); err != nil {
+		t.Fatal(err)
+	}
+	t1, err := pm.NewThread()
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, err := pool.Lease(context.Background())
+	t2, err := pm.NewThread()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Full pool: a third lease must wait and time out.
-	if _, err := pool.Lease(context.Background()); !errors.Is(err, mtm.ErrLeaseTimeout) {
-		t.Fatalf("lease on full pool: %v, want ErrLeaseTimeout", err)
+	// Every slot held: Atomic must wait and time out.
+	if err := pm.Atomic(nop); !errors.Is(err, mtm.ErrLeaseTimeout) {
+		t.Fatalf("Atomic with every slot held: %v, want ErrLeaseTimeout", err)
 	}
-	// A concurrent release unblocks a waiting lease before its timeout.
-	pm2, err := Open(Config{Dir: t.TempDir(), DeviceSize: 64 << 20, Threads: 2,
+	// A concurrent release unblocks a waiting Atomic before its timeout.
+	pm2, err := Open(Config{Dir: t.TempDir(), DeviceSize: 64 << 20, Threads: 1,
 		LeaseTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool2 := pm2.ThreadPool()
-	a1, _ := pool2.Lease(context.Background())
-	a2, _ := pool2.Lease(context.Background())
+	a1, err := pm2.NewThread()
+	if err != nil {
+		t.Fatal(err)
+	}
 	go func() {
 		time.Sleep(20 * time.Millisecond)
-		pool2.Release(a1)
+		a1.Close()
 	}()
-	a3, err := pool2.Lease(context.Background())
-	if err != nil {
-		t.Fatalf("lease after concurrent release: %v", err)
+	if err := pm2.Atomic(nop); err != nil {
+		t.Fatalf("Atomic after concurrent release: %v", err)
 	}
-	for _, th := range []*mtm.Thread{t1, t2, a2, a3} {
+	for _, th := range []*mtm.Thread{t1, t2} {
 		if err := th.Close(); err != nil {
 			t.Fatal(err)
 		}

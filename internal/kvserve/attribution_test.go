@@ -13,27 +13,33 @@ import (
 // TestRequestAttribution checks the acceptance bar for phase attribution:
 // a SET request's span tree, captured by the flight recorder, decomposes
 // the request into parse + exec covering at least 90% of the request's
-// wall time, and the transaction under exec carries its commit phases.
+// wall time, and the transaction under exec carries its commit phases — at
+// any shard count, since every store parents its transactions under the
+// request's exec span.
 func TestRequestAttribution(t *testing.T) {
+	t.Run("unsharded", func(t *testing.T) {
+		srv, _, _ := startServer(t, core.Config{Dir: t.TempDir(), DeviceSize: 64 << 20})
+		testRequestAttribution(t, srv)
+	})
+	t.Run("2 shards", func(t *testing.T) {
+		srv, _, _ := startSharded(t, 2, core.Config{Dir: t.TempDir(), DeviceSize: 32 << 20})
+		testRequestAttribution(t, srv)
+	})
+}
+
+func testRequestAttribution(t *testing.T, srv *Server) {
 	telemetry.EnableAttribution()
 	t.Cleanup(func() {
 		telemetry.DisableAttribution()
 		telemetry.DefaultRecorder.Configure(0, 0, 0)
 	})
 
-	srv, pm, _ := startServer(t, core.Config{Dir: t.TempDir(), DeviceSize: 64 << 20})
-	th, err := pm.NewThread()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess := &session{s: srv, th: th}
-
 	// Calibrate the capture threshold from a warm-up request: well below a
 	// request's wall time so SETs reliably capture, but far above the
 	// sub-microsecond fence/alloc root spans — a 1ns threshold would turn
 	// every such span into a full ring scan and slow the test 100x.
 	start := time.Now()
-	if reply := srv.dispatch(sess, nil, "SET warmup value"); reply != "OK" {
+	if reply := srv.dispatch("SET warmup value"); reply != "OK" {
 		t.Fatalf("SET -> %q", reply)
 	}
 	threshold := time.Since(start) / 4
@@ -43,11 +49,11 @@ func TestRequestAttribution(t *testing.T) {
 	telemetry.DefaultRecorder.Configure(threshold, 256, time.Minute)
 
 	for i := 0; i < 50; i++ {
-		if reply := srv.dispatch(sess, nil, fmt.Sprintf("SET key%d value%d", i, i)); reply != "OK" {
+		if reply := srv.dispatch(fmt.Sprintf("SET key%d value%d", i, i)); reply != "OK" {
 			t.Fatalf("SET -> %q", reply)
 		}
 	}
-	if reply := srv.dispatch(sess, nil, "GET key7"); reply != "VALUE value7" {
+	if reply := srv.dispatch("GET key7"); reply != "VALUE value7" {
 		t.Fatalf("GET -> %q", reply)
 	}
 
@@ -102,7 +108,7 @@ func TestRequestAttribution(t *testing.T) {
 		t.Error("no captured SET decomposed into txn_body/log_append/log_fence/write_back/truncate")
 	}
 
-	stats := srv.dispatch(sess, nil, "STATS")
+	stats := srv.dispatch("STATS")
 	for _, key := range []string{"latency_sample_rate", "readtx_started", "slow_captures"} {
 		if !strings.Contains(stats, key) {
 			t.Errorf("STATS reply missing %q:\n%s", key, stats)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/scm"
+	"repro/internal/shard"
 	"repro/internal/telemetry"
 )
 
@@ -25,6 +26,12 @@ import (
 // differs only in the lines it flushes. In hybrid mode both are one-word
 // write sets and take the two-fence undo path. A change that logs payload
 // again fails here on the record and write-through bytes.
+//
+// A 2-shard server pays exactly the same per SET: routing picks the PM, and
+// the transaction runs on a thread that PM's transaction system kept from
+// the SET before, so no slot is bound inside the measured window. (When
+// every sharded SET leased and closed a thread of its own it cost 3.12
+// fences in both modes.)
 func TestServedSetCostModel(t *testing.T) {
 	for _, c := range []struct {
 		mode                  string
@@ -40,67 +47,96 @@ func TestServedSetCostModel(t *testing.T) {
 			value int
 			lines float64 // the record block's, plus the tree leaf's
 		}{{64, 3}, {2048, 34}} {
-			t.Run(fmt.Sprintf("%s/%dB", c.mode, sz.value), func(t *testing.T) {
-				cfg := core.Config{DeviceSize: 32 << 20, HeapSize: 4 << 20, Threads: 2, Dir: t.TempDir(), CommitMode: c.mode}
-				dev, err := scm.Open(scm.Config{Size: cfg.DeviceSize, Mode: scm.DelayAccount})
-				if err != nil {
-					t.Fatal(err)
-				}
-				pm, err := core.Attach(dev, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer pm.Close()
-				s, err := New(pm)
-				if err != nil {
-					t.Fatal(err)
-				}
-				th, err := pm.NewThread()
-				if err != nil {
-					t.Fatal(err)
-				}
-				sess := &session{s: s, th: th}
-				set := func(i int) {
-					t.Helper()
-					// 16-byte key: the benchmark's SET.
-					value := fmt.Sprintf("%0*d", sz.value, i)
-					if reply := s.handle(sess, th, "SET 0123456789abcdef "+value, 0); strings.HasPrefix(reply, "ERROR") {
-						t.Fatal(reply)
+			for _, shards := range []int{1, 2} {
+				t.Run(fmt.Sprintf("%s/%dB/%dshards", c.mode, sz.value, shards), func(t *testing.T) {
+					cfg := core.Config{DeviceSize: 32 << 20, HeapSize: 4 << 20, Threads: 2, Dir: t.TempDir(), CommitMode: c.mode}
+					devs := make([]*scm.Device, shards)
+					for k := range devs {
+						var err error
+						if devs[k], err = scm.Open(scm.Config{Size: cfg.DeviceSize, Mode: scm.DelayAccount}); err != nil {
+							t.Fatal(err)
+						}
 					}
-				}
-				// The insert and the first overwrites adopt superblocks and
-				// settle the tree; then every overwrite costs the same.
-				for i := 0; i < 4; i++ {
-					set(i)
-				}
-				const n = 8
-				dev0, tel0 := dev.Snapshot(), telemetry.Default.Snapshot()
-				for i := 0; i < n; i++ {
-					set(10 + i)
-				}
-				dev1, tel1 := dev.Snapshot(), telemetry.Default.Snapshot()
-				perSet := func(name string, delta float64, want float64) {
-					t.Helper()
-					if got := delta / n; got != want {
-						t.Errorf("%s per SET = %v, want %v", name, got, want)
+					var s *Server
+					if shards == 1 {
+						pm, err := core.Attach(devs[0], cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						defer pm.Close()
+						if s, err = New(pm); err != nil {
+							t.Fatal(err)
+						}
+					} else {
+						st, err := shard.Attach(devs, shard.Config{Config: cfg, Shards: shards})
+						if err != nil {
+							t.Fatal(err)
+						}
+						defer st.Close()
+						if s, err = NewSharded(st); err != nil {
+							t.Fatal(err)
+						}
 					}
-				}
-				perSet("fences", float64(dev1.Fences-dev0.Fences), c.fences)
-				perSet("flushed lines", float64(dev1.Flushes-dev0.Flushes), sz.lines)
-				perSet("write-through bytes", float64(dev1.BytesWT-dev0.BytesWT), c.streamed)
-				for name, want := range map[string]float64{
-					"rawl_appends_total":              c.appends,
-					"rawl_append_payload_bytes_total": c.payload,
-					"rawl_truncations_total":          c.trun,
-					"pheap_lane_log_appends_total":    0,
-					"pheap_tx_reservations_total":     1,
-					"pheap_allocs_total":              1,
-					"pheap_frees_total":               1,
-					"mtm_fresh_lines_flushed_total":   sz.lines - 1,
-				} {
-					perSet(name, tel1[name]-tel0[name], want)
-				}
-			})
+					// One 16-byte key per shard: the benchmark's SET.
+					keys := make([]string, shards)
+					for i, found := 0, 0; found < shards; i++ {
+						key := fmt.Sprintf("0123456789ab%04d", i)
+						if k := s.store.ShardOf(key); keys[k] == "" {
+							keys[k] = key
+							found++
+						}
+					}
+					set := func(i int) {
+						t.Helper()
+						value := fmt.Sprintf("%0*d", sz.value, i)
+						if reply := s.handle("SET "+keys[i%shards]+" "+value, 0); strings.HasPrefix(reply, "ERROR") {
+							t.Fatal(reply)
+						}
+					}
+					snapshot := func() (sum scm.StatsSnapshot) {
+						for _, dev := range devs {
+							d := dev.Snapshot()
+							sum.Fences += d.Fences
+							sum.Flushes += d.Flushes
+							sum.BytesWT += d.BytesWT
+						}
+						return sum
+					}
+					// The insert and the first overwrites adopt superblocks and
+					// settle the tree; then every overwrite costs the same.
+					for i := 0; i < 4*shards; i++ {
+						set(i)
+					}
+					const n = 8
+					dev0, tel0 := snapshot(), telemetry.Default.Snapshot()
+					for i := 0; i < n; i++ {
+						set(10 + i)
+					}
+					dev1, tel1 := snapshot(), telemetry.Default.Snapshot()
+					perSet := func(name string, delta float64, want float64) {
+						t.Helper()
+						if got := delta / n; got != want {
+							t.Errorf("%s per SET = %v, want %v", name, got, want)
+						}
+					}
+					perSet("fences", float64(dev1.Fences-dev0.Fences), c.fences)
+					perSet("flushed lines", float64(dev1.Flushes-dev0.Flushes), sz.lines)
+					perSet("write-through bytes", float64(dev1.BytesWT-dev0.BytesWT), c.streamed)
+					for name, want := range map[string]float64{
+						"rawl_appends_total":              c.appends,
+						"rawl_append_payload_bytes_total": c.payload,
+						"rawl_truncations_total":          c.trun,
+						"pheap_lane_log_appends_total":    0,
+						"pheap_tx_reservations_total":     1,
+						"pheap_allocs_total":              1,
+						"pheap_frees_total":               1,
+						"mtm_thread_leases_total":         0,
+						"mtm_fresh_lines_flushed_total":   sz.lines - 1,
+					} {
+						perSet(name, tel1[name]-tel0[name], want)
+					}
+				})
+			}
 		}
 	}
 }

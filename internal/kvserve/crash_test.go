@@ -85,13 +85,8 @@ func TestCrashPointsKVServe(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				th, err := pm.NewThread()
-				if err != nil {
-					return err
-				}
-				sess := &session{s: s, th: th}
 				for i, cmd := range kvScript {
-					if reply := s.handle(sess, th, cmd, 0); strings.HasPrefix(reply, "ERROR") {
+					if reply := s.handle(cmd, 0); strings.HasPrefix(reply, "ERROR") {
 						return fmt.Errorf("%q: %s", cmd, reply)
 					}
 					done = i + 1
@@ -108,12 +103,7 @@ func TestCrashPointsKVServe(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				th, err := pm.NewThread()
-				if err != nil {
-					return err
-				}
-				sess := &session{s: s, th: th}
-				if err := th.Atomic(func(tx *mtm.Tx) error {
+				if err := pm.Atomic(func(tx *mtm.Tx) error {
 					return s.tree.CheckInvariants(tx)
 				}); err != nil {
 					return fmt.Errorf("B+ tree invariants after %d acked commands: %w", done, err)
@@ -128,7 +118,7 @@ func TestCrashPointsKVServe(t *testing.T) {
 					want := kvStateAfter(m)
 					diff := ""
 					for _, k := range kvKeys() {
-						reply := s.handle(sess, th, "GET "+k, 0)
+						reply := s.handle("GET "+k, 0)
 						wantReply := "MISSING"
 						if v, ok := want[k]; ok {
 							wantReply = "VALUE " + v
@@ -139,7 +129,7 @@ func TestCrashPointsKVServe(t *testing.T) {
 						}
 					}
 					if diff == "" {
-						if reply := s.handle(sess, th, "COUNT", 0); reply != fmt.Sprintf("COUNT %d", len(want)) {
+						if reply := s.handle("COUNT", 0); reply != fmt.Sprintf("COUNT %d", len(want)) {
 							return fmt.Errorf("%s, want %d live keys", reply, len(want))
 						}
 						return nil

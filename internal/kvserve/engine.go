@@ -68,7 +68,7 @@ func (s *Server) parseCommand(args [][]byte) request {
 // exec runs one parsed request: per-verb counter, arity contract, then
 // the handler. parent is the exec span commands attribute their
 // transactions under.
-func (s *Server) exec(sess *session, th *mtm.Thread, pr request, parent uint64) Reply {
+func (s *Server) exec(pr request, parent uint64) Reply {
 	if pr.bad != nil {
 		return *pr.bad
 	}
@@ -76,59 +76,27 @@ func (s *Server) exec(sess *session, th *mtm.Thread, pr request, parent uint64) 
 	if !pr.def.arityOK(len(pr.args)) {
 		return errReply("usage: " + pr.def.usage)
 	}
-	c := &call{s: s, sess: sess, th: th, args: pr.args, parent: parent}
+	c := &call{s: s, args: pr.args, parent: parent}
 	return pr.def.handler(c)
 }
 
 // call is one command invocation's execution context.
 type call struct {
 	s      *Server
-	sess   *session
-	th     *mtm.Thread // batch-assigned transaction thread, or nil
 	args   [][]byte
 	parent uint64 // exec span id
 }
 
 func (c *call) str(i int) string { return string(c.args[i]) }
 
-// updateShard runs fn as a durable transaction on shard k, resolving the
-// transaction thread when the backend needs one (batch-assigned thread
-// first, else the session's lazily-leased writer).
-func (c *call) updateShard(k int, fn func(n *node, tx *mtm.Tx) error) error {
-	st := c.s.store
-	var th *mtm.Thread
-	if st.NeedsThread() {
-		var err error
-		th, err = c.sess.writeThread(c.th)
-		if err != nil {
-			return err
-		}
-	}
-	return st.Update(th, c.parent, k, fn)
-}
-
 func (c *call) update(key string, fn func(n *node, tx *mtm.Tx) error) error {
-	return c.updateShard(c.s.store.ShardOf(key), fn)
+	st := c.s.store
+	return st.Update(c.parent, st.ShardOf(key), fn)
 }
 
 func (c *call) view(key string, fn func(n *node, r mtm.Reader) error) error {
 	st := c.s.store
 	return st.View(c.parent, st.ShardOf(key), fn)
-}
-
-// mput stores every pair atomically through the backend (one transaction
-// or the cross-shard intent protocol).
-func (c *call) mput(keys []string, recs [][]byte) error {
-	st := c.s.store
-	var th *mtm.Thread
-	if st.NeedsThread() {
-		var err error
-		th, err = c.sess.writeThread(c.th)
-		if err != nil {
-			return err
-		}
-	}
-	return st.MPut(th, c.parent, keys, recs)
 }
 
 // errHashCollision reports a write whose key hashes onto a slot already
@@ -397,7 +365,7 @@ func cmdMSet(c *call) Reply {
 		keys = append(keys, key)
 		recs = append(recs, rec)
 	}
-	if err := c.mput(keys, recs); err != nil {
+	if err := c.s.store.MPut(c.parent, keys, recs); err != nil {
 		return errfReply(err)
 	}
 	return simpleReply("OK")
@@ -418,7 +386,7 @@ func cmdMDel(c *call) Reply {
 			continue
 		}
 		n := int64(0)
-		err := c.updateShard(k, func(nd *node, tx *mtm.Tx) error {
+		err := st.Update(c.parent, k, func(nd *node, tx *mtm.Tx) error {
 			n = 0 // conflict retries rerun the closure
 			for _, key := range keys {
 				raw, err := nd.tree.Get(tx, c.s.hash(key))
@@ -519,40 +487,33 @@ func legacyDefault(r Reply) string {
 // handle executes one line-protocol command and renders its legacy
 // reply; req is the request span id the parse/exec spans attach under.
 // Crash and fuzz harnesses drive the server through this entry point.
-func (s *Server) handle(sess *session, th *mtm.Thread, line string, req uint64) string {
-	pr, rep := s.handleLine(sess, th, line, req)
+func (s *Server) handle(line string, req uint64) string {
+	pr, rep := s.handleLine(line, req)
 	return renderLegacy(pr, rep)
 }
 
-func (s *Server) handleLine(sess *session, th *mtm.Thread, line string, req uint64) (request, Reply) {
+func (s *Server) handleLine(line string, req uint64) (request, Reply) {
 	parse := telemetry.SpanBegin(telemetry.PhaseParse, 0, req)
 	pr := s.parseLine(line)
 	parse.End()
 	exec := telemetry.SpanBegin(telemetry.PhaseExec, 0, req)
 	defer exec.End()
-	return pr, s.exec(sess, th, pr, exec.ID)
+	return pr, s.exec(pr, exec.ID)
 }
 
-// dispatch times and traces one line-protocol command around handle. th
-// is the transaction thread a batch partition assigned, or nil — the
-// engine serves reads through thread-less Views and leases the session's
-// write thread on demand for writes.
-func (s *Server) dispatch(sess *session, th *mtm.Thread, line string) string {
-	reply, _ := s.dispatchLine(sess, th, line)
+// dispatch times and traces one line-protocol command around handle.
+func (s *Server) dispatch(line string) string {
+	reply, _ := s.dispatchLine(line)
 	return reply
 }
 
-func (s *Server) dispatchLine(sess *session, th *mtm.Thread, line string) (string, bool) {
-	var tid uint64
-	if th != nil {
-		tid = th.ID()
-	}
+func (s *Server) dispatchLine(line string) (string, bool) {
 	// The request span is a root (parent 0): when it outlasts the flight
 	// recorder's threshold, the whole tree under it — parse, exec, txn and
 	// its commit phases — is captured as one slow entry.
-	req := telemetry.SpanBegin(telemetry.PhaseRequest, tid, 0)
+	req := telemetry.SpanBegin(telemetry.PhaseRequest, 0, 0)
 	start := time.Now()
-	pr, rep := s.handleLine(sess, th, line, req.ID)
+	pr, rep := s.handleLine(line, req.ID)
 	lat := time.Since(start).Nanoseconds()
 	req.End()
 	telReqs.Inc()
@@ -561,25 +522,21 @@ func (s *Server) dispatchLine(sess *session, th *mtm.Thread, line string) (strin
 		telErrs.Inc()
 	}
 	if telemetry.TraceEnabled() {
-		telemetry.Emit(telemetry.EvRequest, tid, uint64(lat), uint64(len(line)))
+		telemetry.Emit(telemetry.EvRequest, 0, uint64(lat), uint64(len(line)))
 	}
 	return renderLegacy(pr, rep), rep.kind == replyBye
 }
 
 // dispatchArgs is dispatch for a RESP-framed argv: same spans, counters,
 // and engine, different framing and rendering.
-func (s *Server) dispatchArgs(sess *session, th *mtm.Thread, args [][]byte) Reply {
-	var tid uint64
-	if th != nil {
-		tid = th.ID()
-	}
-	req := telemetry.SpanBegin(telemetry.PhaseRequest, tid, 0)
+func (s *Server) dispatchArgs(args [][]byte) Reply {
+	req := telemetry.SpanBegin(telemetry.PhaseRequest, 0, 0)
 	start := time.Now()
 	parse := telemetry.SpanBegin(telemetry.PhaseParse, 0, req.ID)
 	pr := s.parseCommand(args)
 	parse.End()
 	exec := telemetry.SpanBegin(telemetry.PhaseExec, 0, req.ID)
-	rep := s.exec(sess, th, pr, exec.ID)
+	rep := s.exec(pr, exec.ID)
 	exec.End()
 	lat := time.Since(start).Nanoseconds()
 	req.End()
@@ -593,83 +550,49 @@ func (s *Server) dispatchArgs(sess *session, th *mtm.Thread, args [][]byte) Repl
 		for _, a := range args {
 			size += len(a)
 		}
-		telemetry.Emit(telemetry.EvRequest, tid, uint64(lat), uint64(size))
+		telemetry.Emit(telemetry.EvRequest, 0, uint64(lat), uint64(size))
 	}
 	return rep
 }
 
-// Line classes for batch partitioning.
-const (
-	lineBarrier = iota // runs alone on the session goroutine
-	lineRead           // keyed single-key read: partitioned, no thread
-	lineWrite          // keyed single-key write: partitioned, needs a thread
-)
-
-// classify maps a parsed request onto a batch-partitioning class using
-// the registry's keyed/write flags: single-key commands run concurrently
-// hashed by key, everything else is a barrier.
-func classify(pr request) (key string, kind int) {
+// classify tells the batch partitioner what to do with a parsed request:
+// a single-key command (the registry's keyed flag) runs concurrently with
+// others, hashed by its key; everything else is a barrier that runs alone
+// on the session goroutine.
+func classify(pr request) (key string, keyed bool) {
 	d := pr.def
 	if pr.bad != nil || d == nil || !d.keyed || len(pr.args) < 2 {
-		return "", lineBarrier
+		return "", false
 	}
 	if !d.arityOK(len(pr.args)) {
-		return "", lineBarrier
+		return "", false
 	}
 	if d.keyedMax > 0 && len(pr.args) > d.keyedMax {
-		return "", lineBarrier
+		return "", false
 	}
-	if d.write {
-		return string(pr.args[1]), lineWrite
-	}
-	return string(pr.args[1]), lineRead
+	return string(pr.args[1]), true
 }
 
 // batchItem is one pipelined command inside a batch, transport-erased:
-// run executes a partitionable item on the assigned thread, barrier
-// executes on the session goroutine and reports whether the session
-// should close (QUIT).
+// run executes a partitionable item, barrier executes on the session
+// goroutine and reports whether the session should close (QUIT).
 type batchItem struct {
 	key     string
-	kind    int
-	run     func(th *mtm.Thread)
+	keyed   bool
+	run     func()
 	barrier func() bool
 }
 
-// runBatch serves one batch of pipelined commands. Keyed single-key
-// commands spread across partition goroutines by key hash — same key,
-// same partition, so per-key order is preserved. Keyed reads run on
-// snapshot Views and need no thread; a batch containing keyed writes
-// materializes per-partition transaction threads first (on backends that
-// need them; the sharded store leases inside each destination shard).
-// Barriers drain queued keyed work, then run alone on the session
-// goroutine. Returns the index of the item that closed the session, or
-// -1 when the whole batch was served.
-func (s *Server) runBatch(sess *session, items []batchItem) int {
-	hasWrite := false
-	for i := range items {
-		if items[i].kind == lineWrite {
-			hasWrite = true
-			break
-		}
-	}
-	var threads []*mtm.Thread
+// runBatch serves one batch of pipelined commands. In a batch of at least
+// minPartitioned commands, keyed single-key commands spread across
+// batchPartitions goroutines by key hash — same key, same partition, so
+// per-key order is preserved. Barriers drain queued keyed work, then run
+// alone on the session goroutine. Returns the index of the item that
+// closed the session, or -1 when the whole batch was served.
+func (s *Server) runBatch(items []batchItem) int {
 	nparts := 1
-	if len(items) >= 8 {
+	if len(items) >= minPartitioned {
 		nparts = batchPartitions
-	}
-	if hasWrite && s.store.NeedsThread() {
-		threads = sess.batchThreads(len(items))
-		nparts = len(threads)
-		if nparts == 0 {
-			nparts = 1 // pool exhausted: serial on the session goroutine
-		}
-	}
-	thOf := func(p int) *mtm.Thread {
-		if p < len(threads) {
-			return threads[p]
-		}
-		return nil
 	}
 
 	pending := make([][]int, nparts)
@@ -685,7 +608,7 @@ func (s *Server) runBatch(sess *session, items []batchItem) int {
 			// Not worth goroutine coordination.
 			for _, idxs := range pending {
 				for _, i := range idxs {
-					items[i].run(thOf(0))
+					items[i].run()
 				}
 			}
 		} else {
@@ -698,12 +621,12 @@ func (s *Server) runBatch(sess *session, items []batchItem) int {
 				go func(p int) {
 					defer wg.Done()
 					for _, i := range pending[p] {
-						items[i].run(thOf(p))
+						items[i].run()
 					}
 				}(p)
 			}
 			for _, i := range pending[0] {
-				items[i].run(thOf(0))
+				items[i].run()
 			}
 			wg.Wait()
 		}
@@ -712,7 +635,7 @@ func (s *Server) runBatch(sess *session, items []batchItem) int {
 		}
 	}
 	for i := range items {
-		if items[i].kind != lineBarrier && nparts > 1 {
+		if items[i].keyed && nparts > 1 {
 			p := int(s.hash(items[i].key) % uint64(nparts))
 			pending[p] = append(pending[p], i)
 			continue
@@ -729,60 +652,60 @@ func (s *Server) runBatch(sess *session, items []batchItem) int {
 
 // dispatchBatch serves one batch of pipelined lines, returning replies
 // in request order and whether the session should close.
-func (s *Server) dispatchBatch(sess *session, lines []string) ([]string, bool) {
+func (s *Server) dispatchBatch(lines []string) ([]string, bool) {
 	replies := make([]string, len(lines))
 	if len(lines) == 1 {
-		r, bye := s.dispatchLine(sess, nil, lines[0])
+		r, bye := s.dispatchLine(lines[0])
 		replies[0] = r
 		return replies, bye
 	}
 	items := make([]batchItem, len(lines))
 	for i := range lines {
 		i, line := i, lines[i]
-		key, kind := classify(s.parseLine(line))
+		key, keyed := classify(s.parseLine(line))
 		items[i] = batchItem{
-			key:  key,
-			kind: kind,
-			run: func(th *mtm.Thread) {
-				replies[i] = s.dispatch(sess, th, line)
+			key:   key,
+			keyed: keyed,
+			run: func() {
+				replies[i] = s.dispatch(line)
 			},
 			barrier: func() bool {
-				r, bye := s.dispatchLine(sess, nil, line)
+				r, bye := s.dispatchLine(line)
 				replies[i] = r
 				return bye
 			},
 		}
 	}
-	if stop := s.runBatch(sess, items); stop >= 0 {
+	if stop := s.runBatch(items); stop >= 0 {
 		return replies[:stop+1], true
 	}
 	return replies, false
 }
 
 // dispatchBatchRESP is dispatchBatch for RESP-framed commands.
-func (s *Server) dispatchBatchRESP(sess *session, cmds [][][]byte) ([]Reply, bool) {
+func (s *Server) dispatchBatchRESP(cmds [][][]byte) ([]Reply, bool) {
 	replies := make([]Reply, len(cmds))
 	if len(cmds) == 1 {
-		replies[0] = s.dispatchArgs(sess, nil, cmds[0])
+		replies[0] = s.dispatchArgs(cmds[0])
 		return replies, replies[0].kind == replyBye
 	}
 	items := make([]batchItem, len(cmds))
 	for i := range cmds {
 		i, args := i, cmds[i]
-		key, kind := classify(s.parseCommand(args))
+		key, keyed := classify(s.parseCommand(args))
 		items[i] = batchItem{
-			key:  key,
-			kind: kind,
-			run: func(th *mtm.Thread) {
-				replies[i] = s.dispatchArgs(sess, th, args)
+			key:   key,
+			keyed: keyed,
+			run: func() {
+				replies[i] = s.dispatchArgs(args)
 			},
 			barrier: func() bool {
-				replies[i] = s.dispatchArgs(sess, nil, args)
+				replies[i] = s.dispatchArgs(args)
 				return replies[i].kind == replyBye
 			},
 		}
 	}
-	if stop := s.runBatch(sess, items); stop >= 0 {
+	if stop := s.runBatch(items); stop >= 0 {
 		return replies[:stop+1], true
 	}
 	return replies, false

@@ -22,10 +22,6 @@ func FuzzKVProtocol(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	th, err := pm.NewThread()
-	if err != nil {
-		f.Fatal(err)
-	}
 
 	f.Add("SET key value")
 	f.Add("GET key")
@@ -43,9 +39,8 @@ func FuzzKVProtocol(f *testing.F) {
 	f.Add("SET k " + strings.Repeat("v", 4096))
 	f.Add("UNKNOWN command here")
 
-	sess := &session{s: s, th: th}
 	f.Fuzz(func(t *testing.T, line string) {
-		reply := s.handle(sess, th, line, 0)
+		reply := s.handle(line, 0)
 		if reply == "" {
 			t.Fatalf("empty reply to %q", line)
 		}
@@ -58,7 +53,7 @@ func FuzzKVProtocol(f *testing.F) {
 		} else if strings.ContainsAny(reply, "\n\r") {
 			t.Fatalf("multi-line reply to %q: %q", line, reply)
 		}
-		if got := s.handle(sess, th, "PING", 0); got != "PONG" {
+		if got := s.handle("PING", 0); got != "PONG" {
 			t.Fatalf("server wedged after %q: PING answered %q", line, got)
 		}
 	})

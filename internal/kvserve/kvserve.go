@@ -5,8 +5,8 @@
 // underneath.
 //
 // The server is a transport-agnostic command engine: a registry maps
-// verbs to handlers (with arity contracts and read/write classification
-// for the pipeline partitioner), and two wire front ends dispatch into
+// verbs to handlers (with arity contracts and the pipeline partitioner's
+// keyed/barrier classification), and two wire front ends dispatch into
 // it — the original line protocol, and RESP2 (ServeRESP) for stock redis
 // clients. Values are typed records: plain strings, hashes
 // (HSET/HGET/HDEL/HLEN/HGETALL), and either may carry a crash-safe
@@ -30,19 +30,18 @@
 //	QUIT                      -> BYE (closes the connection)
 //
 // Every acknowledged write is durable before the reply is written: the
-// B+ tree update commits in a durable memory transaction. Reads are
-// served on slot-free snapshot read transactions: no thread lease, no
-// log record, no fence, so a read-only connection consumes no
-// transaction slot and unbounded readers run in parallel with writers.
+// B+ tree update commits in a durable memory transaction, on a thread the
+// transaction system supplies for that one transaction — a connection
+// owns none, so any number of connections share the Threads slots. Reads
+// are served on slot-free snapshot read transactions: no thread, no log
+// record, no fence, so unbounded readers run in parallel with writers.
 //
 // Clients that pipeline (send several requests without waiting for
 // replies) are served transparently in batches on either transport:
 // buffered commands are dispatched concurrently across a small set of
 // partitions — keyed by hash, so commands on the same key keep their
-// order — and the replies are written back in request order. Write-
-// carrying batches spread over transaction threads; read-only batches
-// need none. With group commit enabled the whole batch shares
-// durability fences.
+// order — and the replies are written back in request order. With group
+// commit enabled the whole batch shares durability fences.
 package kvserve
 
 import (
@@ -58,7 +57,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/mtm"
 	"repro/internal/pds"
 	"repro/internal/pds/mod"
 	"repro/internal/shard"
@@ -74,11 +72,9 @@ var (
 // Server serves the command engine over one or more listeners (line
 // protocol via Serve, RESP2 via ServeRESP).
 type Server struct {
-	pm   *core.PM            // unsharded PM; nil when sharded
 	tree *pds.BPTree         // unsharded MTM tree (crash harnesses reach in); nil when sharded or MOD
 	mod  *mod.Map            // unsharded MOD map; nil on the mtm backend
 	hash func(string) uint64 // hashKey, overridable by collision tests
-	pool *core.ThreadPool    // unsharded thread pool; nil when sharded or MOD
 
 	// store is the engine's storage backend: one node unsharded, N nodes
 	// over independent PM instances sharded. Handlers never fork on the
@@ -94,9 +90,8 @@ type Server struct {
 	reapCh    chan reapItem
 	sweepOnce sync.Once
 
-	// ctx is the server's lifecycle context: every thread lease a session
-	// takes is bounded by it, so Close unblocks sessions queued on a full
-	// slot pool instead of hanging shutdown behind them.
+	// ctx is the server's lifecycle context: Close cancels it to stop the
+	// sweeper.
 	ctx    context.Context
 	cancel context.CancelFunc
 
@@ -105,6 +100,40 @@ type Server struct {
 	conns     map[net.Conn]bool
 	closed    bool
 	wg        sync.WaitGroup
+}
+
+func newServer() *Server {
+	ctx, cancel := context.WithCancel(context.Background())
+	return &Server{
+		hash:   hashKey,
+		now:    func() int64 { return time.Now().UnixNano() },
+		reapCh: make(chan reapItem, 1024),
+		ctx:    ctx,
+		cancel: cancel,
+		conns:  make(map[net.Conn]bool),
+	}
+}
+
+// newMTMStore builds the transactional store over pms, one node each: the
+// tree under the PM's "kvserve.root" static, TTL deadlines under
+// "kvserve.ttl".
+func newMTMStore(s *Server, pms []*core.PM, xs *shard.Store) (*mtmStore, error) {
+	ms := &mtmStore{srv: s, nodes: make([]node, len(pms)), xs: xs}
+	for k, pm := range pms {
+		root, _, err := pm.Static("kvserve.root", 8)
+		if err != nil {
+			return nil, err
+		}
+		tree, err := pds.NewOrderedMap(pds.BackendMTM, pds.Env{TM: pm.TM()}, root)
+		if err != nil {
+			return nil, err
+		}
+		ms.nodes[k] = node{pm: pm, tree: tree}
+		if err := initTTLNode(&ms.nodes[k]); err != nil {
+			return nil, err
+		}
+	}
+	return ms, nil
 }
 
 // New builds a server over an open persistent-memory instance; state
@@ -124,7 +153,7 @@ func New(pm *core.PM) (*Server, error) {
 // BackendMOD serves the same commands from a shadow-update map
 // (internal/pds/mod): every mutation copies its path, flushes the copy,
 // and commits with a single fence and a root-pointer swap — no log
-// record, no transaction slot, no thread lease. Durability is buffered:
+// record, no transaction slot. Durability is buffered:
 // the root swap an acknowledgment rides on becomes durable at the NEXT
 // mutation's fence (or Close's sync), so a crash can lose at most the
 // single most recent acknowledged write, never tear anything. TTL
@@ -136,48 +165,19 @@ func NewBackend(pm *core.PM, backend pds.Backend) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	s := &Server{
-		pm:     pm,
-		hash:   hashKey,
-		now:    func() int64 { return time.Now().UnixNano() },
-		reapCh: make(chan reapItem, 1024),
-		ctx:    ctx,
-		cancel: cancel,
-		conns:  make(map[net.Conn]bool),
-	}
+	s := newServer()
 	switch backend {
 	case pds.BackendMTM:
-		tree, err := pds.NewOrderedMap(pds.BackendMTM, pds.Env{TM: pm.TM()}, root)
-		if err != nil {
-			cancel()
-			return nil, err
-		}
 		s.tree = pds.NewBPTree(root)
-		s.pool = pm.ThreadPool()
-		ls := &localStore{srv: s, n: node{pm: pm, tree: tree}}
-		if err := initTTLNode(&ls.n); err != nil {
-			cancel()
-			return nil, err
-		}
-		s.store = ls
+		s.store, err = newMTMStore(s, []*core.PM{pm}, nil)
 	case pds.BackendMOD:
-		tree, err := pds.NewOrderedMap(pds.BackendMOD,
-			pds.Env{RT: pm.Runtime(), Heap: pm.Heap()}, root)
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		s.mod = tree.(interface{ Mod() *mod.Map }).Mod()
-		pm.RegisterMod(s.mod)
-		// No initTTLNode: ttlRoot stays Nil and ttlLive false, so the
-		// sweeper never walks a wheel this backend cannot maintain (an
-		// mtm-era wheel in the image is simply dormant until the store is
-		// reopened on the mtm backend).
-		s.store = &modStore{srv: s, n: node{pm: pm, tree: tree}}
+		s.store, err = newModStore(s, pm, root)
 	default:
-		cancel()
-		return nil, fmt.Errorf("kvserve: unknown backend %v", backend)
+		err = fmt.Errorf("kvserve: unknown backend %v", backend)
+	}
+	if err != nil {
+		s.cancel()
+		return nil, err
 	}
 	return s, nil
 }
@@ -189,35 +189,17 @@ func NewBackend(pm *core.PM, backend pds.Backend) (*Server, error) {
 // own "kvserve.root" static, so a one-shard store serves a classic
 // kvserve image unchanged.
 func NewSharded(st *shard.Store) (*Server, error) {
-	ctx, cancel := context.WithCancel(context.Background())
-	s := &Server{
-		hash:   hashKey,
-		now:    func() int64 { return time.Now().UnixNano() },
-		reapCh: make(chan reapItem, 1024),
-		ctx:    ctx,
-		cancel: cancel,
-		conns:  make(map[net.Conn]bool),
+	pms := make([]*core.PM, st.NShards())
+	for k := range pms {
+		pms[k] = st.Shard(k).PM
 	}
-	ss := &shardStore{srv: s, st: st, nodes: make([]node, st.NShards())}
-	for k := 0; k < st.NShards(); k++ {
-		sh := st.Shard(k)
-		root, _, err := sh.PM.Static("kvserve.root", 8)
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		tree, err := pds.NewOrderedMap(pds.BackendMTM, pds.Env{TM: sh.PM.TM()}, root)
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		ss.nodes[k] = node{pm: sh.PM, tree: tree}
-		if err := initTTLNode(&ss.nodes[k]); err != nil {
-			cancel()
-			return nil, err
-		}
+	s := newServer()
+	ms, err := newMTMStore(s, pms, st)
+	if err != nil {
+		s.cancel()
+		return nil, err
 	}
-	s.store = ss
+	s.store = ms
 	return s, nil
 }
 
@@ -247,12 +229,10 @@ var (
 	ErrValueTooLong = errors.New("kvserve: value too long")
 )
 
-// Serve accepts line-protocol connections until Close. Sessions lease
-// transaction threads lazily — on the first write command, not at
-// connect — so read-only connections take no thread at all and the
-// Threads bound caps concurrently-writing connections only. A burst of
-// writers beyond the bound queues for slots (up to the lease timeout or
-// server shutdown) instead of erroring.
+// Serve accepts line-protocol connections until Close. A connection holds
+// no transaction thread: the Threads bound caps transactions in flight,
+// and a burst of writes beyond it queues for slots (up to the lease
+// timeout) instead of erroring.
 func (s *Server) Serve(l net.Listener) error {
 	return s.serveLoop(l, s.session)
 }
@@ -308,8 +288,6 @@ func (s *Server) serveLoop(l net.Listener, serve func(net.Conn)) error {
 // Close stops accepting, disconnects active sessions, and waits for them
 // to finish their in-flight command (every acknowledged update is durable
 // before its reply, so a shutdown never loses acknowledged data).
-// Cancelling the lifecycle context unblocks any session still queued on
-// a full thread pool, so shutdown cannot hang behind leasing sessions.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	s.closed = true
@@ -336,49 +314,19 @@ func (s *Server) Close() error {
 }
 
 // Batch-dispatch tuning: how many pipelined commands one round serves,
-// and how many transaction threads (session thread included) a session
-// may spread a batch across.
+// and how many goroutines (the session's own included) a batch of at least
+// minPartitioned commands spreads across.
 const (
 	maxBatch        = 128
 	batchPartitions = 4
+	minPartitioned  = 8
 )
 
 // errLineTooLong marks a request line over the 64 KB cap — a client
 // protocol error, not a silent disconnect.
 var errLineTooLong = errors.New("kvserve: line too long")
 
-// session is one connection's execution state. All threads are lazy: the
-// protocol thread is leased on the session's first write command (a
-// read-only session never leases at all, since snapshot Views need no
-// thread), and batch workers are created on the first large batch
-// containing writes. Leased threads are kept for the life of the
-// connection and released on disconnect.
-type session struct {
-	s       *Server
-	th      *mtm.Thread // write thread, nil until the first write command
-	workers []*mtm.Thread
-	threads []*mtm.Thread // cached [th, workers...]
-}
-
-// writer returns the session's transaction thread, leasing it on first
-// use. The lease is bounded by the server's lifecycle context, so server
-// shutdown unblocks a writer queued on a full pool. Only the session
-// goroutine calls writer; batch partition goroutines receive their
-// threads explicitly.
-func (sess *session) writer() (*mtm.Thread, error) {
-	if sess.th == nil {
-		th, err := sess.s.pool.Lease(sess.s.ctx)
-		if err != nil {
-			return nil, err
-		}
-		sess.th = th
-	}
-	return sess.th, nil
-}
-
 func (s *Server) session(conn net.Conn) {
-	sess := &session{s: s}
-	defer sess.closeThreads()
 	r := bufio.NewReaderSize(conn, 64<<10)
 	w := bufio.NewWriter(conn)
 	defer w.Flush()
@@ -403,7 +351,7 @@ func (s *Server) session(conn net.Conn) {
 			}
 			batch = append(batch, more)
 		}
-		replies, quit := s.dispatchBatch(sess, batch)
+		replies, quit := s.dispatchBatch(batch)
 		for _, reply := range replies {
 			fmt.Fprintln(w, reply)
 		}
@@ -450,67 +398,4 @@ func (s *Server) lineTooLong(conn net.Conn, w *bufio.Writer) {
 	// client reads it.
 	conn.SetReadDeadline(time.Now().Add(time.Second))
 	io.Copy(io.Discard, conn)
-}
-
-// batchThreads returns the thread set for a write-carrying batch: the
-// session's write thread plus up to batchPartitions-1 workers, created
-// on first large batch and reused for the connection's life. Small
-// batches are not worth the coordination; an exhausted thread pool
-// degrades the session to whatever threads it already holds (possibly
-// none) rather than failing.
-func (sess *session) batchThreads(batchLen int) []*mtm.Thread {
-	if _, err := sess.writer(); err != nil {
-		return nil
-	}
-	if batchLen < 8 {
-		sess.threads = append(sess.threads[:0], sess.th)
-		return sess.threads[:1]
-	}
-	for len(sess.workers) < batchPartitions-1 {
-		th, err := sess.s.pm.TM().NewThread()
-		if err != nil {
-			break
-		}
-		sess.workers = append(sess.workers, th)
-	}
-	sess.threads = append(sess.threads[:0], sess.th)
-	sess.threads = append(sess.threads, sess.workers...)
-	return sess.threads
-}
-
-// closeThreads releases the session's write thread and batch workers on
-// disconnect. A failed Close quarantines that slot; nothing to do about
-// it here.
-func (sess *session) closeThreads() {
-	if sess.th != nil {
-		sess.th.Close()
-		sess.th = nil
-	}
-	for _, th := range sess.workers {
-		th.Close()
-	}
-	sess.workers = nil
-}
-
-// atomicSpanned runs a durable transaction with its span parented under
-// the request's exec span, so commit-phase attribution hangs off the
-// request tree. The parent is cleared afterwards: the thread outlives the
-// request, and a later unattributed transaction must not inherit it.
-func atomicSpanned(th *mtm.Thread, parent uint64, fn func(tx *mtm.Tx) error) error {
-	th.SetSpanParent(parent)
-	err := th.Atomic(fn)
-	th.SetSpanParent(0)
-	return err
-}
-
-// writeThread resolves the transaction thread for a write command: the
-// batch-assigned thread when the partition has one, else the session's
-// lazily-leased write thread. Only the session goroutine reaches the
-// nil-thread path (single commands and barriers), so writer stays
-// race-free.
-func (sess *session) writeThread(th *mtm.Thread) (*mtm.Thread, error) {
-	if th != nil {
-		return th, nil
-	}
-	return sess.writer()
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/shard"
 )
 
 type client struct {
@@ -55,6 +56,29 @@ func startServer(t *testing.T, cfg core.Config) (*Server, *core.PM, string) {
 	go srv.Serve(l)
 	t.Cleanup(func() { srv.Close() })
 	return srv, pm, l.Addr().String()
+}
+
+// startSharded is startServer over an N-shard store.
+func startSharded(t *testing.T, shards int, cfg core.Config) (*Server, *shard.Store, string) {
+	t.Helper()
+	st, err := shard.Open(shard.Config{Config: cfg, Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewSharded(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(l)
+	t.Cleanup(func() {
+		srv.Close()
+		st.Close()
+	})
+	return srv, st, l.Addr().String()
 }
 
 func TestProtocolRoundTrip(t *testing.T) {
@@ -169,8 +193,21 @@ func TestDataSurvivesServerRestart(t *testing.T) {
 	}
 }
 
+// TestStatsCommand reads the one mtm STATS field set off a bare-PM server
+// and a 2-shard one: the same fields, plus per-shard ones only where there
+// is more than one shard.
 func TestStatsCommand(t *testing.T) {
-	_, _, addr := startServer(t, core.Config{Dir: t.TempDir(), DeviceSize: 64 << 20})
+	t.Run("unsharded", func(t *testing.T) {
+		_, _, addr := startServer(t, core.Config{Dir: t.TempDir(), DeviceSize: 64 << 20})
+		testStatsCommand(t, addr, 1)
+	})
+	t.Run("2 shards", func(t *testing.T) {
+		_, _, addr := startSharded(t, 2, core.Config{Dir: t.TempDir(), DeviceSize: 32 << 20})
+		testStatsCommand(t, addr, 2)
+	})
+}
+
+func testStatsCommand(t *testing.T, addr string, shards int) {
 	c := dial(t, addr)
 	for i := 0; i < 20; i++ {
 		if got := c.cmd(t, fmt.Sprintf("SET sk%d sv%d", i, i)); got != "OK" {
@@ -223,7 +260,27 @@ func TestStatsCommand(t *testing.T) {
 	if p50, p99 := num("req_p50_us"), num("req_p99_us"); p50 <= 0 || p99 < p50 {
 		t.Errorf("latency quantiles p50=%v p99=%v", p50, p99)
 	}
-	for _, k := range []string{"aborts", "readonly", "stores", "wtstores", "flushes", "log_bytes", "fresh_bytes"} {
+	if got := num("fences_per_commit"); got < 3 {
+		t.Errorf("fences_per_commit = %v, want >= 3 (sync redo)", got)
+	}
+	if got := num("shards"); got != float64(shards) {
+		t.Errorf("shards = %v, want %d", got, shards)
+	}
+	for _, k := range []string{"aborts", "readonly", "stores", "wtstores", "flushes", "log_bytes", "fresh_bytes",
+		"views", "readtx_started", "thread_leases", "latency_sample_rate", "slow_captures", "expired"} {
 		num(k) // presence check
+	}
+	var perShard float64
+	for k := 0; k < shards; k++ {
+		if _, ok := kv[fmt.Sprintf("shard%d_commits", k)]; ok != (shards > 1) {
+			t.Errorf("shard%d_commits present = %v on a %d-shard server", k, ok, shards)
+		} else if ok {
+			perShard += num(fmt.Sprintf("shard%d_commits", k))
+			num(fmt.Sprintf("shard%d_fences_per_commit", k))
+			num(fmt.Sprintf("shard%d_recovery_us", k))
+		}
+	}
+	if shards > 1 && perShard != num("commits") {
+		t.Errorf("per-shard commits sum to %v, commits = %v", perShard, num("commits"))
 	}
 }

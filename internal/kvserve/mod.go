@@ -4,7 +4,11 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/mtm"
+	"repro/internal/pds"
+	"repro/internal/pds/mod"
+	"repro/internal/pmem"
 	"repro/internal/telemetry"
 )
 
@@ -14,7 +18,7 @@ import (
 // single fence — and Views pin one snapshot (an old root kept live by
 // the reader) for the callback's duration.
 //
-// The relaxations versus localStore, all inherent to MOD's single-fence
+// The relaxations versus mtmStore, all inherent to MOD's single-fence
 // protocol and surfaced here rather than papered over:
 //
 //   - Durability is buffered: an acknowledged write's root swap becomes
@@ -33,13 +37,28 @@ type modStore struct {
 	n   node
 }
 
+// newModStore opens the shadow-update map under root and registers it with
+// the PM's ModSweep. No initTTLNode: ttlRoot stays Nil and ttlLive false,
+// so the sweeper never walks a wheel this backend cannot maintain (an
+// mtm-era wheel in the image is simply dormant until the store is reopened
+// on the mtm backend).
+func newModStore(s *Server, pm *core.PM, root pmem.Addr) (*modStore, error) {
+	tree, err := pds.NewOrderedMap(pds.BackendMOD,
+		pds.Env{RT: pm.Runtime(), Heap: pm.Heap()}, root)
+	if err != nil {
+		return nil, err
+	}
+	s.mod = tree.(interface{ Mod() *mod.Map }).Mod()
+	pm.RegisterMod(s.mod)
+	return &modStore{srv: s, n: node{pm: pm, tree: tree}}, nil
+}
+
 func (ms *modStore) NShards() int       { return 1 }
 func (ms *modStore) ShardOf(string) int { return 0 }
 func (ms *modStore) Node(int) *node     { return &ms.n }
-func (ms *modStore) NeedsThread() bool  { return false }
 func (ms *modStore) SupportsTTL() bool  { return false }
 
-func (ms *modStore) Update(_ *mtm.Thread, _ uint64, _ int, fn func(n *node, tx *mtm.Tx) error) error {
+func (ms *modStore) Update(_ uint64, _ int, fn func(n *node, tx *mtm.Tx) error) error {
 	return fn(&ms.n, nil)
 }
 
@@ -47,7 +66,7 @@ func (ms *modStore) View(_ uint64, _ int, fn func(n *node, r mtm.Reader) error) 
 	return ms.n.tree.View(func(r mtm.Reader) error { return fn(&ms.n, r) })
 }
 
-func (ms *modStore) MPut(_ *mtm.Thread, _ uint64, keys []string, recs [][]byte) error {
+func (ms *modStore) MPut(_ uint64, keys []string, recs [][]byte) error {
 	for i := range keys {
 		if err := ms.srv.putRecord(&ms.n, nil, keys[i], recs[i]); err != nil {
 			return err
@@ -60,8 +79,7 @@ func (ms *modStore) MPut(_ *mtm.Thread, _ uint64, keys []string, recs [][]byte) 
 // counts, the shadow-update counters, and the headline fences-per-op
 // ratio (1.00 when every mutation committed with exactly one fence).
 func (ms *modStore) StatsLine() string {
-	s := ms.srv
-	dev := s.pm.Device().Snapshot()
+	dev := ms.n.pm.Device().Snapshot()
 	reg := telemetry.Default.Snapshot()
 	var b strings.Builder
 	b.WriteString("STATS backend=mod")

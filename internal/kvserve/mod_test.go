@@ -37,11 +37,10 @@ func TestModBackendServer(t *testing.T) {
 	}
 	dir := t.TempDir()
 	pm, s := modTestServer(t, dev, dir)
-	sess := &session{s: s}
 
 	expect := func(line, want string) {
 		t.Helper()
-		if got := s.dispatch(sess, nil, line); got != want {
+		if got := s.dispatch(line); got != want {
 			t.Fatalf("%q: got %q, want %q", line, got, want)
 		}
 	}
@@ -58,24 +57,24 @@ func TestModBackendServer(t *testing.T) {
 	expect("GET alpha", "VALUE rewritten")
 
 	// Hash records ride the same putRecord path.
-	if got := s.dispatch(sess, nil, "HSET h f1 x"); got != "1" {
+	if got := s.dispatch("HSET h f1 x"); got != "1" {
 		t.Fatalf("HSET: %q", got)
 	}
-	if got := s.dispatch(sess, nil, "HGET h f1"); got != "VALUE x" {
+	if got := s.dispatch("HGET h f1"); got != "VALUE x" {
 		t.Fatalf("HGET: %q", got)
 	}
 
 	// TTL-carrying commands are refused on this backend; plain TTL reads
 	// still answer (no deadline: -1).
 	for _, line := range []string{"EXPIRE alpha 100", "PEXPIRE alpha 100"} {
-		if got := s.dispatch(sess, nil, line); !strings.HasPrefix(got, "ERROR") ||
+		if got := s.dispatch(line); !strings.HasPrefix(got, "ERROR") ||
 			!strings.Contains(got, "mod backend") {
 			t.Fatalf("%q: got %q, want mod-backend refusal", line, got)
 		}
 	}
 	expect("TTL alpha", "-1")
 
-	stats := s.dispatch(sess, nil, "STATS")
+	stats := s.dispatch("STATS")
 	if !strings.Contains(stats, "backend=mod") || !strings.Contains(stats, "fences_per_op=1.00") {
 		t.Fatalf("STATS missing mod fields: %s", stats)
 	}
@@ -108,7 +107,6 @@ func TestModBackendServer(t *testing.T) {
 	}
 	dev.Crash(scm.DropAll{})
 	_, s2 := modTestServer(t, dev, dir)
-	sess2 := &session{s: s2}
 	for line, want := range map[string]string{
 		"GET alpha": "VALUE rewritten",
 		"GET beta":  "VALUE two words here",
@@ -116,7 +114,7 @@ func TestModBackendServer(t *testing.T) {
 		"GET k2":    "MISSING",
 		"COUNT":     "COUNT 6",
 	} {
-		if got := s2.dispatch(sess2, nil, line); got != want {
+		if got := s2.dispatch(line); got != want {
 			t.Fatalf("after crash, %q: got %q, want %q", line, got, want)
 		}
 	}

@@ -73,43 +73,32 @@ func TestReadOnlySessionZeroLeases(t *testing.T) {
 	}
 }
 
-// TestCloseUnblocksFullPool is the regression test for shutdown hanging
-// behind thread leasing: with every slot held and the lease timeout far
-// in the future, a writer queued on the full pool must be unblocked by
-// Close cancelling the server's lifecycle context.
-func TestCloseUnblocksFullPool(t *testing.T) {
-	srv, _, addr := startServer(t, core.Config{
+// TestConnectionsShareOneSlot pins who owns a transaction thread: the
+// transaction, not the connection. With a single slot, two connections
+// taking turns to write are both always answered — when a session kept
+// the thread of its first write for life, the second connection's SET
+// waited out LeaseTimeout and was refused.
+func TestConnectionsShareOneSlot(t *testing.T) {
+	_, pm, addr := startServer(t, core.Config{
 		Dir:          t.TempDir(),
 		DeviceSize:   64 << 20,
 		Threads:      1,
-		LeaseTimeout: 10 * time.Minute,
+		LeaseTimeout: 2 * time.Second,
 	})
-
-	// holder takes the only slot with its first write and keeps it for
-	// the connection's life.
-	holder := dial(t, addr)
-	if got := holder.cmd(t, "SET held 1"); got != "OK" {
-		t.Fatalf("SET -> %q", got)
-	}
-
-	// blocked queues on the full pool; without the lifecycle context its
-	// lease would wait out the 10-minute timeout.
-	blocked := dial(t, addr)
-	if _, err := fmt.Fprintln(blocked.conn, "SET queued 2"); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(200 * time.Millisecond) // let the session reach Lease
-
-	done := make(chan error, 1)
-	go func() { done <- srv.Close() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("Close: %v", err)
+	a, b := dial(t, addr), dial(t, addr)
+	defer a.conn.Close()
+	defer b.conn.Close()
+	for i := 0; i < 20; i++ {
+		for name, c := range map[string]*client{"a": a, "b": b} {
+			if got := c.cmd(t, fmt.Sprintf("SET %s%d v%d", name, i, i)); got != "OK" {
+				t.Fatalf("connection %s, SET %d -> %q", name, i, got)
+			}
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Close hung behind a session queued on the full thread pool")
 	}
-	holder.conn.Close()
-	blocked.conn.Close()
+	if got := a.cmd(t, "COUNT"); got != "COUNT 40" {
+		t.Fatalf("COUNT -> %q", got)
+	}
+	if got := pm.TM().LiveThreads(); got != 0 {
+		t.Fatalf("live threads between commands = %d, want 0", got)
+	}
 }

@@ -42,17 +42,14 @@ func nilReply() Reply                { return Reply{kind: replyNil} }
 func arrayReply(elems []Reply) Reply { return Reply{kind: replyArray, arr: elems} }
 func byeReply() Reply                { return Reply{kind: replyBye} }
 
-// cmdDef is one registry entry: the verb's arity contract, its
-// read/write classification for the pipeline partitioner, how the line
-// protocol tokenizes it, and its handler.
+// cmdDef is one registry entry: the verb's arity contract, whether the
+// pipeline partitioner may run it concurrently, how the line protocol
+// tokenizes it, and its handler.
 type cmdDef struct {
 	name string
 	// arity is redis-style, counting the verb: positive = exact argument
 	// count, negative = at least -arity arguments.
 	arity int
-	// write marks commands that mutate state; a pipelined batch carrying
-	// one materializes transaction threads (on backends that need them).
-	write bool
 	// keyed marks single-key commands the batch partitioner may run
 	// concurrently, hashed by args[1]; keyedMax (when non-zero) bounds the
 	// argument count that still counts as single-key (DEL is keyed at 2
@@ -129,7 +126,7 @@ func init() {
 	})
 
 	register(&cmdDef{
-		name: "SET", arity: -3, write: true, keyed: true, lineSplit: 3,
+		name: "SET", arity: -3, keyed: true, lineSplit: 3,
 		usage:   "SET <key> <value> [EX <seconds> | PX <milliseconds>]",
 		handler: cmdSet,
 	})
@@ -144,7 +141,7 @@ func init() {
 		},
 	})
 	register(&cmdDef{
-		name: "DEL", arity: -2, write: true, keyed: true, keyedMax: 2,
+		name: "DEL", arity: -2, keyed: true, keyedMax: 2,
 		usage:   "DEL <key> [<key> ...]",
 		handler: cmdDel,
 		legacy: func(args [][]byte, r Reply) string {
@@ -173,12 +170,12 @@ func init() {
 		},
 	})
 	register(&cmdDef{
-		name: "MSET", arity: -3, write: true,
+		name: "MSET", arity: -3,
 		usage:   "MSET <key> <value> [<key> <value> ...]",
 		handler: cmdMSet,
 	})
 	register(&cmdDef{
-		name: "MDEL", arity: -2, write: true,
+		name: "MDEL", arity: -2,
 		usage:   "MDEL <key> [<key> ...]",
 		handler: cmdMDel,
 		legacy: func(args [][]byte, r Reply) string {
@@ -202,7 +199,7 @@ func init() {
 	})
 
 	register(&cmdDef{
-		name: "HSET", arity: -4, write: true, keyed: true,
+		name: "HSET", arity: -4, keyed: true,
 		usage:   "HSET <key> <field> <value> [<field> <value> ...]",
 		handler: cmdHSet,
 	})
@@ -217,7 +214,7 @@ func init() {
 		},
 	})
 	register(&cmdDef{
-		name: "HDEL", arity: -3, write: true, keyed: true,
+		name: "HDEL", arity: -3, keyed: true,
 		usage:   "HDEL <key> <field> [<field> ...]",
 		handler: cmdHDel,
 	})
@@ -240,12 +237,12 @@ func init() {
 	})
 
 	register(&cmdDef{
-		name: "EXPIRE", arity: 3, write: true, keyed: true,
+		name: "EXPIRE", arity: 3, keyed: true,
 		usage:   "EXPIRE <key> <seconds>",
 		handler: cmdExpire,
 	})
 	register(&cmdDef{
-		name: "PEXPIRE", arity: 3, write: true, keyed: true,
+		name: "PEXPIRE", arity: 3, keyed: true,
 		usage:   "PEXPIRE <key> <milliseconds>",
 		handler: cmdExpire,
 	})
@@ -258,7 +255,7 @@ func init() {
 		handler: cmdTTL,
 	})
 	register(&cmdDef{
-		name: "PERSIST", arity: 2, write: true, keyed: true,
+		name: "PERSIST", arity: 2, keyed: true,
 		usage:   "PERSIST <key>",
 		handler: cmdPersist,
 	})

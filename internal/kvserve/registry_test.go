@@ -85,53 +85,53 @@ func TestRegistryEntries(t *testing.T) {
 	}
 }
 
-// TestClassify pins the batch partitioner's read/write/barrier
+// TestClassify pins the batch partitioner's keyed/barrier
 // classification — the property the pipeline scheduler builds on: keyed
 // single-key commands may run concurrently hashed by key, everything
 // else serializes.
 func TestClassify(t *testing.T) {
 	var s Server
 	cases := []struct {
-		line string
-		key  string
-		kind int
+		line  string
+		key   string
+		keyed bool
 	}{
-		{"GET k1", "k1", lineRead},
-		{"TTL k1", "k1", lineRead},
-		{"PTTL k1", "k1", lineRead},
-		{"HGET h f", "h", lineRead},
-		{"HLEN h", "h", lineRead},
-		{"HGETALL h", "h", lineRead},
-		{"SET k1 v", "k1", lineWrite},
-		{"SET k1 v with spaces", "k1", lineWrite},
-		{"DEL k1", "k1", lineWrite},
-		{"HSET h f v", "h", lineWrite},
-		{"HDEL h f", "h", lineWrite},
-		{"EXPIRE k1 5", "k1", lineWrite},
-		{"PEXPIRE k1 5000", "k1", lineWrite},
-		{"PERSIST k1", "k1", lineWrite},
+		{"GET k1", "k1", true},
+		{"TTL k1", "k1", true},
+		{"PTTL k1", "k1", true},
+		{"HGET h f", "h", true},
+		{"HLEN h", "h", true},
+		{"HGETALL h", "h", true},
+		{"SET k1 v", "k1", true},
+		{"SET k1 v with spaces", "k1", true},
+		{"DEL k1", "k1", true},
+		{"HSET h f v", "h", true},
+		{"HDEL h f", "h", true},
+		{"EXPIRE k1 5", "k1", true},
+		{"PEXPIRE k1 5000", "k1", true},
+		{"PERSIST k1", "k1", true},
 
 		// Multi-key, admin, and session commands are barriers.
-		{"DEL a b", "", lineBarrier}, // variadic DEL exceeds keyedMax
-		{"MGET a b", "", lineBarrier},
-		{"MSET a 1 b 2", "", lineBarrier},
-		{"MDEL a b", "", lineBarrier},
-		{"COUNT", "", lineBarrier},
-		{"STATS", "", lineBarrier},
-		{"PING", "", lineBarrier},
-		{"QUIT", "", lineBarrier},
+		{"DEL a b", "", false}, // variadic DEL exceeds keyedMax
+		{"MGET a b", "", false},
+		{"MSET a 1 b 2", "", false},
+		{"MDEL a b", "", false},
+		{"COUNT", "", false},
+		{"STATS", "", false},
+		{"PING", "", false},
+		{"QUIT", "", false},
 
 		// Malformed input never reaches a partition goroutine.
-		{"GET", "", lineBarrier},        // arity violation
-		{"GET a b", "", lineBarrier},    // arity violation
-		{"NONSENSE k", "", lineBarrier}, // unknown verb
-		{"", "", lineBarrier},           // empty line
-		{"EXPIRE k", "", lineBarrier},   // arity violation
+		{"GET", "", false},        // arity violation
+		{"GET a b", "", false},    // arity violation
+		{"NONSENSE k", "", false}, // unknown verb
+		{"", "", false},           // empty line
+		{"EXPIRE k", "", false},   // arity violation
 	}
 	for _, c := range cases {
-		key, kind := classify(s.parseLine(c.line))
-		if key != c.key || kind != c.kind {
-			t.Errorf("classify(%q) = (%q, %d), want (%q, %d)", c.line, key, kind, c.key, c.kind)
+		key, keyed := classify(s.parseLine(c.line))
+		if key != c.key || keyed != c.keyed {
+			t.Errorf("classify(%q) = (%q, %v), want (%q, %v)", c.line, key, keyed, c.key, c.keyed)
 		}
 	}
 }

@@ -18,8 +18,6 @@ func (s *Server) ServeRESP(l net.Listener) error {
 }
 
 func (s *Server) respSession(conn net.Conn) {
-	sess := &session{s: s}
-	defer sess.closeThreads()
 	r := resp.NewReader(conn)
 	w := resp.NewWriter(conn)
 	defer w.Flush()
@@ -42,7 +40,7 @@ func (s *Server) respSession(conn net.Conn) {
 			}
 			cmds = append(cmds, more)
 		}
-		replies, quit := s.dispatchBatchRESP(sess, cmds)
+		replies, quit := s.dispatchBatchRESP(cmds)
 		for i := range replies {
 			writeRESP(w, replies[i])
 		}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/mtm"
 	"repro/internal/pds"
 	"repro/internal/pmem"
+	"repro/internal/scm"
 	"repro/internal/shard"
 	"repro/internal/telemetry"
 )
@@ -28,19 +29,14 @@ type node struct {
 // store is the engine's storage surface: command handlers run against
 // it and never ask whether the server is sharded. Both transports (line
 // protocol and RESP) dispatch into the same registry, and the registry's
-// handlers see only this interface — the old per-command
-// handle/handleSharded fork is gone.
+// handlers see only this interface. It has two implementations: mtmStore
+// (one node or many) and modStore.
 type store interface {
 	// NShards and ShardOf route keys; an unsharded store answers 1 / 0.
 	NShards() int
 	ShardOf(key string) int
 	// Node exposes shard k's persistent handles (for sweeping and scans).
 	Node(k int) *node
-	// NeedsThread reports whether Update requires a caller-supplied
-	// transaction thread. The unsharded store runs on the session's leased
-	// thread; the sharded store leases inside each destination shard; the
-	// MOD store's mutations self-commit and never touch a thread.
-	NeedsThread() bool
 	// SupportsTTL reports whether the backend can register expiry
 	// deadlines: the timer wheel commits in the same mtm transaction as
 	// the record, which the self-committing MOD backend has none of, so
@@ -48,42 +44,60 @@ type store interface {
 	SupportsTTL() bool
 	// Update runs fn as one durable transaction on shard k, attributed
 	// under the parent span when the backend supports attribution.
-	Update(th *mtm.Thread, parent uint64, k int, fn func(n *node, tx *mtm.Tx) error) error
+	Update(parent uint64, k int, fn func(n *node, tx *mtm.Tx) error) error
 	// View runs fn on a slot-free snapshot of shard k.
 	View(parent uint64, k int, fn func(n *node, r mtm.Reader) error) error
-	// MPut stores every keys[i]=recs[i] atomically: one transaction
-	// unsharded or single-shard, the cross-shard intent protocol otherwise.
-	MPut(th *mtm.Thread, parent uint64, keys []string, recs [][]byte) error
+	// MPut stores every keys[i]=recs[i] atomically: one transaction when
+	// the keys share a shard, the cross-shard intent protocol otherwise.
+	MPut(parent uint64, keys []string, recs [][]byte) error
 	// StatsLine renders the STATS reply body.
 	StatsLine() string
 }
 
-// localStore is the unsharded backend: one PM, one tree, transactions on
-// the session's leased thread so commit phases attribute under the
-// request span.
-type localStore struct {
-	srv *Server
-	n   node
+// mtmStore is the transactional backend: one node per shard, each over its
+// own PM. Every write is one PM.AtomicSpanned on its node — the thread it
+// runs on is the transaction system's business (mtm.TM.AtomicSpanned), not
+// the connection's — and every read one ViewSpanned, so commit and view
+// phases attribute under the request span at any shard count.
+type mtmStore struct {
+	srv   *Server
+	nodes []node
+	// xs runs MPut's cross-shard intent protocol (internal/shard) and
+	// routes keys; nil on the one-node store New builds over a bare PM.
+	xs *shard.Store
 }
 
-func (ls *localStore) NShards() int       { return 1 }
-func (ls *localStore) ShardOf(string) int { return 0 }
-func (ls *localStore) Node(int) *node     { return &ls.n }
-func (ls *localStore) NeedsThread() bool  { return true }
-func (ls *localStore) SupportsTTL() bool  { return true }
+func (ms *mtmStore) NShards() int      { return len(ms.nodes) }
+func (ms *mtmStore) Node(k int) *node  { return &ms.nodes[k] }
+func (ms *mtmStore) SupportsTTL() bool { return true }
 
-func (ls *localStore) Update(th *mtm.Thread, parent uint64, _ int, fn func(n *node, tx *mtm.Tx) error) error {
-	return atomicSpanned(th, parent, func(tx *mtm.Tx) error { return fn(&ls.n, tx) })
+func (ms *mtmStore) ShardOf(key string) int {
+	if ms.xs == nil {
+		return 0
+	}
+	return ms.xs.ShardOf(key)
 }
 
-func (ls *localStore) View(parent uint64, _ int, fn func(n *node, r mtm.Reader) error) error {
-	return ls.srv.pm.ViewSpanned(parent, func(r *mtm.ReadTx) error { return fn(&ls.n, r) })
+func (ms *mtmStore) Update(parent uint64, k int, fn func(n *node, tx *mtm.Tx) error) error {
+	n := &ms.nodes[k]
+	return n.pm.AtomicSpanned(parent, func(tx *mtm.Tx) error { return fn(n, tx) })
 }
 
-func (ls *localStore) MPut(th *mtm.Thread, parent uint64, keys []string, recs [][]byte) error {
-	return atomicSpanned(th, parent, func(tx *mtm.Tx) error {
+func (ms *mtmStore) View(parent uint64, k int, fn func(n *node, r mtm.Reader) error) error {
+	n := &ms.nodes[k]
+	return n.pm.ViewSpanned(parent, func(r *mtm.ReadTx) error { return fn(n, r) })
+}
+
+func (ms *mtmStore) MPut(parent uint64, keys []string, recs [][]byte) error {
+	k := ms.ShardOf(keys[0])
+	for _, key := range keys[1:] {
+		if ms.ShardOf(key) != k {
+			return ms.xs.MSetRecs(keys, recs)
+		}
+	}
+	return ms.Update(parent, k, func(n *node, tx *mtm.Tx) error {
 		for i := range keys {
-			if err := ls.srv.putRecord(&ls.n, tx, keys[i], recs[i]); err != nil {
+			if err := ms.srv.putRecord(n, tx, keys[i], recs[i]); err != nil {
 				return err
 			}
 		}
@@ -92,17 +106,39 @@ func (ls *localStore) MPut(th *mtm.Thread, parent uint64, keys []string, recs []
 }
 
 // StatsLine renders one line of key=value pairs from the live stack: the
-// transaction system's commit/abort counts, the SCM device's primitive
-// counts, log-append totals from the telemetry registry, and the request
-// latency distribution served so far.
-func (ls *localStore) StatsLine() string {
-	s := ls.srv
-	tm := s.pm.TM().Snapshot()
-	dev := s.pm.Device().Snapshot()
+// shard count, transaction and device counts summed over the shards,
+// log and read-transaction totals from the telemetry registry, the
+// request latency distribution served so far and, on a sharded store,
+// per-shard commit/fence/recovery dimensions.
+func (ms *mtmStore) StatsLine() string {
+	var tm mtm.StatsSnapshot
+	var dev scm.StatsSnapshot
+	perNode := make([]struct{ commits, fences uint64 }, len(ms.nodes))
+	for k := range ms.nodes {
+		t := ms.nodes[k].pm.TM().Snapshot()
+		tm.Commits += t.Commits
+		tm.Aborts += t.Aborts
+		tm.ReadOnly += t.ReadOnly
+		tm.Views += t.Views
+		d := ms.nodes[k].pm.Device().Snapshot()
+		dev.Stores += d.Stores
+		dev.WTStores += d.WTStores
+		dev.Flushes += d.Flushes
+		dev.Fences += d.Fences
+		perNode[k].commits, perNode[k].fences = t.Commits, d.Fences
+	}
 	reg := telemetry.Default.Snapshot()
 	var b strings.Builder
 	b.WriteString("STATS")
 	add := func(k string, v uint64) { fmt.Fprintf(&b, " %s=%d", k, v) }
+	perCommit := func(k string, fences, commits uint64) {
+		fpc := 0.0
+		if commits > 0 {
+			fpc = float64(fences) / float64(commits)
+		}
+		fmt.Fprintf(&b, " %s=%.2f", k, fpc)
+	}
+	add("shards", uint64(len(ms.nodes)))
 	add("commits", tm.Commits)
 	add("aborts", tm.Aborts)
 	add("readonly", tm.ReadOnly)
@@ -120,83 +156,18 @@ func (ls *localStore) StatsLine() string {
 	add("readtx_retries", uint64(reg["mtm_readtx_retries_total"]))
 	add("readtx_extends", uint64(reg["mtm_readtx_extends_total"]))
 	add("thread_leases", uint64(reg["mtm_thread_leases_total"]))
-	add("latency_sample_rate", uint64(s.pm.TM().LatencySampleRate()))
+	add("latency_sample_rate", uint64(ms.nodes[0].pm.TM().LatencySampleRate()))
 	add("slow_captures", uint64(reg["telemetry_slow_captures_total"]))
-	fpc := 0.0
-	if tm.Commits > 0 {
-		fpc = float64(dev.Fences) / float64(tm.Commits)
-	}
-	fmt.Fprintf(&b, " fences_per_commit=%.2f", fpc)
-	add("expired", uint64(telExpired.Value()))
-	add("requests", telReqLat.Count())
-	fmt.Fprintf(&b, " req_p50_us=%.1f req_p99_us=%.1f",
-		telReqLat.Quantile(0.50)/1e3, telReqLat.Quantile(0.99)/1e3)
-	return b.String()
-}
-
-// shardStore is the sharded backend: every shard has its own PM, writes
-// lease transaction threads inside the destination shard, and cross-shard
-// MPut runs the persistent intent protocol (internal/shard).
-type shardStore struct {
-	srv   *Server
-	st    *shard.Store
-	nodes []node
-}
-
-func (ss *shardStore) NShards() int           { return ss.st.NShards() }
-func (ss *shardStore) ShardOf(key string) int { return ss.st.ShardOf(key) }
-func (ss *shardStore) Node(k int) *node       { return &ss.nodes[k] }
-func (ss *shardStore) NeedsThread() bool      { return false }
-func (ss *shardStore) SupportsTTL() bool      { return true }
-
-func (ss *shardStore) Update(_ *mtm.Thread, _ uint64, k int, fn func(n *node, tx *mtm.Tx) error) error {
-	n := &ss.nodes[k]
-	return n.pm.Atomic(func(tx *mtm.Tx) error { return fn(n, tx) })
-}
-
-func (ss *shardStore) View(_ uint64, k int, fn func(n *node, r mtm.Reader) error) error {
-	n := &ss.nodes[k]
-	return n.pm.View(func(r *mtm.ReadTx) error { return fn(n, r) })
-}
-
-func (ss *shardStore) MPut(_ *mtm.Thread, _ uint64, keys []string, recs [][]byte) error {
-	return ss.st.MSetRecs(keys, recs)
-}
-
-// StatsLine renders the STATS body for a sharded store: the classic
-// aggregate fields summed across shards, the shard count, then per-shard
-// commit/fence/recovery dimensions.
-func (ss *shardStore) StatsLine() string {
-	agg := ss.st.Stats()
-	var b strings.Builder
-	b.WriteString("STATS")
-	add := func(k string, v uint64) { fmt.Fprintf(&b, " %s=%d", k, v) }
-	add("shards", uint64(ss.st.NShards()))
-	add("commits", agg.Commits)
-	add("aborts", agg.Aborts)
-	add("stores", agg.Stores)
-	add("flushes", agg.Flushes)
-	add("fences", agg.Fences)
-	add("views", agg.Views)
-	fpc := 0.0
-	if agg.Commits > 0 {
-		fpc = float64(agg.Fences) / float64(agg.Commits)
-	}
-	fmt.Fprintf(&b, " fences_per_commit=%.2f", fpc)
-	rc, ra := ss.st.RecoveredIntents()
-	add("recovered_xmset_commits", uint64(rc))
-	add("recovered_xmset_aborts", uint64(ra))
-	for k := 0; k < ss.st.NShards(); k++ {
-		sh := ss.st.Shard(k)
-		tm := sh.PM.TM().Snapshot()
-		dev := sh.PM.Device().Snapshot()
-		add(fmt.Sprintf("shard%d_commits", k), tm.Commits)
-		sfpc := 0.0
-		if tm.Commits > 0 {
-			sfpc = float64(dev.Fences) / float64(tm.Commits)
+	perCommit("fences_per_commit", dev.Fences, tm.Commits)
+	if len(ms.nodes) > 1 {
+		rc, ra := ms.xs.RecoveredIntents()
+		add("recovered_xmset_commits", uint64(rc))
+		add("recovered_xmset_aborts", uint64(ra))
+		for k, n := range perNode {
+			add(fmt.Sprintf("shard%d_commits", k), n.commits)
+			perCommit(fmt.Sprintf("shard%d_fences_per_commit", k), n.fences, n.commits)
+			add(fmt.Sprintf("shard%d_recovery_us", k), uint64(ms.xs.Shard(k).RecoveryTime.Microseconds()))
 		}
-		fmt.Fprintf(&b, " shard%d_fences_per_commit=%.2f", k, sfpc)
-		fmt.Fprintf(&b, " shard%d_recovery_us=%d", k, sh.RecoveryTime.Microseconds())
 	}
 	add("expired", uint64(telExpired.Value()))
 	add("requests", telReqLat.Count())

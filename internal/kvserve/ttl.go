@@ -105,8 +105,8 @@ func (s *Server) wheelAdd(n *node, tx *mtm.Tx, keyhash uint64, deadline int64) e
 
 // wheelHasDue reports whether any wheel entry's deadline has passed —
 // the sweeper's snapshot pre-check, so an idle server (or one with only
-// future deadlines) never starts a write transaction and never leases a
-// thread just to discover there is nothing to do.
+// future deadlines) never starts a write transaction just to discover
+// there is nothing to do.
 func wheelHasDue(n *node, r mtm.Reader, now int64) bool {
 	base := pmem.Addr(r.LoadU64(n.ttlRoot))
 	if base == pmem.Nil {
@@ -145,17 +145,8 @@ func (s *Server) sweepShard(k int, now int64) (int, error) {
 	if !due {
 		return 0, nil
 	}
-	var th *mtm.Thread
-	if st.NeedsThread() {
-		var err error
-		th, err = s.pool.Lease(s.ctx)
-		if err != nil {
-			return 0, err
-		}
-		defer th.Close()
-	}
 	reaped := 0
-	err := st.Update(th, 0, k, func(n *node, tx *mtm.Tx) error {
+	err := st.Update(0, k, func(n *node, tx *mtm.Tx) error {
 		reaped = 0 // conflict retries rerun the closure
 		base := pmem.Addr(tx.LoadU64(n.ttlRoot))
 		if base == pmem.Nil {
@@ -242,18 +233,8 @@ func (s *Server) reapLater(k int, h uint64) {
 // deadline has passed; the record may have been overwritten with a fresh
 // value since the hint was queued.
 func (s *Server) reapOne(it reapItem) {
-	st := s.store
-	var th *mtm.Thread
-	if st.NeedsThread() {
-		var err error
-		th, err = s.pool.Lease(s.ctx)
-		if err != nil {
-			return
-		}
-		defer th.Close()
-	}
 	reaped := false
-	err := st.Update(th, 0, it.k, func(n *node, tx *mtm.Tx) error {
+	err := s.store.Update(0, it.k, func(n *node, tx *mtm.Tx) error {
 		reaped = false
 		raw, err := n.tree.Get(tx, it.h)
 		if err == pds.ErrNotFound {
@@ -295,7 +276,8 @@ func (s *Server) sweeper() {
 			s.reapOne(it)
 		case <-t.C:
 			// Sweep errors are transient (crash harness detached the
-			// device, pool drained at shutdown); the next tick retries.
+			// device, every slot busy past the lease timeout); the next
+			// tick retries.
 			s.sweepAll(s.now())
 		}
 	}

@@ -25,11 +25,6 @@ func BenchmarkTTLSweep(b *testing.B) {
 	}
 	now := ttlBase
 	s.now = func() int64 { return now }
-	th, err := pm.NewThread()
-	if err != nil {
-		b.Fatal(err)
-	}
-	sess := &session{s: s, th: th}
 
 	var reclaimed int64
 	b.ResetTimer()
@@ -37,7 +32,7 @@ func BenchmarkTTLSweep(b *testing.B) {
 		b.StopTimer()
 		for k := 0; k < keys; k++ {
 			key := fmt.Sprintf("sweep%d", k)
-			if rep := run(s, sess, th, "SET", key, "v", "EX", "1"); rep != "OK" {
+			if rep := run(s, "SET", key, "v", "EX", "1"); rep != "OK" {
 				b.Fatalf("SET %s: %s", key, rep)
 			}
 		}

@@ -144,17 +144,12 @@ func TestCrashPointsTTL(t *testing.T) {
 				}
 				now := ttlCrashBase
 				s.now = func() int64 { return now }
-				th, err := pm.NewThread()
-				if err != nil {
-					return err
-				}
-				sess := &session{s: s, th: th}
 				for i, stp := range ttlCrashScript {
 					if stp.args == nil {
 						if _, err := s.sweepAll(now); err != nil {
 							return fmt.Errorf("sweep at step %d: %w", i, err)
 						}
-					} else if reply := run(s, sess, th, stp.args...); strings.HasPrefix(reply, "ERROR") {
+					} else if reply := run(s, stp.args...); strings.HasPrefix(reply, "ERROR") {
 						return fmt.Errorf("%v: %s", stp.args, reply)
 					}
 					done = i + 1
@@ -174,12 +169,7 @@ func TestCrashPointsTTL(t *testing.T) {
 				}
 				checkNow := ttlClockAfter(done)
 				s.now = func() int64 { return checkNow }
-				th, err := pm.NewThread()
-				if err != nil {
-					return err
-				}
-				sess := &session{s: s, th: th}
-				if err := th.Atomic(func(tx *mtm.Tx) error {
+				if err := pm.Atomic(func(tx *mtm.Tx) error {
 					return s.tree.CheckInvariants(tx)
 				}); err != nil {
 					return fmt.Errorf("B+ tree invariants after %d acked steps: %w", done, err)
@@ -190,7 +180,7 @@ func TestCrashPointsTTL(t *testing.T) {
 					want := ttlModelAfter(m)
 					for _, k := range ttlCrashKeys {
 						wantReply := ttlWantReply(want, k, checkNow)
-						if got := run(s, sess, th, "GET", k); got != wantReply {
+						if got := run(s, "GET", k); got != wantReply {
 							return fmt.Sprintf("key %q: got %q, want %q at %d applied steps", k, got, wantReply, m)
 						}
 					}
@@ -221,7 +211,7 @@ func TestCrashPointsTTL(t *testing.T) {
 				if diff := match(matched); diff != "" {
 					return fmt.Errorf("post-recovery sweep changed visible state: %s", diff)
 				}
-				if err := th.Atomic(func(tx *mtm.Tx) error {
+				if err := pm.Atomic(func(tx *mtm.Tx) error {
 					return s.tree.CheckInvariants(tx)
 				}); err != nil {
 					return fmt.Errorf("B+ tree invariants after post-recovery sweep: %w", err)

@@ -26,7 +26,7 @@ const ttlBase = int64(1) << 40
 // newTTLServer builds an unsharded server on a fake clock WITHOUT
 // starting the network loops, so no background sweeper runs: every reap
 // and sweep in these tests is explicit and deterministic.
-func newTTLServer(t *testing.T, cfg core.Config) (*Server, *core.PM, *session, *mtm.Thread, *ttlClock) {
+func newTTLServer(t *testing.T, cfg core.Config) (*Server, *core.PM, *ttlClock) {
 	t.Helper()
 	pm, err := core.Open(cfg)
 	if err != nil {
@@ -39,30 +39,25 @@ func newTTLServer(t *testing.T, cfg core.Config) (*Server, *core.PM, *session, *
 	clk := &ttlClock{}
 	clk.ns.Store(ttlBase)
 	s.now = clk.now
-	th, err := pm.NewThread()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess := &session{s: s, th: th}
-	return s, pm, sess, th, clk
+	return s, pm, clk
 }
 
 // run drives one command through the engine as RESP-framed argv (so SET
 // EX/PX options are reachable) and renders the line-protocol reply text
 // for compact assertions.
-func run(s *Server, sess *session, th *mtm.Thread, args ...string) string {
+func run(s *Server, args ...string) string {
 	argv := make([][]byte, len(args))
 	for i, a := range args {
 		argv[i] = []byte(a)
 	}
 	pr := s.parseCommand(argv)
-	rep := s.exec(sess, th, pr, 0)
+	rep := s.exec(pr, 0)
 	return renderLegacy(pr, rep)
 }
 
-func expectReply(t *testing.T, s *Server, sess *session, th *mtm.Thread, want string, args ...string) {
+func expectReply(t *testing.T, s *Server, want string, args ...string) {
 	t.Helper()
-	if got := run(s, sess, th, args...); got != want {
+	if got := run(s, args...); got != want {
 		t.Fatalf("%v -> %q, want %q", args, got, want)
 	}
 }
@@ -71,63 +66,63 @@ func expectReply(t *testing.T, s *Server, sess *session, th *mtm.Thread, want st
 // EXPIRE/PEXPIRE stamp deadlines, TTL/PTTL round up, PERSIST clears,
 // SET overwrites clear, EXPIRE with a non-positive ttl deletes.
 func TestTTLSemantics(t *testing.T) {
-	s, _, sess, th, clk := newTTLServer(t, core.Config{Dir: t.TempDir(), DeviceSize: 64 << 20})
+	s, _, clk := newTTLServer(t, core.Config{Dir: t.TempDir(), DeviceSize: 64 << 20})
 
-	expectReply(t, s, sess, th, "OK", "SET", "k", "v")
-	expectReply(t, s, sess, th, "-1", "TTL", "k") // no deadline
-	expectReply(t, s, sess, th, "1", "EXPIRE", "k", "100")
-	expectReply(t, s, sess, th, "100", "TTL", "k")
-	expectReply(t, s, sess, th, "100000", "PTTL", "k")
+	expectReply(t, s, "OK", "SET", "k", "v")
+	expectReply(t, s, "-1", "TTL", "k") // no deadline
+	expectReply(t, s, "1", "EXPIRE", "k", "100")
+	expectReply(t, s, "100", "TTL", "k")
+	expectReply(t, s, "100000", "PTTL", "k")
 
 	clk.advance(40 * time.Second)
-	expectReply(t, s, sess, th, "60", "TTL", "k")
+	expectReply(t, s, "60", "TTL", "k")
 	// 500ms into a second: TTL rounds the sliver up, never down to 0.
 	clk.advance(59*time.Second + 500*time.Millisecond)
-	expectReply(t, s, sess, th, "1", "TTL", "k")
-	expectReply(t, s, sess, th, "500", "PTTL", "k")
-	expectReply(t, s, sess, th, "VALUE v", "GET", "k")
+	expectReply(t, s, "1", "TTL", "k")
+	expectReply(t, s, "500", "PTTL", "k")
+	expectReply(t, s, "VALUE v", "GET", "k")
 
 	// PERSIST rescues the key right before its deadline.
-	expectReply(t, s, sess, th, "1", "PERSIST", "k")
-	expectReply(t, s, sess, th, "0", "PERSIST", "k") // already persistent
+	expectReply(t, s, "1", "PERSIST", "k")
+	expectReply(t, s, "0", "PERSIST", "k") // already persistent
 	clk.advance(time.Hour)
-	expectReply(t, s, sess, th, "VALUE v", "GET", "k")
-	expectReply(t, s, sess, th, "-1", "TTL", "k")
+	expectReply(t, s, "VALUE v", "GET", "k")
+	expectReply(t, s, "-1", "TTL", "k")
 
 	// PEXPIRE uses milliseconds.
-	expectReply(t, s, sess, th, "1", "PEXPIRE", "k", "2500")
-	expectReply(t, s, sess, th, "3", "TTL", "k") // 2.5s rounds up
-	expectReply(t, s, sess, th, "2500", "PTTL", "k")
+	expectReply(t, s, "1", "PEXPIRE", "k", "2500")
+	expectReply(t, s, "3", "TTL", "k") // 2.5s rounds up
+	expectReply(t, s, "2500", "PTTL", "k")
 
 	// SET overwrites to a fresh record without a deadline.
-	expectReply(t, s, sess, th, "OK", "SET", "k", "v2")
-	expectReply(t, s, sess, th, "-1", "TTL", "k")
+	expectReply(t, s, "OK", "SET", "k", "v2")
+	expectReply(t, s, "-1", "TTL", "k")
 
 	// SET EX / PX stamp deadlines at write time.
-	expectReply(t, s, sess, th, "OK", "SET", "ke", "v", "EX", "10")
-	expectReply(t, s, sess, th, "10", "TTL", "ke")
-	expectReply(t, s, sess, th, "OK", "SET", "kp", "v", "PX", "1500")
-	expectReply(t, s, sess, th, "1500", "PTTL", "kp")
-	expectReply(t, s, sess, th, "2", "TTL", "kp")
+	expectReply(t, s, "OK", "SET", "ke", "v", "EX", "10")
+	expectReply(t, s, "10", "TTL", "ke")
+	expectReply(t, s, "OK", "SET", "kp", "v", "PX", "1500")
+	expectReply(t, s, "1500", "PTTL", "kp")
+	expectReply(t, s, "2", "TTL", "kp")
 
 	// Missing keys: EXPIRE/PERSIST answer 0, TTL answers -2.
-	expectReply(t, s, sess, th, "0", "EXPIRE", "nosuch", "5")
-	expectReply(t, s, sess, th, "0", "PERSIST", "nosuch")
-	expectReply(t, s, sess, th, "-2", "TTL", "nosuch")
+	expectReply(t, s, "0", "EXPIRE", "nosuch", "5")
+	expectReply(t, s, "0", "PERSIST", "nosuch")
+	expectReply(t, s, "-2", "TTL", "nosuch")
 
 	// Non-positive ttl deletes immediately (redis semantics).
-	expectReply(t, s, sess, th, "1", "EXPIRE", "k", "0")
-	expectReply(t, s, sess, th, "MISSING", "GET", "k")
-	expectReply(t, s, sess, th, "-2", "TTL", "k")
+	expectReply(t, s, "1", "EXPIRE", "k", "0")
+	expectReply(t, s, "MISSING", "GET", "k")
+	expectReply(t, s, "-2", "TTL", "k")
 
 	// Bad arguments.
-	if got := run(s, sess, th, "EXPIRE", "ke", "soon"); got != `ERROR invalid expire time "soon"` {
+	if got := run(s, "EXPIRE", "ke", "soon"); got != `ERROR invalid expire time "soon"` {
 		t.Fatalf("EXPIRE soon -> %q", got)
 	}
-	if got := run(s, sess, th, "SET", "ke", "v", "EX", "-3"); got != `ERROR invalid expire time "-3"` {
+	if got := run(s, "SET", "ke", "v", "EX", "-3"); got != `ERROR invalid expire time "-3"` {
 		t.Fatalf("SET EX -3 -> %q", got)
 	}
-	if got := run(s, sess, th, "SET", "ke", "v", "ZZ", "3"); got != `ERROR unknown SET option "ZZ"` {
+	if got := run(s, "SET", "ke", "v", "ZZ", "3"); got != `ERROR unknown SET option "ZZ"` {
 		t.Fatalf("SET ZZ -> %q", got)
 	}
 }
@@ -137,17 +132,17 @@ func TestTTLSemantics(t *testing.T) {
 // DEL's return value — and that the lazy-reap hint a read queues
 // physically reclaims the slot.
 func TestTTLExpiredMasking(t *testing.T) {
-	s, pm, sess, th, clk := newTTLServer(t, core.Config{Dir: t.TempDir(), DeviceSize: 64 << 20})
+	s, pm, clk := newTTLServer(t, core.Config{Dir: t.TempDir(), DeviceSize: 64 << 20})
 
-	expectReply(t, s, sess, th, "OK", "SET", "dies", "soon", "EX", "5")
-	expectReply(t, s, sess, th, "OK", "SET", "lives", "on")
-	expectReply(t, s, sess, th, "COUNT 2", "COUNT")
+	expectReply(t, s, "OK", "SET", "dies", "soon", "EX", "5")
+	expectReply(t, s, "OK", "SET", "lives", "on")
+	expectReply(t, s, "COUNT 2", "COUNT")
 
 	clk.advance(6 * time.Second)
-	expectReply(t, s, sess, th, "MISSING", "GET", "dies")
-	expectReply(t, s, sess, th, "-2", "TTL", "dies")
-	expectReply(t, s, sess, th, "COUNT 1", "COUNT")
-	expectReply(t, s, sess, th, "VALUE on\nMISSING", "MGET", "lives", "dies")
+	expectReply(t, s, "MISSING", "GET", "dies")
+	expectReply(t, s, "-2", "TTL", "dies")
+	expectReply(t, s, "COUNT 1", "COUNT")
+	expectReply(t, s, "VALUE on\nMISSING", "MGET", "lives", "dies")
 
 	// The GET queued a lazy-reap hint; running it must physically delete
 	// the record (tree slot empty), not just mask it.
@@ -168,10 +163,10 @@ func TestTTLExpiredMasking(t *testing.T) {
 
 	// DEL of an expired-but-unswept record counts it as absent ("MISSING"
 	// is the legacy rendering of DEL's 0).
-	expectReply(t, s, sess, th, "OK", "SET", "dies2", "v", "PX", "100")
+	expectReply(t, s, "OK", "SET", "dies2", "v", "PX", "100")
 	clk.advance(time.Second)
-	expectReply(t, s, sess, th, "MISSING", "DEL", "dies2")
-	expectReply(t, s, sess, th, "MISSING", "GET", "dies2")
+	expectReply(t, s, "MISSING", "DEL", "dies2")
+	expectReply(t, s, "MISSING", "GET", "dies2")
 }
 
 // TestTTLSweep exercises the wheel sweeper: due entries retire their
@@ -179,22 +174,22 @@ func TestTTLExpiredMasking(t *testing.T) {
 // untouched, and stale advisory entries (PERSIST, overwrite) never
 // delete a live record.
 func TestTTLSweep(t *testing.T) {
-	s, pm, sess, th, clk := newTTLServer(t, core.Config{Dir: t.TempDir(), DeviceSize: 64 << 20})
+	s, pm, clk := newTTLServer(t, core.Config{Dir: t.TempDir(), DeviceSize: 64 << 20})
 
 	const dying = 10
 	for i := 0; i < dying; i++ {
-		expectReply(t, s, sess, th, "OK", "SET", fmt.Sprintf("d%d", i), "v", "EX", "5")
+		expectReply(t, s, "OK", "SET", fmt.Sprintf("d%d", i), "v", "EX", "5")
 	}
-	expectReply(t, s, sess, th, "OK", "SET", "future", "v", "EX", "1000")
-	expectReply(t, s, sess, th, "OK", "SET", "forever", "v")
+	expectReply(t, s, "OK", "SET", "future", "v", "EX", "1000")
+	expectReply(t, s, "OK", "SET", "forever", "v")
 
 	// Stale-entry scenarios: both got wheel entries at +5s, then their
 	// records' own deadlines were cleared. The sweep must unlink the
 	// entries without touching the records.
-	expectReply(t, s, sess, th, "OK", "SET", "rescued", "v", "EX", "5")
-	expectReply(t, s, sess, th, "1", "PERSIST", "rescued")
-	expectReply(t, s, sess, th, "OK", "SET", "rewritten", "v", "EX", "5")
-	expectReply(t, s, sess, th, "OK", "SET", "rewritten", "v2")
+	expectReply(t, s, "OK", "SET", "rescued", "v", "EX", "5")
+	expectReply(t, s, "1", "PERSIST", "rescued")
+	expectReply(t, s, "OK", "SET", "rewritten", "v", "EX", "5")
+	expectReply(t, s, "OK", "SET", "rewritten", "v2")
 
 	// Nothing due yet: the sweep is a no-op.
 	if n, err := s.sweepAll(clk.now()); err != nil || n != 0 {
@@ -220,11 +215,11 @@ func TestTTLSweep(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	expectReply(t, s, sess, th, "VALUE v", "GET", "future")
-	expectReply(t, s, sess, th, "VALUE v", "GET", "forever")
-	expectReply(t, s, sess, th, "VALUE v", "GET", "rescued")
-	expectReply(t, s, sess, th, "VALUE v2", "GET", "rewritten")
-	expectReply(t, s, sess, th, "COUNT 4", "COUNT")
+	expectReply(t, s, "VALUE v", "GET", "future")
+	expectReply(t, s, "VALUE v", "GET", "forever")
+	expectReply(t, s, "VALUE v", "GET", "rescued")
+	expectReply(t, s, "VALUE v2", "GET", "rewritten")
+	expectReply(t, s, "COUNT 4", "COUNT")
 
 	// A second sweep finds nothing: the due entries were freed, the stale
 	// ones unlinked.
@@ -233,7 +228,7 @@ func TestTTLSweep(t *testing.T) {
 	}
 
 	// The tree stays structurally sound through sweep deletions.
-	if err := th.Atomic(func(tx *mtm.Tx) error { return s.tree.CheckInvariants(tx) }); err != nil {
+	if err := pm.Atomic(func(tx *mtm.Tx) error { return s.tree.CheckInvariants(tx) }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -249,15 +244,14 @@ func TestTTLSurvivesRestart(t *testing.T) {
 		Dir:        dir,
 		DeviceSize: 64 << 20,
 	}
-	s, pm, sess, th, clk := newTTLServer(t, cfg)
-	expectReply(t, s, sess, th, "OK", "SET", "longttl", "v", "EX", "1000")
-	expectReply(t, s, sess, th, "OK", "SET", "shortttl", "v", "EX", "5")
-	th.Close()
+	s, pm, clk := newTTLServer(t, cfg)
+	expectReply(t, s, "OK", "SET", "longttl", "v", "EX", "1000")
+	expectReply(t, s, "OK", "SET", "shortttl", "v", "EX", "5")
 	if err := pm.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	s2, pm2, sess2, th2, clk2 := newTTLServer(t, cfg)
+	s2, pm2, clk2 := newTTLServer(t, cfg)
 	defer pm2.Close()
 	if !s2.store.Node(0).ttlLive.Load() {
 		t.Fatal("recovered node not marked TTL-live despite a persisted wheel")
@@ -265,39 +259,39 @@ func TestTTLSurvivesRestart(t *testing.T) {
 	// Same epoch, 10 recovered seconds later: shortttl's deadline has
 	// passed, longttl keeps its remaining time.
 	clk2.ns.Store(clk.now() + 10*int64(time.Second))
-	expectReply(t, s2, sess2, th2, "990", "TTL", "longttl")
-	expectReply(t, s2, sess2, th2, "VALUE v", "GET", "longttl")
-	expectReply(t, s2, sess2, th2, "MISSING", "GET", "shortttl")
+	expectReply(t, s2, "990", "TTL", "longttl")
+	expectReply(t, s2, "VALUE v", "GET", "longttl")
+	expectReply(t, s2, "MISSING", "GET", "shortttl")
 	// The recovered wheel drives the sweep without any new write.
 	if n, err := s2.sweepAll(clk2.now()); err != nil || n != 1 {
 		t.Fatalf("post-recovery sweep reclaimed %d, err %v", n, err)
 	}
-	expectReply(t, s2, sess2, th2, "COUNT 1", "COUNT")
+	expectReply(t, s2, "COUNT 1", "COUNT")
 }
 
 // TestTTLHashInteraction pins the TTL rules for hash records: HSET on a
 // live key preserves its deadline, expiry applies to the whole hash, and
 // an HSET landing on an expired hash starts a fresh one without a TTL.
 func TestTTLHashInteraction(t *testing.T) {
-	s, _, sess, th, clk := newTTLServer(t, core.Config{Dir: t.TempDir(), DeviceSize: 64 << 20})
+	s, _, clk := newTTLServer(t, core.Config{Dir: t.TempDir(), DeviceSize: 64 << 20})
 
-	expectReply(t, s, sess, th, "2", "HSET", "h", "f1", "v1", "f2", "v2")
-	expectReply(t, s, sess, th, "1", "EXPIRE", "h", "100")
-	expectReply(t, s, sess, th, "100", "TTL", "h")
+	expectReply(t, s, "2", "HSET", "h", "f1", "v1", "f2", "v2")
+	expectReply(t, s, "1", "EXPIRE", "h", "100")
+	expectReply(t, s, "100", "TTL", "h")
 	// Updating a field must not clear the hash's deadline.
-	expectReply(t, s, sess, th, "1", "HSET", "h", "f3", "v3")
-	expectReply(t, s, sess, th, "100", "TTL", "h")
+	expectReply(t, s, "1", "HSET", "h", "f3", "v3")
+	expectReply(t, s, "100", "TTL", "h")
 
 	clk.advance(101 * time.Second)
-	expectReply(t, s, sess, th, "MISSING", "HGET", "h", "f1")
-	expectReply(t, s, sess, th, "0", "HLEN", "h")
-	expectReply(t, s, sess, th, "COUNT 0", "COUNT")
+	expectReply(t, s, "MISSING", "HGET", "h", "f1")
+	expectReply(t, s, "0", "HLEN", "h")
+	expectReply(t, s, "COUNT 0", "COUNT")
 
 	// Writing into the expired slot starts a fresh, persistent hash: the
 	// dead fields must not resurrect alongside the new one.
-	expectReply(t, s, sess, th, "1", "HSET", "h", "f9", "v9")
-	expectReply(t, s, sess, th, "-1", "TTL", "h")
-	expectReply(t, s, sess, th, "1", "HLEN", "h")
-	expectReply(t, s, sess, th, "MISSING", "HGET", "h", "f1")
-	expectReply(t, s, sess, th, "VALUE v9", "HGET", "h", "f9")
+	expectReply(t, s, "1", "HSET", "h", "f9", "v9")
+	expectReply(t, s, "-1", "TTL", "h")
+	expectReply(t, s, "1", "HLEN", "h")
+	expectReply(t, s, "MISSING", "HGET", "h", "f1")
+	expectReply(t, s, "VALUE v9", "HGET", "h", "f9")
 }

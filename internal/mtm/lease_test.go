@@ -1,6 +1,7 @@
 package mtm
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -87,10 +88,10 @@ func TestCloseDoubleCloseIsNoop(t *testing.T) {
 	}
 }
 
-// TestLeaseThreadWaitsForRelease leases the only slot, then verifies a
+// TestLeaseWaitsForRelease leases the only slot, then verifies a
 // bounded-wait lease blocks until Close frees it — the queue-not-error
-// behavior servers rely on for connection bursts.
-func TestLeaseThreadWaitsForRelease(t *testing.T) {
+// behavior servers rely on for bursts.
+func TestLeaseWaitsForRelease(t *testing.T) {
 	e := newEnv(t, Config{Slots: 1})
 	th, err := e.tm.NewThread()
 	if err != nil {
@@ -101,7 +102,9 @@ func TestLeaseThreadWaitsForRelease(t *testing.T) {
 	var leaseErr error
 	go func() {
 		defer wg.Done()
-		th2, err := e.tm.LeaseThread(5 * time.Second)
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		th2, err := e.tm.Lease(ctx)
 		if err != nil {
 			leaseErr = err
 			return
@@ -118,20 +121,203 @@ func TestLeaseThreadWaitsForRelease(t *testing.T) {
 	}
 }
 
-// TestLeaseThreadTimesOut verifies the bounded wait actually bounds.
-func TestLeaseThreadTimesOut(t *testing.T) {
+// TestLeaseTimesOut verifies the bounded wait actually bounds, for an
+// explicit lease and for a TM.Atomic that finds every slot leased.
+func TestLeaseTimesOut(t *testing.T) {
 	e := newEnv(t, Config{Slots: 1})
 	th, err := e.tm.NewThread()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer th.Close()
-	if _, err := e.tm.LeaseThread(20 * time.Millisecond); !errors.Is(err, ErrLeaseTimeout) {
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := e.tm.Lease(ctx); !errors.Is(err, ErrLeaseTimeout) {
 		t.Fatalf("lease on full TM: %v, want ErrLeaseTimeout", err)
 	}
-	// Non-positive timeout degenerates to NewThread's immediate error.
-	if _, err := e.tm.LeaseThread(0); err != ErrTooManyThreads {
-		t.Fatalf("zero-timeout lease: %v, want ErrTooManyThreads", err)
+	nop := func(*Tx) error { return nil }
+	if err := e.tm.AtomicSpanned(0, 20*time.Millisecond, nop); !errors.Is(err, ErrLeaseTimeout) {
+		t.Fatalf("Atomic on full TM: %v, want ErrLeaseTimeout", err)
+	}
+	// A negative wait fails at once, like NewThread.
+	if err := e.tm.AtomicSpanned(0, -1, nop); err != ErrTooManyThreads {
+		t.Fatalf("no-wait Atomic on full TM: %v, want ErrTooManyThreads", err)
+	}
+}
+
+// TestAtomicReusesParkedThread pins what TM.Atomic costs beyond the
+// transaction: the first call binds a slot, every later one takes the
+// parked thread back with no lease, no allocation and no device event.
+func TestAtomicReusesParkedThread(t *testing.T) {
+	e := newEnv(t, Config{Slots: 2})
+	n := uint64(0)
+	store := func(tx *Tx) error {
+		n++
+		tx.StoreU64(e.data, n)
+		return nil
+	}
+	if err := e.tm.Atomic(store); err != nil {
+		t.Fatal(err)
+	}
+	if live, free := e.tm.LiveThreads(), e.tm.FreeSlots(); live != 0 || free != 2 {
+		t.Fatalf("with one thread parked: live = %d, free slots = %d, want 0 and 2", live, free)
+	}
+	leases := telLeases.Value()
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := e.tm.Atomic(store); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("TM.Atomic on a parked thread allocates %v times per call, want 0", allocs)
+	}
+	if got := telLeases.Value() - leases; got != 0 {
+		t.Errorf("%d slot bindings while a parked thread was available, want 0", got)
+	}
+	if got := e.mem.LoadU64(e.data); got != n {
+		t.Fatalf("word = %d, want %d", got, n)
+	}
+	// Empty transactions touch the device not at all: the checkout and the
+	// park are volatile.
+	before := e.dev.Snapshot()
+	for i := 0; i < 10; i++ {
+		if err := e.tm.Atomic(func(*Tx) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := e.dev.Snapshot(); after != before {
+		t.Errorf("empty TM.Atomic calls moved the device counters: %+v -> %+v", before, after)
+	}
+	e.tm.Close()
+	if free := e.tm.FreeSlots(); free != 2 {
+		t.Fatalf("free slots after TM.Close = %d, want 2", free)
+	}
+}
+
+// TestLeaseTakesParkedSlot: threads kept for TM.Atomic never starve an
+// explicit lease. With the only slot parked — holding an amortised undo
+// batch, so the handoff has a log to truncate — NewThread and Lease succeed
+// at once, and TM.Atomic gets the slot back when they close.
+func TestLeaseTakesParkedSlot(t *testing.T) {
+	e := newEnv(t, Config{Slots: 1, CommitMode: "undo"})
+	store := func(tx *Tx) error {
+		tx.StoreU64(e.data, 7)
+		return nil
+	}
+	if err := e.tm.Atomic(store); err != nil {
+		t.Fatal(err)
+	}
+	th, err := e.tm.NewThread()
+	if err != nil {
+		t.Fatalf("NewThread with the only slot parked: %v", err)
+	}
+	if live := e.tm.LiveThreads(); live != 1 {
+		t.Fatalf("live threads = %d, want 1", live)
+	}
+	if err := th.Atomic(store); err != nil {
+		t.Fatal(err)
+	}
+	if err := th.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.tm.Atomic(store); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // a lease that need not wait never consults its context
+	th, err = e.tm.Lease(ctx)
+	if err != nil {
+		t.Fatalf("Lease with the only slot parked: %v", err)
+	}
+	if err := th.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAtomicWaitsForBusySlot runs more concurrent TM.Atomic callers than
+// slots: they queue for parked threads instead of failing, and every
+// increment lands.
+func TestAtomicWaitsForBusySlot(t *testing.T) {
+	e := newEnv(t, Config{Slots: 2})
+	const goroutines, each = 8, 50
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if err := e.tm.Atomic(func(tx *Tx) error {
+					tx.StoreU64(e.data, tx.LoadU64(e.data)+1)
+					return nil
+				}); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if got := e.mem.LoadU64(e.data); got != goroutines*each {
+		t.Fatalf("counter = %d, want %d", got, goroutines*each)
+	}
+	if live := e.tm.LiveThreads(); live != 0 {
+		t.Fatalf("live threads after the burst = %d, want 0", live)
+	}
+}
+
+// TestAtomicPanicDoesNotPark: a thread is parked only when its transaction
+// returned. A panicking fn leaves nothing parked; the thread is closed, so
+// its slot comes back when the close check passes and stays quarantined
+// when it does not (here: a truncation job that the halted log manager
+// will never run).
+func TestAtomicPanicDoesNotPark(t *testing.T) {
+	for _, quarantine := range []bool{false, true} {
+		e := newEnv(t, Config{Slots: 1, AsyncTruncation: true})
+		defer e.tm.Close()
+		if quarantine {
+			e.tm.StopTruncation()
+		}
+		if err := e.tm.Atomic(func(tx *Tx) error {
+			tx.StoreU64(e.data, 1)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != "boom" {
+					t.Fatalf("recovered %v, want boom", r)
+				}
+			}()
+			_ = e.tm.Atomic(func(tx *Tx) error {
+				tx.StoreU64(e.data, 99)
+				panic("boom")
+			})
+		}()
+		if parked := len(e.tm.parked); parked != 0 {
+			t.Fatalf("quarantine=%v: %d threads parked after a panic, want 0", quarantine, parked)
+		}
+		wantLive, wantFree := 0, 1 // closed, slot recycled
+		if quarantine {
+			wantLive, wantFree = 1, 0 // close check failed, slot never reused
+		}
+		if live, free := e.tm.LiveThreads(), e.tm.FreeSlots(); live != wantLive || free != wantFree {
+			t.Fatalf("quarantine=%v: live = %d, free slots = %d, want %d and %d", quarantine, live, free, wantLive, wantFree)
+		}
+		if got := e.mem.LoadU64(e.data); got == 99 {
+			t.Fatal("the panicked transaction's store reached memory")
+		}
+		err := e.tm.AtomicSpanned(0, -1, func(*Tx) error { return nil })
+		if quarantine && err != ErrTooManyThreads {
+			t.Fatalf("Atomic on a TM whose only slot is quarantined: %v, want ErrTooManyThreads", err)
+		}
+		if !quarantine && err != nil {
+			t.Fatalf("Atomic after a panic: %v", err)
+		}
 	}
 }
 

@@ -107,8 +107,9 @@ const lockedBit = uint64(1) << 63
 
 // Config tunes the transaction system.
 type Config struct {
-	// Slots is the number of per-thread logs (max concurrent threads).
-	// Zero selects 32.
+	// Slots is the number of per-thread logs: the bound on explicitly
+	// leased threads plus transactions running through TM.Atomic at one
+	// time. Zero selects 32.
 	Slots int
 	// LogWords is each thread log's buffer capacity in words. Zero
 	// selects 16384 (128 KB).
@@ -294,14 +295,17 @@ type TM struct {
 	// transaction); the default rate 16 gives mask 15.
 	latMask uint64
 
-	// Thread-slot leasing state. Slots are leased to live threads and
-	// recycled through freeSlots when a thread closes; threads is the
-	// live set. slotAvail is closed and replaced on every release, so
-	// bounded-wait leasing can block on it (broadcast wakeup).
+	// Thread-slot state. A slot is bound to one thread at a time and
+	// recycled through freeSlots when the thread closes. bound counts the
+	// threads holding a slot; parked are those of them that TM.Atomic
+	// finished with and keeps for its next call, most recent last.
+	// slotAvail exists only while someone waits for a slot: it is closed
+	// (broadcast) and dropped when a slot frees or a thread parks.
 	slotMu    sync.Mutex
 	freeSlots []int
 	nextSlot  int
-	threads   map[int]*Thread
+	bound     int
+	parked    []*Thread
 	slotAvail chan struct{}
 
 	mgr *logManager
@@ -355,8 +359,6 @@ func Open(rt *region.Runtime, name string, cfg Config) (*TM, error) {
 	tm.latMask = uint64(cfg.LatencySampleRate - 1)
 	telLatencySampleRate.Set(int64(cfg.LatencySampleRate))
 	tm.locks = make([]atomic.Uint64, lockCount)
-	tm.threads = make(map[int]*Thread)
-	tm.slotAvail = make(chan struct{})
 	tm.readers.New = func() any {
 		// No read cache here: View attaches a slab from the runtime free
 		// list per snapshot and releases it on return, so cache warmth
@@ -469,9 +471,18 @@ func (tm *TM) Snapshot() StatsSnapshot {
 	}
 }
 
-// Close stops the log manager, if any. Persistent state is untouched; all
-// committed transactions are already durable.
+// Close closes the parked threads — their amortised undo records truncate
+// here — and stops the log manager, if any. All committed transactions are
+// already durable. A parked thread that fails its close check stays
+// quarantined, as after any failed Thread.Close.
 func (tm *TM) Close() {
+	tm.slotMu.Lock()
+	parked := tm.parked
+	tm.parked = nil
+	tm.slotMu.Unlock()
+	for _, t := range parked {
+		_ = t.Close() // counted in mtm_thread_release_failures_total
+	}
 	if tm.mgr != nil {
 		tm.mgr.stop()
 	}
@@ -499,19 +510,20 @@ func (tm *TM) StopTruncation() {
 // Heap returns the attached persistent heap, or nil.
 func (tm *TM) Heap() *pheap.Heap { return tm.cfg.Heap }
 
-// LiveThreads reports how many threads are currently bound to log slots.
+// LiveThreads reports how many threads are in someone's hands: explicitly
+// leased, or running a TM.Atomic transaction. Parked threads do not count.
 func (tm *TM) LiveThreads() int {
 	tm.slotMu.Lock()
 	defer tm.slotMu.Unlock()
-	return len(tm.threads)
+	return tm.bound - len(tm.parked)
 }
 
 // FreeSlots reports how many log slots a NewThread call could draw from
-// right now (recycled plus never-used).
+// right now: recycled, never-used, and those of parked threads.
 func (tm *TM) FreeSlots() int {
 	tm.slotMu.Lock()
 	defer tm.slotMu.Unlock()
-	return len(tm.freeSlots) + (tm.cfg.Slots - tm.nextSlot)
+	return len(tm.freeSlots) + (tm.cfg.Slots - tm.nextSlot) + len(tm.parked)
 }
 
 // RegionBase returns the base address of the TM's log region. Garbage

@@ -36,20 +36,21 @@ var (
 )
 
 // Thread-lifecycle metrics. A lease is any successful slot binding
-// (NewThread or LeaseThread); a release is a successful Close.
+// (NewThread, Lease, or a TM.Atomic that found no parked thread); a release
+// is a successful Close.
 var (
 	telLeases = telemetry.NewCounter("mtm_thread_leases_total",
 		"transaction threads bound to a log slot")
 	telReleases = telemetry.NewCounter("mtm_thread_releases_total",
 		"transaction threads closed, their slot recycled")
 	telLeaseWaits = telemetry.NewCounter("mtm_lease_waits_total",
-		"LeaseThread calls that had to wait for a slot")
+		"Lease and TM.Atomic calls that had to wait for a slot")
 	telLeaseTimeouts = telemetry.NewCounter("mtm_lease_timeouts_total",
-		"LeaseThread calls that timed out waiting for a slot")
+		"Lease and TM.Atomic calls that gave up waiting for a slot")
 	telReleaseFailures = telemetry.NewCounter("mtm_thread_release_failures_total",
 		"Thread.Close calls that failed; the slot is quarantined, not recycled")
 	telLiveThreads = telemetry.NewGauge("mtm_live_threads",
-		"transaction threads currently bound to log slots")
+		"transaction threads currently bound to log slots (leased, running or parked)")
 	telPostCommitErr = telemetry.NewCounter("mtm_postcommit_cleanup_errors_total",
 		"deferred frees that failed after the transaction was already durable")
 )
@@ -88,7 +89,7 @@ func RedoCommits() uint64 { return telRedoCommits.Value() }
 // ErrTooManyThreads reports that every per-thread log slot is taken.
 var ErrTooManyThreads = errors.New("mtm: out of log slots")
 
-// ErrLeaseTimeout reports that LeaseThread gave up waiting for a slot.
+// ErrLeaseTimeout reports that Lease or TM.Atomic gave up waiting for a slot.
 var ErrLeaseTimeout = errors.New("mtm: timed out waiting for a log slot")
 
 // conflict is the panic value used to unwind a transaction on a conflict
@@ -142,18 +143,13 @@ type Thread struct {
 	// before the empty-log handoff check.
 	undoDirty bool
 
-	// spanParent is the caller-supplied parent span id for the next
-	// Atomic's root span (a request span in kvserve); txnSpan is the live
-	// Atomic root span id, the parent of every commit-phase span.
+	// spanParent is the parent span id of the next Atomic's root span (the
+	// request's exec span in kvserve), set by TM.AtomicSpanned for the one
+	// call; txnSpan is the live Atomic root span id, the parent of every
+	// commit-phase span.
 	spanParent uint64
 	txnSpan    uint64
 }
-
-// SetSpanParent links the thread's next transactions under an enclosing
-// telemetry span (a server request, say), so a slow-commit capture shows
-// the transaction inside the request that issued it. Zero unlinks. The
-// value persists until replaced; callers set it per request.
-func (t *Thread) SetSpanParent(id uint64) { t.spanParent = id }
 
 // takeSlotLocked pops a recycled slot if one is available, preferring
 // reuse over minting a never-used slot. Caller holds slotMu.
@@ -171,14 +167,90 @@ func (tm *TM) takeSlotLocked() (int, bool) {
 	return -1, false
 }
 
-// releaseSlot returns a slot to the free list and wakes every waiting
-// LeaseThread (broadcast: the channel is closed and replaced).
+// wakeLocked wakes everyone waiting for a slot or a parked thread.
+// Caller holds slotMu.
+func (tm *TM) wakeLocked() {
+	if tm.slotAvail != nil {
+		close(tm.slotAvail)
+		tm.slotAvail = nil
+	}
+}
+
+// releaseSlot returns a slot to the free list.
 func (tm *TM) releaseSlot(slot int) {
 	tm.slotMu.Lock()
 	tm.freeSlots = append(tm.freeSlots, slot)
-	close(tm.slotAvail)
-	tm.slotAvail = make(chan struct{})
+	tm.wakeLocked()
 	tm.slotMu.Unlock()
+}
+
+// take hands the caller a thread without waiting. With reuse (TM.Atomic)
+// that is the most recently parked thread exactly as its last transaction
+// left it: nothing is allocated, opened or checked, and the device sees
+// nothing. Otherwise, or with nothing parked, it is a new thread on a free
+// slot; when no slot is free the longest-parked thread is closed for its
+// slot, so threads kept for TM.Atomic never starve an explicit lease. Only
+// there does a slot change hands, so only there is the empty-log contract
+// checked (closeCheck, then bindSlot). When every slot is in someone's
+// hands take returns the channel that closes once that changes.
+func (tm *TM) take(reuse bool) (*Thread, <-chan struct{}, error) {
+	for {
+		tm.slotMu.Lock()
+		if n := len(tm.parked); reuse && n > 0 {
+			t := tm.parked[n-1]
+			tm.parked[n-1] = nil
+			tm.parked = tm.parked[:n-1]
+			tm.slotMu.Unlock()
+			return t, nil, nil
+		}
+		slot, ok := tm.takeSlotLocked()
+		var victim *Thread
+		if !ok && len(tm.parked) > 0 {
+			victim = tm.parked[0]
+			n := copy(tm.parked, tm.parked[1:])
+			tm.parked[n] = nil
+			tm.parked = tm.parked[:n]
+		}
+		if !ok && victim == nil {
+			if tm.slotAvail == nil {
+				tm.slotAvail = make(chan struct{})
+			}
+			ch := tm.slotAvail
+			tm.slotMu.Unlock()
+			return nil, ch, nil
+		}
+		tm.slotMu.Unlock()
+		if victim != nil {
+			if victim.retire() != nil {
+				continue // quarantined with its slot; look again
+			}
+			slot = victim.slot
+		}
+		t, err := tm.bindSlot(slot)
+		return t, nil, err
+	}
+}
+
+// acquire is take with a context-bounded wait.
+func (tm *TM) acquire(ctx context.Context, reuse bool) (*Thread, error) {
+	t, ch, err := tm.take(reuse)
+	if ch == nil {
+		return t, err
+	}
+	telLeaseWaits.Inc()
+	wait := telemetry.SpanBegin(telemetry.PhaseLeaseWait, 0, 0)
+	defer wait.End()
+	for {
+		select {
+		case <-ch:
+		case <-ctx.Done():
+			telLeaseTimeouts.Inc()
+			return nil, fmt.Errorf("%w: %w", ErrLeaseTimeout, ctx.Err())
+		}
+		if t, ch, err = tm.take(reuse); ch == nil {
+			return t, err
+		}
+	}
 }
 
 // bindSlot attaches a fresh Thread to a leased slot. The slot's log must
@@ -214,67 +286,87 @@ func (tm *TM) bindSlot(slot int) (*Thread, error) {
 	}
 	t.tx.t = t
 	tm.slotMu.Lock()
-	tm.threads[slot] = t
+	tm.bound++
 	tm.slotMu.Unlock()
 	telLeases.Inc()
 	telLiveThreads.Add(1)
 	return t, nil
 }
 
-// NewThread binds a new transaction thread to a free log slot, drawing
-// recycled slots before minting new ones. It fails immediately with
-// ErrTooManyThreads when every slot is leased; LeaseThread waits instead.
+// NewThread binds a new transaction thread to a log slot for the caller to
+// keep until Thread.Close: a recycled or never-used slot, else that of a
+// thread parked by TM.Atomic. It fails immediately with ErrTooManyThreads
+// when every slot is leased or running a transaction; Lease waits instead.
 func (tm *TM) NewThread() (*Thread, error) {
-	tm.slotMu.Lock()
-	slot, ok := tm.takeSlotLocked()
-	tm.slotMu.Unlock()
-	if !ok {
+	t, ch, err := tm.take(false)
+	if ch != nil {
 		return nil, ErrTooManyThreads
 	}
-	return tm.bindSlot(slot)
+	return t, err
 }
 
 // Lease is NewThread with a context-bounded wait: when every slot is
-// leased it blocks until a Thread.Close frees one or ctx is cancelled.
-// On cancellation the error matches both ErrLeaseTimeout and ctx.Err()
-// under errors.Is.
+// taken it blocks until one frees or ctx is cancelled. On cancellation the
+// error matches both ErrLeaseTimeout and ctx.Err() under errors.Is.
 func (tm *TM) Lease(ctx context.Context) (*Thread, error) {
-	tm.slotMu.Lock()
-	if slot, ok := tm.takeSlotLocked(); ok {
-		tm.slotMu.Unlock()
-		return tm.bindSlot(slot)
-	}
-	telLeaseWaits.Inc()
-	wait := telemetry.SpanBegin(telemetry.PhaseLeaseWait, 0, 0)
-	defer wait.End()
-	for {
-		ch := tm.slotAvail
-		tm.slotMu.Unlock()
-		select {
-		case <-ch:
-		case <-ctx.Done():
-			telLeaseTimeouts.Inc()
-			return nil, fmt.Errorf("%w: %w", ErrLeaseTimeout, ctx.Err())
-		}
-		tm.slotMu.Lock()
-		if slot, ok := tm.takeSlotLocked(); ok {
-			tm.slotMu.Unlock()
-			return tm.bindSlot(slot)
-		}
-	}
+	return tm.acquire(ctx, false)
 }
 
-// LeaseThread is NewThread with a bounded wait, expressed as a bare
-// timeout. A non-positive timeout degenerates to NewThread.
+// Atomic runs fn as one durable transaction (see Thread.Atomic) on a thread
+// the TM supplies, for callers that keep none of their own. It waits
+// without bound for a slot when all of them are in use.
+func (tm *TM) Atomic(fn func(tx *Tx) error) error {
+	return tm.AtomicSpanned(0, 0, fn)
+}
+
+// AtomicSpanned is Atomic with the transaction's span parented under parent
+// (0 for none) — the write-side twin of ViewSpanned — and a bound on the
+// wait for a slot: negative fails at once with ErrTooManyThreads, zero
+// waits without bound.
 //
-// Deprecated: use Lease with a context carrying the deadline.
-func (tm *TM) LeaseThread(timeout time.Duration) (*Thread, error) {
-	if timeout <= 0 {
-		return tm.NewThread()
+// The thread is parked when the transaction is over and handed as it is to
+// the next call, so a steady stream of transactions binds a slot once. It
+// is parked only if Thread.Atomic returns; when fn panics the thread may
+// hold locks or a half-built log record, and is closed instead — recycled
+// or quarantined as Thread.Close decides.
+func (tm *TM) AtomicSpanned(parent uint64, wait time.Duration, fn func(tx *Tx) error) error {
+	t, err := tm.checkout(wait)
+	if err != nil {
+		return err
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	returned := false
+	defer func() {
+		if !returned {
+			_ = t.Close() // counted in mtm_thread_release_failures_total
+			return
+		}
+		tm.slotMu.Lock()
+		tm.parked = append(tm.parked, t)
+		tm.wakeLocked()
+		tm.slotMu.Unlock()
+	}()
+	t.spanParent = parent
+	err = t.Atomic(fn)
+	t.spanParent = 0
+	returned = true
+	return err
+}
+
+// checkout is acquire for TM.Atomic; the context a bounded wait needs is
+// built only once there is something to wait for.
+func (tm *TM) checkout(wait time.Duration) (*Thread, error) {
+	t, ch, err := tm.take(true)
+	switch {
+	case ch == nil:
+		return t, err
+	case wait < 0:
+		return nil, ErrTooManyThreads
+	case wait == 0:
+		return tm.acquire(context.Background(), true)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), wait)
 	defer cancel()
-	return tm.Lease(ctx)
+	return tm.acquire(ctx, true)
 }
 
 // Close retires the thread and returns its log slot for reuse. The
@@ -290,6 +382,17 @@ func (t *Thread) Close() error {
 	if tm == nil {
 		return nil
 	}
+	if err := t.retire(); err != nil {
+		return err
+	}
+	tm.releaseSlot(t.slot)
+	return nil
+}
+
+// retire is Close up to the slot's release: on success the thread is dead
+// and its slot is the caller's to recycle.
+func (t *Thread) retire() error {
+	tm := t.tm
 	if err := t.closeCheck(); err != nil {
 		telReleaseFailures.Inc()
 		return err
@@ -298,9 +401,8 @@ func (t *Thread) Close() error {
 	t.mem.FlushCacheStats()
 	t.mem.ReleaseReadCache()
 	tm.slotMu.Lock()
-	delete(tm.threads, t.slot)
+	tm.bound--
 	tm.slotMu.Unlock()
-	tm.releaseSlot(t.slot)
 	telReleases.Inc()
 	telLiveThreads.Add(-1)
 	return nil

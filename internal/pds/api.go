@@ -74,7 +74,7 @@ func ParseBackend(s string) (Backend, error) {
 // queue uses Mem. Unused fields may stay nil.
 type Env struct {
 	TM     *mtm.TM
-	Thread *mtm.Thread // optional: Do runs on it instead of leasing
+	Thread *mtm.Thread // optional: Do runs on it instead of on TM.Atomic's thread
 	RT     *region.Runtime
 	Heap   *pheap.Heap
 	Mem    pmem.Memory // optional: defaults to RT.NewMemory()
@@ -217,7 +217,10 @@ func (e *mtmEnv) withThread(fn func(th *mtm.Thread) error) error {
 }
 
 func (e *mtmEnv) do(fn func(tx *mtm.Tx) error) error {
-	return e.withThread(func(th *mtm.Thread) error { return th.Atomic(fn) })
+	if e.env.Thread != nil {
+		return e.env.Thread.Atomic(fn)
+	}
+	return e.env.TM.Atomic(fn)
 }
 
 func (e *mtmEnv) view(fn func(r mtm.Reader) error) error {

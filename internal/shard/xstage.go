@@ -135,7 +135,7 @@ func (sh *Shard) ensureStage() (*pds.HashTable, error) {
 	if sh.stage != nil {
 		return sh.stage, nil
 	}
-	th, err := sh.PM.ThreadPool().Lease(context.Background())
+	th, err := sh.PM.TM().Lease(context.Background())
 	if err != nil {
 		return nil, err
 	}

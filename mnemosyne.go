@@ -90,10 +90,6 @@ type Reader = mtm.Reader
 // stores — implemented by Tx only.
 type Writer = mtm.Writer
 
-// ThreadPool leases transaction threads against the instance's Threads
-// bound (PM.ThreadPool).
-type ThreadPool = core.ThreadPool
-
 // TM is the durable-transaction system (PM.TM), for callers that need
 // thread leasing or recovery state below the PM convenience surface.
 type TM = mtm.TM
