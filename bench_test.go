@@ -299,6 +299,7 @@ func BenchmarkReadMostly(b *testing.B) {
 func BenchmarkRESPServe(b *testing.B) {
 	for _, window := range []int{1, 32} {
 		b.Run(fmt.Sprintf("window%d", window), func(b *testing.B) {
+			b.ReportAllocs()
 			var last bench.RESPRow
 			for i := 0; i < b.N; i++ {
 				opts := spinOpts()
@@ -313,6 +314,7 @@ func BenchmarkRESPServe(b *testing.B) {
 			}
 			b.ReportMetric(last.OpsPerSec, "ops/s")
 			b.ReportMetric(last.FencesPerCommit, "fences/commit")
+			b.ReportMetric(last.AllocsPerOp, "allocs/served-op")
 		})
 	}
 }

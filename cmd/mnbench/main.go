@@ -564,7 +564,7 @@ func readCache() error {
 
 func respServe() error {
 	header("RESP serving surface: pipelined redis-protocol clients over TCP (50/50 GET/SET, binary values, hashes, TTLs)")
-	fmt.Printf("%-8s %8s %14s %18s\n", "Clients", "Window", "Ops/s", "Fences/commit")
+	fmt.Printf("%-8s %8s %14s %18s %12s\n", "Clients", "Window", "Ops/s", "Fences/commit", "Allocs/op")
 	o := baseOptions()
 	o.GroupCommit = true // concurrent sessions share commit epochs, as kvserved runs
 	for _, window := range []int{1, 8, 32} {
@@ -576,10 +576,10 @@ func respServe() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-8d %8d %14.0f %18.2f\n",
-			row.Clients, row.Window, row.OpsPerSec, row.FencesPerCommit)
-		csvOut("resp", "clients,window,ops_per_sec,fences_per_commit",
-			row.Clients, row.Window, row.OpsPerSec, row.FencesPerCommit)
+		fmt.Printf("%-8d %8d %14.0f %18.2f %12.1f\n",
+			row.Clients, row.Window, row.OpsPerSec, row.FencesPerCommit, row.AllocsPerOp)
+		csvOut("resp", "clients,window,ops_per_sec,fences_per_commit,allocs_per_op",
+			row.Clients, row.Window, row.OpsPerSec, row.FencesPerCommit, row.AllocsPerOp)
 	}
 	return nil
 }

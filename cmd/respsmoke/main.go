@@ -30,9 +30,7 @@ type client struct {
 }
 
 func (c *client) do(args ...string) (resp.Value, error) {
-	if err := c.w.WriteCommandStrings(args...); err != nil {
-		return resp.Value{}, err
-	}
+	c.w.WriteCommandStrings(args...)
 	if err := c.w.Flush(); err != nil {
 		return resp.Value{}, err
 	}

@@ -283,4 +283,7 @@ func TestRESPKernel(t *testing.T) {
 	if row.FencesPerCommit <= 0 {
 		t.Fatalf("no commits observed: %+v", row)
 	}
+	if row.AllocsPerOp <= 0 {
+		t.Fatalf("no allocations observed: %+v", row)
+	}
 }

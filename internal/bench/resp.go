@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net"
 	"os"
+	"runtime"
 	"sync"
 	"time"
 
@@ -68,11 +69,15 @@ type RESPRow struct {
 	Window          int
 	OpsPerSec       float64
 	FencesPerCommit float64
+	// AllocsPerOp is the process's Go heap allocations per served
+	// operation — the server's plus this kernel's own clients', which
+	// format a key and copy each reply.
+	AllocsPerOp float64
 }
 
 func (r RESPRow) String() string {
-	return fmt.Sprintf("%2d clients, window %2d: %9.0f ops/s, %5.2f fences/commit",
-		r.Clients, r.Window, r.OpsPerSec, r.FencesPerCommit)
+	return fmt.Sprintf("%2d clients, window %2d: %9.0f ops/s, %5.2f fences/commit, %5.1f allocs/op",
+		r.Clients, r.Window, r.OpsPerSec, r.FencesPerCommit, r.AllocsPerOp)
 }
 
 // RunRESP measures the RESP front end over a fresh unsharded stack.
@@ -112,6 +117,8 @@ func RunRESP(o RESPOpts) (RESPRow, error) {
 		value[i] = byte(i) // arbitrary binary payload, NULs included
 	}
 
+	var mem0, mem1 runtime.MemStats
+	runtime.ReadMemStats(&mem0)
 	startFences := pm.Device().Snapshot().Fences
 	startCommits := pm.TM().Snapshot().Commits
 	start := time.Now()
@@ -136,22 +143,17 @@ func RunRESP(o RESPOpts) (RESPRow, error) {
 				}
 				for j := 0; j < n; j++ {
 					key := fmt.Sprintf("c%dk%d", ci, rng.Intn(o.Keys))
-					var werr error
 					switch r := rng.Intn(100); {
 					case r >= o.WritePct: // read
-						werr = w.WriteCommandStrings("GET", key)
+						w.WriteCommandStrings("GET", key)
 					case r%8 == 0: // hash write
-						werr = w.WriteCommand([]byte("HSET"), []byte(key+"h"),
+						w.WriteCommand([]byte("HSET"), []byte(key+"h"),
 							[]byte("field"), value)
 					case r%4 == 0: // expiring write (far deadline)
-						werr = w.WriteCommand([]byte("SET"), []byte(key), value,
+						w.WriteCommand([]byte("SET"), []byte(key), value,
 							[]byte("EX"), []byte("100000"))
 					default:
-						werr = w.WriteCommand([]byte("SET"), []byte(key), value)
-					}
-					if werr != nil {
-						errs <- werr
-						return
+						w.WriteCommand([]byte("SET"), []byte(key), value)
 					}
 				}
 				if err := w.Flush(); err != nil {
@@ -180,12 +182,15 @@ func RunRESP(o RESPOpts) (RESPRow, error) {
 		return RESPRow{}, err
 	}
 
+	runtime.ReadMemStats(&mem1)
 	commits := pm.TM().Snapshot().Commits - startCommits
 	fences := pm.Device().Snapshot().Fences - startFences
+	ops := float64(o.Clients * o.OpsPerClient)
 	row := RESPRow{
-		Clients:   o.Clients,
-		Window:    o.Window,
-		OpsPerSec: float64(o.Clients*o.OpsPerClient) / elapsed.Seconds(),
+		Clients:     o.Clients,
+		Window:      o.Window,
+		OpsPerSec:   ops / elapsed.Seconds(),
+		AllocsPerOp: float64(mem1.Mallocs-mem0.Mallocs) / ops,
 	}
 	if commits > 0 {
 		row.FencesPerCommit = float64(fences) / float64(commits)

@@ -46,7 +46,7 @@ func TestConnectionChurn(t *testing.T) {
 // compares the stored key before deleting.
 func TestDelCollision(t *testing.T) {
 	srv, _, addr := startServer(t, core.Config{Dir: t.TempDir(), DeviceSize: 64 << 20})
-	srv.hash = func(string) uint64 { return 42 }
+	srv.hash = func([]byte) uint64 { return 42 }
 	c := dial(t, addr)
 	if got := c.cmd(t, "SET alpha one"); got != "OK" {
 		t.Fatalf("SET -> %q", got)
@@ -75,7 +75,7 @@ func TestDelCollision(t *testing.T) {
 // destroyed it and answered OK. Overwriting the same key still works.
 func TestSetCollision(t *testing.T) {
 	srv, _, addr := startServer(t, core.Config{Dir: t.TempDir(), DeviceSize: 64 << 20})
-	srv.hash = func(string) uint64 { return 42 }
+	srv.hash = func([]byte) uint64 { return 42 }
 	c := dial(t, addr)
 	if got := c.cmd(t, "SET alpha one"); got != "OK" {
 		t.Fatalf("SET alpha -> %q", got)

@@ -1,8 +1,10 @@
 package kvserve
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math/bits"
 	"strconv"
 	"strings"
 	"sync"
@@ -10,93 +12,167 @@ import (
 
 	"repro/internal/mtm"
 	"repro/internal/pds"
+	"repro/internal/resp"
 	"repro/internal/shard"
 	"repro/internal/telemetry"
 )
 
-// request is one parsed command: argv (verb included), its registry
-// definition, and a pre-computed error reply for unparseable input.
-type request struct {
-	args [][]byte
-	def  *cmdDef
-	bad  *Reply
+// command is one parsed request: argv (verb included) and what resolving
+// the verb once tells every later stage — its registry definition (nil
+// for an unknown verb) and, for a single-key command the batch
+// partitioner may run concurrently with others, its key's hash. The
+// arguments are views into the connection's input buffer (or, on the
+// line protocol, slices of a tokenized line).
+type command struct {
+	args  [][]byte
+	def   *cmdDef
+	keyed bool
+	h     uint64 // s.hash(args[1]) when keyed
+
+	// Set by the partition that ran the command: which one, and where
+	// its reply ends in that partition's sink.
+	part, end int
+}
+
+// lookup resolves a verb case-insensitively without allocating.
+func lookup[K ~string | ~[]byte](verb K) *cmdDef {
+	var up [16]byte // longer than any registered verb
+	if len(verb) > len(up) {
+		return nil
+	}
+	for i := 0; i < len(verb); i++ {
+		c := verb[i]
+		if c >= 'a' && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		up[i] = c
+	}
+	return registry[string(up[:len(verb)])]
+}
+
+// resolve classifies an argv for the engine and the batch partitioner: a
+// single-key command (the registry's keyed flag, within its arity and
+// keyedMax) runs concurrently with others, hashed by its key; everything
+// else — unknown verbs and arity violations included — is a barrier that
+// runs alone on the session goroutine.
+func (s *Server) resolve(args [][]byte) command {
+	cmd := command{args: args}
+	if len(args) == 0 {
+		return cmd
+	}
+	d := lookup(args[0])
+	cmd.def = d
+	if d != nil && d.keyed && d.arityOK(len(args)) && (d.keyedMax == 0 || len(args) <= d.keyedMax) {
+		cmd.keyed, cmd.h = true, s.hash(args[1])
+	}
+	return cmd
 }
 
 // parseLine tokenizes one line-protocol command. Definitions with a
 // lineSplit re-tokenize with SplitN so the last argument keeps its
 // spaces (SET's value), exactly as the pre-registry parser did.
-func (s *Server) parseLine(line string) request {
+func (s *Server) parseLine(line string) command {
 	trimmed := strings.TrimSpace(line)
-	fields := strings.Fields(trimmed)
-	if len(fields) == 0 {
-		bad := errReply("unknown command")
-		return request{bad: &bad}
+	parts := strings.Fields(trimmed)
+	if len(parts) == 0 {
+		return command{}
 	}
-	def := registry[strings.ToUpper(fields[0])]
-	if def == nil {
-		bad := errReply("unknown command")
-		return request{bad: &bad}
-	}
-	var parts []string
-	if def.lineSplit > 0 {
+	if def := lookup(parts[0]); def != nil && def.lineSplit > 0 {
 		parts = strings.SplitN(trimmed, " ", def.lineSplit)
-	} else {
-		parts = fields
 	}
 	args := make([][]byte, len(parts))
 	for i, p := range parts {
 		args[i] = []byte(p)
 	}
-	return request{args: args, def: def}
+	return s.resolve(args)
 }
 
-// parseCommand wraps an argv decoded by the RESP reader. Arguments are
-// binary-safe and already framed; only the verb needs resolving.
-func (s *Server) parseCommand(args [][]byte) request {
-	if len(args) == 0 {
-		bad := errReply("unknown command")
-		return request{bad: &bad}
-	}
-	def := registry[strings.ToUpper(string(args[0]))]
-	if def == nil {
-		bad := errReply("unknown command")
-		return request{args: args, bad: &bad}
-	}
-	return request{args: args, def: def}
-}
-
-// exec runs one parsed request: per-verb counter, arity contract, then
-// the handler. parent is the exec span commands attribute their
-// transactions under.
-func (s *Server) exec(pr request, parent uint64) Reply {
-	if pr.bad != nil {
-		return *pr.bad
-	}
-	pr.def.calls.Inc()
-	if !pr.def.arityOK(len(pr.args)) {
-		return errReply("usage: " + pr.def.usage)
-	}
-	c := &call{s: s, args: pr.args, parent: parent}
-	return pr.def.handler(c)
-}
-
-// call is one command invocation's execution context.
+// call is a command's execution context, and everything in it outlives
+// the command: a session owns one for the commands it runs itself and one
+// per batch partition, so serving a command allocates none of its argv,
+// its record scratch or its reply.
 type call struct {
-	s      *Server
-	args   [][]byte
-	parent uint64 // exec span id
+	s *Server
+	w *resp.Writer // reply sink: handlers render into it as they go
+
+	args   [][]byte // the running command's argv
+	h      uint64   // ... and its key's hash, when it is a keyed command
+	parent uint64   // exec span id
+	n      int64    // handlers' integer result; transaction bodies reset it, as conflict retries rerun them
+	failed bool     // the reply is an error
+	quit   bool     // the command ends the session
+
+	rec []byte // record scratch: an encoding on its way in, a header or record on its way out
 }
 
-func (c *call) str(i int) string { return string(c.args[i]) }
-
-func (c *call) update(key string, fn func(n *node, tx *mtm.Tx) error) error {
-	st := c.s.store
-	return st.Update(c.parent, st.ShardOf(key), fn)
+// run serves cmd as one request: the request span — a root (parent 0):
+// when it outlasts the flight recorder's threshold, the whole tree under
+// it, exec, txn and its commit phases, is captured as one slow entry —
+// then counters and latency, for both transports.
+func (c *call) run(cmd *command) {
+	req := telemetry.SpanBegin(telemetry.PhaseRequest, 0, 0)
+	start := time.Now()
+	c.exec(cmd, req.ID)
+	lat := time.Since(start).Nanoseconds()
+	req.End()
+	telReqs.Inc()
+	telReqLat.Observe(lat)
+	if c.failed {
+		telErrs.Inc()
+	}
+	if telemetry.TraceEnabled() {
+		size := 0
+		for _, a := range cmd.args {
+			size += len(a)
+		}
+		telemetry.Emit(telemetry.EvRequest, 0, uint64(lat), uint64(size))
+	}
 }
 
-func (c *call) view(key string, fn func(n *node, r mtm.Reader) error) error {
-	st := c.s.store
-	return st.View(c.parent, st.ShardOf(key), fn)
+// exec runs one resolved command under an exec span of the request span
+// req: per-verb counter, arity contract, then the handler, which
+// attributes its transactions to the exec span.
+func (c *call) exec(cmd *command, req uint64) {
+	exec := telemetry.SpanBegin(telemetry.PhaseExec, 0, req)
+	c.args, c.h, c.parent = cmd.args, cmd.h, exec.ID
+	c.failed, c.quit = false, false
+	switch d := cmd.def; {
+	case d == nil:
+		c.fail("unknown command")
+	case !d.arityOK(len(c.args)):
+		d.calls.Inc()
+		c.fail("usage: " + d.usage)
+	default:
+		d.calls.Inc()
+		d.handler(c)
+	}
+	exec.End()
+}
+
+// fail answers the command with an error. Bare engine errors gain redis's
+// ERR prefix; typed errors (WRONGTYPE) pass through so clients can match
+// on the error class.
+func (c *call) fail(msg string) {
+	c.failed = true
+	if !strings.HasPrefix(msg, "WRONGTYPE") {
+		msg = "ERR " + msg
+	}
+	c.w.WriteError(msg)
+}
+
+// shard is the shard a key hashing to h lives on.
+func (s *Server) shard(h uint64) int { return int(h % uint64(s.store.NShards())) }
+
+// update runs fn as one durable transaction on the command's key's shard.
+func (c *call) update(fn func(n *node, tx *mtm.Tx) error) error {
+	return c.s.store.Update(c.parent, c.s.shard(c.h), fn)
+}
+
+// view runs fn on a snapshot of the command's key's shard. A conflicting
+// commit reruns fn: a handler that renders inside it cuts the sink back to
+// where the command's reply began before it renders again.
+func (c *call) view(fn func(n *node, r mtm.Reader) error) error {
+	return c.s.store.View(c.parent, c.s.shard(c.h), fn)
 }
 
 // errHashCollision reports a write whose key hashes onto a slot already
@@ -104,57 +180,61 @@ func (c *call) view(key string, fn func(n *node, r mtm.Reader) error) error {
 // silently destroying the colliding key's data.
 var errHashCollision = errors.New("hash collision with a different stored key")
 
-// putRecord stores rec at key's tree slot after comparing the stored
-// full key: overwriting the same key is the normal update, overwriting a
-// colliding key would destroy its record.
-func (s *Server) putRecord(n *node, tx *mtm.Tx, key string, rec []byte) error {
-	h := s.hash(key)
-	raw, err := n.tree.Get(tx, h)
-	if err == nil {
-		k, derr := shard.DecodeRecordKey(raw)
-		if derr != nil {
-			return derr
-		}
-		if k != key {
-			return fmt.Errorf("%w: %q vs stored %q", errHashCollision, key, k)
-		}
-	} else if err != pds.ErrNotFound {
-		return err
+// putRecord stores the record head‖tail — an encoded record whole, or its
+// header and a payload left where it is — at its key's tree slot h, in one
+// descent that compares the stored key in place: overwriting the same key
+// is the normal update, overwriting a colliding key would destroy its
+// record.
+func putRecord(n *node, tx *mtm.Tx, h uint64, head, tail []byte) error {
+	err := n.tree.Upsert(tx, h, head, tail, shard.KeyPrefixLen(head))
+	if err == pds.ErrMismatch {
+		return fmt.Errorf("%w: %q at slot %#x", errHashCollision, shard.RecordKey(head), h)
 	}
-	return n.tree.Put(tx, h, rec)
+	return err
 }
 
-// recordAt reads key's record on shard k through any Reader, resolving
-// hash collisions against the stored full key. Absent, colliding, and
-// expired slots answer ok=false; an expired record is additionally
-// queued for lazy reaping so a read eventually reclaims its space.
-func (s *Server) recordAt(n *node, r mtm.Reader, k int, key string) (shard.Record, bool, error) {
-	raw, err := n.tree.Get(r, s.hash(key))
+// find locates the record stored at slot h through any Reader and decodes
+// its header into c.rec; ok is false when the slot is empty or holds
+// another key's record (a hash collision). The payload is not loaded: v
+// hands it out, whole or in part, to whoever needs it.
+func (c *call) find(n *node, r mtm.Reader, h uint64, key []byte) (hdr shard.Header, v pds.Stored, ok bool, err error) {
+	v, err = n.tree.Find(r, h)
 	if err == pds.ErrNotFound {
-		return shard.Record{}, false, nil
+		return hdr, v, false, nil
 	}
-	if err != nil {
-		return shard.Record{}, false, err
+	if err == nil {
+		hdr, c.rec, err = shard.LoadHeader(v, c.rec)
 	}
-	rec, err := shard.DecodeRecord(raw)
-	if err != nil {
-		return shard.Record{}, false, err
-	}
-	if rec.Key != key {
-		return shard.Record{}, false, nil // hash collision with another key
-	}
-	if rec.Expired(s.now()) {
-		s.reapLater(k, s.hash(key))
-		return shard.Record{}, false, nil
-	}
-	return rec, true, nil
+	return hdr, v, err == nil && bytes.Equal(hdr.Key, key), err
 }
 
-func (c *call) record(n *node, r mtm.Reader, key string) (shard.Record, bool, error) {
-	return c.s.recordAt(n, r, c.s.store.ShardOf(key), key)
+// lookup is find for a read: an expired record answers ok=false like an
+// absent one, and is additionally queued for lazy reaping so a read
+// eventually reclaims its space.
+func (c *call) lookup(n *node, r mtm.Reader, k int, h uint64, key []byte) (shard.Header, pds.Stored, bool, error) {
+	hdr, v, ok, err := c.find(n, r, h, key)
+	if ok && hdr.Expired(c.s.now()) {
+		c.s.reapLater(k, h)
+		ok = false
+	}
+	return hdr, v, ok, err
 }
 
-func checkKeySize(key string) error {
+// record is lookup for the running command's key.
+func (c *call) record(n *node, r mtm.Reader) (shard.Header, pds.Stored, bool, error) {
+	return c.lookup(n, r, c.s.shard(c.h), c.h, c.args[1])
+}
+
+// payload loads the payload of the record lookup just found into c.rec,
+// behind its header. The view it returns, like hdr.Key, lives until the
+// next use of c.rec.
+func (c *call) payload(hdr shard.Header, v pds.Stored) []byte {
+	c.rec = append(c.rec[:hdr.Size], make([]byte, v.Len()-hdr.Size)...)
+	v.Load(c.rec[hdr.Size:], hdr.Size)
+	return c.rec[hdr.Size:]
+}
+
+func checkKeySize(key []byte) error {
 	if len(key) > MaxKeyLen {
 		return fmt.Errorf("key too long (max %d bytes)", MaxKeyLen)
 	}
@@ -174,539 +254,389 @@ func checkValueSize(n int) error {
 // (SET <key> <value> EX <seconds> | PX <milliseconds>). The line
 // protocol tokenizes SET into exactly three arguments — the value is the
 // rest of the line, spaces included — so expiry options are reachable
-// over RESP only.
-func cmdSet(c *call) Reply {
-	key := c.str(1)
-	value := c.args[2]
-	if err := checkKeySize(key); err != nil {
-		return errfReply(err)
-	}
-	if err := checkValueSize(len(value)); err != nil {
-		return errfReply(err)
+// over RESP only. The value's one copy is from the input buffer into the
+// tree's value block: c.rec holds only the record header that frames it.
+func cmdSet(c *call) {
+	key, value := c.args[1], c.args[2]
+	err := checkKeySize(key)
+	if err == nil {
+		err = checkValueSize(len(value))
 	}
 	var deadline int64
-	if len(c.args) > 3 {
-		if len(c.args) != 5 {
-			return errReply("usage: " + registry["SET"].usage)
+	if err == nil && len(c.args) > 3 {
+		switch {
+		case len(c.args) != 5:
+			err = errors.New("usage: " + registry["SET"].usage)
+		case !c.s.store.SupportsTTL():
+			err = errors.New(errNoTTL)
+		default:
+			deadline, err = parseExpiry(c.s.now(), c.args[3], c.args[4])
 		}
-		if !c.s.store.SupportsTTL() {
-			return errReply(errNoTTL)
-		}
-		d, err := parseExpiry(c.s.now(), c.str(3), c.args[4])
-		if err != nil {
-			return errfReply(err)
-		}
-		deadline = d
 	}
-	rec, err := shard.EncodeRecord(shard.Record{
-		Key: key, Type: shard.RecString, Expire: deadline, Value: value,
-	})
+	if err == nil {
+		c.rec, err = shard.AppendHeader(c.rec[:0], key, shard.RecString, deadline)
+	}
+	if err == nil {
+		err = c.update(func(n *node, tx *mtm.Tx) error {
+			if err := putRecord(n, tx, c.h, c.rec, value); err != nil || deadline == 0 {
+				return err
+			}
+			return c.s.wheelAdd(n, tx, c.h, deadline)
+		})
+	}
 	if err != nil {
-		return errfReply(err)
+		c.fail(err.Error())
+		return
 	}
-	err = c.update(key, func(n *node, tx *mtm.Tx) error {
-		if err := c.s.putRecord(n, tx, key, rec); err != nil {
-			return err
-		}
-		if deadline != 0 {
-			return c.s.wheelAdd(n, tx, c.s.hash(key), deadline)
-		}
-		return nil
-	})
-	if err != nil {
-		return errfReply(err)
-	}
-	return simpleReply("OK")
+	c.w.WriteSimple("OK")
 }
 
 // parseExpiry converts an EX/PX option into an absolute deadline.
-func parseExpiry(now int64, opt string, arg []byte) (int64, error) {
+func parseExpiry(now int64, opt, arg []byte) (int64, error) {
 	d, err := strconv.ParseInt(string(arg), 10, 64)
 	if err != nil || d <= 0 {
-		return 0, fmt.Errorf("invalid expire time %q", string(arg))
+		return 0, fmt.Errorf("invalid expire time %q", arg)
 	}
-	switch strings.ToUpper(opt) {
-	case "EX":
+	switch {
+	case bytes.EqualFold(opt, []byte("EX")):
 		return now + d*int64(time.Second), nil
-	case "PX":
+	case bytes.EqualFold(opt, []byte("PX")):
 		return now + d*int64(time.Millisecond), nil
 	}
 	return 0, fmt.Errorf("unknown SET option %q", opt)
 }
 
-func cmdGet(c *call) Reply {
-	key := c.str(1)
-	var out Reply
-	err := c.view(key, func(n *node, r mtm.Reader) error {
-		rec, ok, err := c.record(n, r, key)
+// cmdGet answers a string value with its one copy: from the tree's value
+// block into the reply.
+func cmdGet(c *call) {
+	mark := c.w.Len()
+	err := c.view(func(n *node, r mtm.Reader) error {
+		c.w.Truncate(mark)
+		hdr, v, ok, err := c.record(n, r)
 		if err != nil {
 			return err
 		}
 		if !ok {
-			out = nilReply()
+			c.w.WriteNull()
 			return nil
 		}
-		if rec.Type != shard.RecString {
+		if hdr.Type != shard.RecString {
 			return shard.ErrWrongType
 		}
-		out = bulkReply(append([]byte(nil), rec.Value...))
+		v.Load(c.w.Bulk(v.Len()-hdr.Size), hdr.Size)
 		return nil
 	})
 	if err != nil {
-		return errfReply(err)
+		c.w.Truncate(mark)
+		c.fail(err.Error())
 	}
-	return out
 }
 
-// cmdDel deletes each named key, answering how many were present. An
-// expired-but-unswept record is physically removed yet counts as absent,
-// so the oracle "an expired key never resurrects" extends to DEL's
-// return value.
-func cmdDel(c *call) Reply {
+// touched is the set of shards keys hash to, as a bit mask (a store has at
+// most shard.MaxShards = 64): multi-key commands visit those shards in
+// ascending order and pick their keys out again on each.
+func (s *Server) touched(keys [][]byte) (mask uint64) {
+	for _, key := range keys {
+		mask |= 1 << uint(s.shard(s.hash(key)))
+	}
+	return mask
+}
+
+// cmdDel serves DEL and MDEL: every named key is deleted, one transaction
+// per touched shard in ascending order, and the reply is how many were
+// present. An expired-but-unswept record is physically removed yet counts
+// as absent, so the oracle "an expired key never resurrects" extends to
+// the count.
+func cmdDel(c *call) {
+	keys, s := c.args[1:], c.s
 	deleted := int64(0)
-	for _, a := range c.args[1:] {
-		key := string(a)
-		n := int64(0)
-		err := c.update(key, func(nd *node, tx *mtm.Tx) error {
-			n = 0 // conflict retries rerun the closure
-			raw, err := nd.tree.Get(tx, c.s.hash(key))
-			if err == pds.ErrNotFound {
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-			rec, err := shard.DecodeRecord(raw)
-			if err != nil {
-				return err
-			}
-			if rec.Key != key {
-				return nil // hash collision with another key
-			}
-			if err := nd.tree.Delete(tx, c.s.hash(key)); err != nil {
-				return err
-			}
-			if !rec.Expired(c.s.now()) {
-				n = 1
+	for mask := s.touched(keys); mask != 0; mask &= mask - 1 {
+		k := bits.TrailingZeros64(mask)
+		err := s.store.Update(c.parent, k, func(n *node, tx *mtm.Tx) error {
+			c.n = 0
+			now := s.now()
+			for _, key := range keys {
+				h := s.hash(key)
+				if s.shard(h) != k {
+					continue
+				}
+				hdr, _, ok, err := c.find(n, tx, h, key)
+				if err != nil {
+					return err
+				}
+				if !ok {
+					continue
+				}
+				if err := n.tree.Delete(tx, h); err != nil {
+					return err
+				}
+				if !hdr.Expired(now) {
+					c.n++
+				}
 			}
 			return nil
 		})
 		if err != nil {
-			return errfReply(err)
+			c.fail(err.Error())
+			return
 		}
-		deleted += n
+		deleted += c.n
 	}
-	return intReply(deleted)
+	c.w.WriteInt(deleted)
 }
 
 // cmdMGet answers every key from per-shard snapshots, visiting shards in
 // ascending order: all answers from one shard reflect one committed
 // snapshot. Keys holding non-string records answer nil, like redis.
-func cmdMGet(c *call) Reply {
-	keys := c.args[1:]
-	st := c.s.store
-	elems := make([]Reply, len(keys))
-	parts := make([][]int, st.NShards())
-	for i := range keys {
-		k := st.ShardOf(string(keys[i]))
-		parts[k] = append(parts[k], i)
-	}
-	for k, idxs := range parts {
-		if len(idxs) == 0 {
-			continue
-		}
-		err := st.View(c.parent, k, func(n *node, r mtm.Reader) error {
-			for _, i := range idxs {
-				rec, ok, err := c.s.recordAt(n, r, k, string(keys[i]))
+func cmdMGet(c *call) {
+	keys, s := c.args[1:], c.s
+	vals := make([][]byte, len(keys)) // nil = absent
+	for mask := s.touched(keys); mask != 0; mask &= mask - 1 {
+		k := bits.TrailingZeros64(mask)
+		err := s.store.View(c.parent, k, func(n *node, r mtm.Reader) error {
+			for i, key := range keys {
+				h := s.hash(key)
+				if s.shard(h) != k {
+					continue
+				}
+				hdr, v, ok, err := c.lookup(n, r, k, h, key)
 				if err != nil {
 					return err
 				}
-				if !ok || rec.Type != shard.RecString {
-					elems[i] = nilReply()
-					continue
+				if vals[i] = nil; ok && hdr.Type == shard.RecString {
+					vals[i] = make([]byte, v.Len()-hdr.Size)
+					v.Load(vals[i], hdr.Size)
 				}
-				elems[i] = bulkReply(append([]byte(nil), rec.Value...))
 			}
 			return nil
 		})
 		if err != nil {
-			return errfReply(err)
+			c.fail(err.Error())
+			return
 		}
 	}
-	return arrayReply(elems)
+	c.w.WriteArrayHeader(len(keys))
+	for _, val := range vals {
+		if val == nil {
+			c.w.WriteNull()
+		} else {
+			c.w.WriteBulk(val)
+		}
+	}
 }
 
 // cmdMSet stores every pair atomically. The line protocol tokenizes by
 // whitespace, so line-protocol MSET values cannot contain spaces — the
 // odd-argument error says so and points at RESP, where bulk strings
 // carry arbitrary bytes.
-func cmdMSet(c *call) Reply {
+func cmdMSet(c *call) {
 	args := c.args[1:]
 	if len(args)%2 != 0 {
-		return errReply("usage: " + registry["MSET"].usage +
+		c.fail("usage: " + registry["MSET"].usage +
 			" (line-protocol values cannot contain spaces; use the RESP port for binary values)")
+		return
 	}
-	keys := make([]string, 0, len(args)/2)
+	// The records sit back to back in c.rec. Growing it mid-loop moves
+	// the buffer, not the records already sliced out of the old one.
 	recs := make([][]byte, 0, len(args)/2)
+	c.rec = c.rec[:0]
 	for i := 0; i < len(args); i += 2 {
-		key := string(args[i])
-		if err := checkKeySize(key); err != nil {
-			return errfReply(err)
+		err := checkKeySize(args[i])
+		if err == nil {
+			err = checkValueSize(len(args[i+1]))
 		}
-		if err := checkValueSize(len(args[i+1])); err != nil {
-			return errfReply(err)
+		start := len(c.rec)
+		if err == nil {
+			c.rec, err = shard.AppendRecord(c.rec, args[i], shard.RecString, 0, args[i+1])
 		}
-		rec, err := shard.EncodeRecord(shard.Record{
-			Key: key, Type: shard.RecString, Value: args[i+1],
-		})
 		if err != nil {
-			return errfReply(err)
+			c.fail(err.Error())
+			return
 		}
-		keys = append(keys, key)
-		recs = append(recs, rec)
+		recs = append(recs, c.rec[start:len(c.rec):len(c.rec)])
 	}
-	if err := c.s.store.MPut(c.parent, keys, recs); err != nil {
-		return errfReply(err)
+	if err := c.s.store.MPut(c.parent, recs); err != nil {
+		c.fail(err.Error())
+		return
 	}
-	return simpleReply("OK")
-}
-
-// cmdMDel deletes every named key, one transaction per touched shard in
-// ascending order, reporting how many were present.
-func cmdMDel(c *call) Reply {
-	st := c.s.store
-	parts := make([][]string, st.NShards())
-	for _, a := range c.args[1:] {
-		k := st.ShardOf(string(a))
-		parts[k] = append(parts[k], string(a))
-	}
-	deleted := int64(0)
-	for k, keys := range parts {
-		if len(keys) == 0 {
-			continue
-		}
-		n := int64(0)
-		err := st.Update(c.parent, k, func(nd *node, tx *mtm.Tx) error {
-			n = 0 // conflict retries rerun the closure
-			for _, key := range keys {
-				raw, err := nd.tree.Get(tx, c.s.hash(key))
-				if err == pds.ErrNotFound {
-					continue
-				}
-				if err != nil {
-					return err
-				}
-				rec, err := shard.DecodeRecord(raw)
-				if err != nil {
-					return err
-				}
-				if rec.Key != key {
-					continue // hash collision with another key
-				}
-				if err := nd.tree.Delete(tx, c.s.hash(key)); err != nil {
-					return err
-				}
-				if !rec.Expired(c.s.now()) {
-					n++
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return errfReply(err)
-		}
-		deleted += n
-	}
-	return intReply(deleted)
+	c.w.WriteSimple("OK")
 }
 
 // cmdCount answers the live key count: a per-shard snapshot scan that
 // skips records past their expiry deadline, so an unswept-but-expired
 // key is never counted.
-func cmdCount(c *call) Reply {
+func cmdCount(c *call) {
 	st := c.s.store
 	total := int64(0)
 	for k := 0; k < st.NShards(); k++ {
 		err := st.View(c.parent, k, func(n *node, r mtm.Reader) error {
 			now := c.s.now()
-			live := int64(0)
+			c.n = 0
 			n.tree.Scan(r, 0, func(_ uint64, val []byte) bool {
-				rec, err := shard.DecodeRecord(val)
-				if err == nil && !rec.Expired(now) {
-					live++
+				hdr, err := shard.DecodeHeader(val)
+				if err == nil && !hdr.Expired(now) {
+					c.n++
 				}
 				return true
 			})
-			total += live
 			return nil
 		})
 		if err != nil {
-			return errfReply(err)
-		}
-	}
-	return intReply(total)
-}
-
-// --- rendering and dispatch ---
-
-// renderLegacy turns a Reply into the line protocol's reply text. Errors
-// always render as "ERROR <msg>"; definitions may override the rest
-// (GET's VALUE/MISSING, DEL's OK/MISSING, MGET's per-key lines).
-func renderLegacy(pr request, r Reply) string {
-	if r.kind == replyError {
-		return "ERROR " + r.str
-	}
-	if pr.def != nil && pr.def.legacy != nil {
-		return pr.def.legacy(pr.args, r)
-	}
-	return legacyDefault(r)
-}
-
-func legacyDefault(r Reply) string {
-	switch r.kind {
-	case replySimple:
-		return r.str
-	case replyInt:
-		return strconv.FormatInt(r.n, 10)
-	case replyBulk:
-		return string(r.bulk)
-	case replyNil:
-		return "MISSING"
-	case replyBye:
-		return "BYE"
-	case replyArray:
-		outs := make([]string, len(r.arr))
-		for i, e := range r.arr {
-			outs[i] = legacyDefault(e)
-		}
-		return strings.Join(outs, "\n")
-	}
-	return "ERROR internal: unrenderable reply"
-}
-
-// handle executes one line-protocol command and renders its legacy
-// reply; req is the request span id the parse/exec spans attach under.
-// Crash and fuzz harnesses drive the server through this entry point.
-func (s *Server) handle(line string, req uint64) string {
-	pr, rep := s.handleLine(line, req)
-	return renderLegacy(pr, rep)
-}
-
-func (s *Server) handleLine(line string, req uint64) (request, Reply) {
-	parse := telemetry.SpanBegin(telemetry.PhaseParse, 0, req)
-	pr := s.parseLine(line)
-	parse.End()
-	exec := telemetry.SpanBegin(telemetry.PhaseExec, 0, req)
-	defer exec.End()
-	return pr, s.exec(pr, exec.ID)
-}
-
-// dispatch times and traces one line-protocol command around handle.
-func (s *Server) dispatch(line string) string {
-	reply, _ := s.dispatchLine(line)
-	return reply
-}
-
-func (s *Server) dispatchLine(line string) (string, bool) {
-	// The request span is a root (parent 0): when it outlasts the flight
-	// recorder's threshold, the whole tree under it — parse, exec, txn and
-	// its commit phases — is captured as one slow entry.
-	req := telemetry.SpanBegin(telemetry.PhaseRequest, 0, 0)
-	start := time.Now()
-	pr, rep := s.handleLine(line, req.ID)
-	lat := time.Since(start).Nanoseconds()
-	req.End()
-	telReqs.Inc()
-	telReqLat.Observe(lat)
-	if rep.kind == replyError {
-		telErrs.Inc()
-	}
-	if telemetry.TraceEnabled() {
-		telemetry.Emit(telemetry.EvRequest, 0, uint64(lat), uint64(len(line)))
-	}
-	return renderLegacy(pr, rep), rep.kind == replyBye
-}
-
-// dispatchArgs is dispatch for a RESP-framed argv: same spans, counters,
-// and engine, different framing and rendering.
-func (s *Server) dispatchArgs(args [][]byte) Reply {
-	req := telemetry.SpanBegin(telemetry.PhaseRequest, 0, 0)
-	start := time.Now()
-	parse := telemetry.SpanBegin(telemetry.PhaseParse, 0, req.ID)
-	pr := s.parseCommand(args)
-	parse.End()
-	exec := telemetry.SpanBegin(telemetry.PhaseExec, 0, req.ID)
-	rep := s.exec(pr, exec.ID)
-	exec.End()
-	lat := time.Since(start).Nanoseconds()
-	req.End()
-	telReqs.Inc()
-	telReqLat.Observe(lat)
-	if rep.kind == replyError {
-		telErrs.Inc()
-	}
-	if telemetry.TraceEnabled() {
-		size := 0
-		for _, a := range args {
-			size += len(a)
-		}
-		telemetry.Emit(telemetry.EvRequest, 0, uint64(lat), uint64(size))
-	}
-	return rep
-}
-
-// classify tells the batch partitioner what to do with a parsed request:
-// a single-key command (the registry's keyed flag) runs concurrently with
-// others, hashed by its key; everything else is a barrier that runs alone
-// on the session goroutine.
-func classify(pr request) (key string, keyed bool) {
-	d := pr.def
-	if pr.bad != nil || d == nil || !d.keyed || len(pr.args) < 2 {
-		return "", false
-	}
-	if !d.arityOK(len(pr.args)) {
-		return "", false
-	}
-	if d.keyedMax > 0 && len(pr.args) > d.keyedMax {
-		return "", false
-	}
-	return string(pr.args[1]), true
-}
-
-// batchItem is one pipelined command inside a batch, transport-erased:
-// run executes a partitionable item, barrier executes on the session
-// goroutine and reports whether the session should close (QUIT).
-type batchItem struct {
-	key     string
-	keyed   bool
-	run     func()
-	barrier func() bool
-}
-
-// runBatch serves one batch of pipelined commands. In a batch of at least
-// minPartitioned commands, keyed single-key commands spread across
-// batchPartitions goroutines by key hash — same key, same partition, so
-// per-key order is preserved. Barriers drain queued keyed work, then run
-// alone on the session goroutine. Returns the index of the item that
-// closed the session, or -1 when the whole batch was served.
-func (s *Server) runBatch(items []batchItem) int {
-	nparts := 1
-	if len(items) >= minPartitioned {
-		nparts = batchPartitions
-	}
-
-	pending := make([][]int, nparts)
-	flush := func() {
-		total := 0
-		for _, idxs := range pending {
-			total += len(idxs)
-		}
-		if total == 0 {
+			c.fail(err.Error())
 			return
 		}
-		if total <= 2 || nparts == 1 {
-			// Not worth goroutine coordination.
-			for _, idxs := range pending {
-				for _, i := range idxs {
-					items[i].run()
-				}
-			}
-		} else {
-			var wg sync.WaitGroup
-			for p := 1; p < nparts; p++ {
-				if len(pending[p]) == 0 {
-					continue
-				}
-				wg.Add(1)
-				go func(p int) {
-					defer wg.Done()
-					for _, i := range pending[p] {
-						items[i].run()
-					}
-				}(p)
-			}
-			for _, i := range pending[0] {
-				items[i].run()
-			}
-			wg.Wait()
-		}
-		for p := range pending {
-			pending[p] = pending[p][:0]
-		}
+		total += c.n
 	}
-	for i := range items {
-		if items[i].keyed && nparts > 1 {
-			p := int(s.hash(items[i].key) % uint64(nparts))
-			pending[p] = append(pending[p], i)
+	c.w.WriteInt(total)
+}
+
+// --- the line protocol's rendering, and dispatch ---
+
+// legacyText translates the RESP reply at the start of b — what cmd's
+// handler rendered — into the line protocol's reply text, returning it and
+// the reply's length in b. Errors always render as "ERROR <msg>";
+// definitions may override the rest (GET's VALUE/MISSING, DEL's
+// OK/MISSING, MGET's per-key lines).
+func legacyText(cmd *command, b []byte) (string, int) {
+	v, n, err := resp.ParseValue(b)
+	switch {
+	case err != nil || n == 0:
+		return "ERROR internal: unrenderable reply", len(b)
+	case v.Type == '-':
+		return "ERROR " + strings.TrimPrefix(v.Str, "ERR "), n
+	case cmd.def != nil && cmd.def.legacy != nil:
+		return cmd.def.legacy(cmd.args, v), n
+	}
+	return legacyDefault(v), n
+}
+
+func legacyDefault(v resp.Value) string {
+	switch {
+	case v.Type == '+':
+		return v.Str
+	case v.Type == ':':
+		return strconv.FormatInt(v.Int, 10)
+	case v.Null:
+		return "MISSING"
+	case v.Type == '$':
+		return string(v.Bulk)
+	}
+	outs := make([]string, len(v.Array))
+	for i, e := range v.Array {
+		outs[i] = legacyDefault(e)
+	}
+	return strings.Join(outs, "\n")
+}
+
+// handle executes one line-protocol command outside any session and
+// renders its legacy reply; req is the request span id the exec span
+// attaches under. Crash and fuzz harnesses drive the server through this
+// entry point.
+func (s *Server) handle(line string, req uint64) string {
+	c := call{s: s, w: new(resp.Writer)}
+	cmd := s.parseLine(line)
+	c.exec(&cmd, req)
+	text, _ := legacyText(&cmd, c.w.Bytes())
+	return text
+}
+
+// dispatch is handle as a whole request: spans, counters, latency.
+func (s *Server) dispatch(line string) string {
+	c := call{s: s, w: new(resp.Writer)}
+	cmd := s.parseLine(line)
+	c.run(&cmd)
+	text, _ := legacyText(&cmd, c.w.Bytes())
+	return text
+}
+
+// session is one connection's serving state, allocated once and reused for
+// every batch: the batch itself, a call for the commands the session
+// goroutine runs in order — rendering straight into the connection's
+// reply buffer — and a call per partition, each with a sink of its own,
+// for keyed commands of a partitioned batch.
+type session struct {
+	s       *Server
+	cmds    []command // the batch being served, in request order
+	out     call
+	parts   [batchPartitions]call
+	pending [batchPartitions][]int // command indices queued per partition
+	wg      sync.WaitGroup
+}
+
+func (s *Server) newSession(w *resp.Writer) *session {
+	ss := &session{s: s, cmds: make([]command, 0, maxBatch), out: call{s: s, w: w}}
+	for p := range ss.parts {
+		ss.parts[p] = call{s: s, w: new(resp.Writer)}
+	}
+	return ss
+}
+
+// serve answers the batch in ss.cmds into ss.out.w, in request order, and
+// reports whether a command (QUIT) closed the session; commands pipelined
+// after it are dropped unanswered. In a batch of at least minPartitioned
+// commands, runs of keyed single-key commands spread across
+// batchPartitions goroutines by key hash; every other command is a barrier
+// that waits for the run before it and executes alone on the session
+// goroutine.
+func (ss *session) serve() (quit bool) {
+	partitioned := len(ss.cmds) >= minPartitioned
+	from := 0
+	for i := range ss.cmds {
+		if partitioned && ss.cmds[i].keyed {
 			continue
 		}
-		flush()
-		if items[i].barrier() {
-			// Commands pipelined after QUIT are dropped unanswered.
-			return i
+		ss.spread(from, i)
+		ss.out.run(&ss.cmds[i])
+		if ss.out.quit {
+			return true
 		}
+		from = i + 1
 	}
-	flush()
-	return -1
+	ss.spread(from, len(ss.cmds))
+	return false
 }
 
-// dispatchBatch serves one batch of pipelined lines, returning replies
-// in request order and whether the session should close.
-func (s *Server) dispatchBatch(lines []string) ([]string, bool) {
-	replies := make([]string, len(lines))
-	if len(lines) == 1 {
-		r, bye := s.dispatchLine(lines[0])
-		replies[0] = r
-		return replies, bye
+// spread runs cmds[from:to], all keyed, across the partitions — same key,
+// same partition, so per-key order is preserved — and splices their
+// replies into the connection's buffer in request order.
+func (ss *session) spread(from, to int) {
+	if to-from <= 2 {
+		// Not worth goroutine coordination.
+		for i := from; i < to; i++ {
+			ss.out.run(&ss.cmds[i])
+		}
+		return
 	}
-	items := make([]batchItem, len(lines))
-	for i := range lines {
-		i, line := i, lines[i]
-		key, keyed := classify(s.parseLine(line))
-		items[i] = batchItem{
-			key:   key,
-			keyed: keyed,
-			run: func() {
-				replies[i] = s.dispatch(line)
-			},
-			barrier: func() bool {
-				r, bye := s.dispatchLine(line)
-				replies[i] = r
-				return bye
-			},
+	for i := from; i < to; i++ {
+		p := int(ss.cmds[i].h % batchPartitions)
+		ss.pending[p] = append(ss.pending[p], i)
+	}
+	for p := 1; p < batchPartitions; p++ {
+		if len(ss.pending[p]) > 0 {
+			ss.wg.Add(1)
+			go ss.runPartition(p)
 		}
 	}
-	if stop := s.runBatch(items); stop >= 0 {
-		return replies[:stop+1], true
+	ss.wg.Add(1)
+	ss.runPartition(0)
+	ss.wg.Wait()
+	var off [batchPartitions]int
+	for i := from; i < to; i++ {
+		cmd := &ss.cmds[i]
+		ss.out.w.Write(ss.parts[cmd.part].w.Bytes()[off[cmd.part]:cmd.end])
+		off[cmd.part] = cmd.end
 	}
-	return replies, false
+	for p := range ss.parts {
+		ss.parts[p].w.Truncate(0)
+		ss.pending[p] = ss.pending[p][:0]
+	}
 }
 
-// dispatchBatchRESP is dispatchBatch for RESP-framed commands.
-func (s *Server) dispatchBatchRESP(cmds [][][]byte) ([]Reply, bool) {
-	replies := make([]Reply, len(cmds))
-	if len(cmds) == 1 {
-		replies[0] = s.dispatchArgs(cmds[0])
-		return replies, replies[0].kind == replyBye
+func (ss *session) runPartition(p int) {
+	defer ss.wg.Done()
+	c := &ss.parts[p]
+	for _, i := range ss.pending[p] {
+		c.run(&ss.cmds[i])
+		ss.cmds[i].part, ss.cmds[i].end = p, c.w.Len()
 	}
-	items := make([]batchItem, len(cmds))
-	for i := range cmds {
-		i, args := i, cmds[i]
-		key, keyed := classify(s.parseCommand(args))
-		items[i] = batchItem{
-			key:   key,
-			keyed: keyed,
-			run: func() {
-				replies[i] = s.dispatchArgs(args)
-			},
-			barrier: func() bool {
-				replies[i] = s.dispatchArgs(args)
-				return replies[i].kind == replyBye
-			},
-		}
-	}
-	if stop := s.runBatch(items); stop >= 0 {
-		return replies[:stop+1], true
-	}
-	return replies, false
 }

@@ -15,110 +15,109 @@ import (
 // deadline across field updates (redis semantics: only SET clears a
 // TTL, other write commands preserve it).
 
-// loadHash reads key's hash fields inside a transaction or view.
-// ok=false means logically absent (missing, collision, or expired);
-// a live record of the wrong type fails with ErrWrongType.
-func (c *call) loadHash(n *node, r mtm.Reader, key string) (rec shard.Record, fields []shard.HashField, ok bool, err error) {
-	rec, ok, err = c.record(n, r, key)
+// loadHash reads the command's key's hash fields inside a transaction or
+// view. ok=false means logically absent (missing, collision, or expired);
+// a live record of the wrong type fails with ErrWrongType. The fields are
+// views into c.rec.
+func (c *call) loadHash(n *node, r mtm.Reader) (hdr shard.Header, fields []shard.HashField, ok bool, err error) {
+	hdr, v, ok, err := c.record(n, r)
 	if err != nil || !ok {
-		return shard.Record{}, nil, false, err
+		return hdr, nil, false, err
 	}
-	if rec.Type != shard.RecHash {
-		return shard.Record{}, nil, false, shard.ErrWrongType
+	if hdr.Type != shard.RecHash {
+		return hdr, nil, false, shard.ErrWrongType
 	}
-	fields, err = shard.DecodeHashFields(rec.Value)
-	if err != nil {
-		return shard.Record{}, nil, false, err
-	}
-	return rec, fields, true, nil
+	fields, err = shard.DecodeHashFields(c.payload(hdr, v))
+	return hdr, fields, err == nil, err
 }
 
-func cmdHSet(c *call) Reply {
+// storeHash writes the command's key's hash back with fields as its new
+// field set, keeping the deadline hdr carries. The fields may still alias
+// c.rec: they are encoded into a payload of their own before c.rec takes
+// the new header.
+func (c *call) storeHash(n *node, tx *mtm.Tx, hdr shard.Header, fields []shard.HashField) error {
+	payload := shard.EncodeHashFields(fields)
+	err := checkValueSize(len(payload))
+	if err == nil {
+		c.rec, err = shard.AppendHeader(c.rec[:0], c.args[1], shard.RecHash, hdr.Expire)
+	}
+	if err != nil {
+		return err
+	}
+	return putRecord(n, tx, c.h, c.rec, payload)
+}
+
+func cmdHSet(c *call) {
 	if (len(c.args)-2)%2 != 0 {
-		return errReply("usage: " + registry["HSET"].usage)
+		c.fail("usage: " + registry["HSET"].usage)
+		return
 	}
-	key := c.str(1)
-	if err := checkKeySize(key); err != nil {
-		return errfReply(err)
-	}
-	added := int64(0)
-	err := c.update(key, func(n *node, tx *mtm.Tx) error {
-		added = 0 // conflict retries rerun the closure
-		rec, fields, ok, err := c.loadHash(n, tx, key)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			rec = shard.Record{Key: key, Type: shard.RecHash}
-			fields = nil
-		}
-		for i := 2; i < len(c.args); i += 2 {
-			name, value := c.args[i], c.args[i+1]
-			found := false
-			for j := range fields {
-				if bytes.Equal(fields[j].Name, name) {
-					fields[j].Value = value
-					found = true
-					break
+	err := checkKeySize(c.args[1])
+	if err == nil {
+		err = c.update(func(n *node, tx *mtm.Tx) error {
+			c.n = 0
+			hdr, fields, ok, err := c.loadHash(n, tx)
+			if err != nil {
+				return err
+			}
+			if !ok {
+				hdr = shard.Header{} // a fresh hash carries no deadline
+			}
+			for i := 2; i < len(c.args); i += 2 {
+				name, value := c.args[i], c.args[i+1]
+				found := false
+				for j := range fields {
+					if bytes.Equal(fields[j].Name, name) {
+						fields[j].Value = value
+						found = true
+						break
+					}
+				}
+				if !found {
+					fields = append(fields, shard.HashField{Name: name, Value: value})
+					c.n++
 				}
 			}
-			if !found {
-				fields = append(fields, shard.HashField{Name: name, Value: value})
-				added++
-			}
-		}
-		payload := shard.EncodeHashFields(fields)
-		if err := checkValueSize(len(payload)); err != nil {
-			return err
-		}
-		rec.Value = payload
-		enc, err := shard.EncodeRecord(rec)
-		if err != nil {
-			return err
-		}
-		return c.s.putRecord(n, tx, key, enc)
-	})
-	if err != nil {
-		return errfReply(err)
+			return c.storeHash(n, tx, hdr, fields)
+		})
 	}
-	return intReply(added)
+	if err != nil {
+		c.fail(err.Error())
+		return
+	}
+	c.w.WriteInt(c.n)
 }
 
-func cmdHGet(c *call) Reply {
-	key := c.str(1)
-	var out Reply
-	err := c.view(key, func(n *node, r mtm.Reader) error {
-		_, fields, ok, err := c.loadHash(n, r, key)
+func cmdHGet(c *call) {
+	mark := c.w.Len()
+	err := c.view(func(n *node, r mtm.Reader) error {
+		c.w.Truncate(mark)
+		_, fields, _, err := c.loadHash(n, r)
 		if err != nil {
 			return err
-		}
-		out = nilReply()
-		if !ok {
-			return nil
 		}
 		for _, f := range fields {
 			if bytes.Equal(f.Name, c.args[2]) {
-				out = bulkReply(append([]byte(nil), f.Value...))
+				c.w.WriteBulk(f.Value)
 				return nil
 			}
 		}
+		c.w.WriteNull()
 		return nil
 	})
 	if err != nil {
-		return errfReply(err)
+		c.w.Truncate(mark)
+		c.fail(err.Error())
 	}
-	return out
 }
 
 // cmdHDel removes named fields, deleting the record outright when the
 // last field goes — an empty hash does not exist, so HLEN after a full
 // HDEL answers 0 and the tree slot is reclaimed.
-func cmdHDel(c *call) Reply {
-	key := c.str(1)
-	removed := int64(0)
-	err := c.update(key, func(n *node, tx *mtm.Tx) error {
-		removed = 0 // conflict retries rerun the closure
-		rec, fields, ok, err := c.loadHash(n, tx, key)
+func cmdHDel(c *call) {
+	err := c.update(func(n *node, tx *mtm.Tx) error {
+		c.n = 0
+		hdr, fields, ok, err := c.loadHash(n, tx)
 		if err != nil || !ok {
 			return err
 		}
@@ -132,67 +131,56 @@ func cmdHDel(c *call) Reply {
 				}
 			}
 			if del {
-				removed++
+				c.n++
 			} else {
 				kept = append(kept, f)
 			}
 		}
-		if removed == 0 {
+		switch {
+		case c.n == 0:
 			return nil
+		case len(kept) == 0:
+			return n.tree.Delete(tx, c.h)
 		}
-		if len(kept) == 0 {
-			return n.tree.Delete(tx, c.s.hash(key))
-		}
-		rec.Value = shard.EncodeHashFields(kept)
-		enc, err := shard.EncodeRecord(rec)
+		return c.storeHash(n, tx, hdr, kept)
+	})
+	if err != nil {
+		c.fail(err.Error())
+		return
+	}
+	c.w.WriteInt(c.n)
+}
+
+func cmdHLen(c *call) {
+	err := c.view(func(n *node, r mtm.Reader) error {
+		_, fields, _, err := c.loadHash(n, r)
+		c.n = int64(len(fields))
+		return err
+	})
+	if err != nil {
+		c.fail(err.Error())
+		return
+	}
+	c.w.WriteInt(c.n)
+}
+
+func cmdHGetAll(c *call) {
+	mark := c.w.Len()
+	err := c.view(func(n *node, r mtm.Reader) error {
+		c.w.Truncate(mark)
+		_, fields, _, err := c.loadHash(n, r)
 		if err != nil {
 			return err
 		}
-		return c.s.putRecord(n, tx, key, enc)
-	})
-	if err != nil {
-		return errfReply(err)
-	}
-	return intReply(removed)
-}
-
-func cmdHLen(c *call) Reply {
-	key := c.str(1)
-	count := int64(0)
-	err := c.view(key, func(n *node, r mtm.Reader) error {
-		_, fields, ok, err := c.loadHash(n, r, key)
-		if err != nil {
-			return err
-		}
-		if ok {
-			count = int64(len(fields))
-		}
-		return nil
-	})
-	if err != nil {
-		return errfReply(err)
-	}
-	return intReply(count)
-}
-
-func cmdHGetAll(c *call) Reply {
-	key := c.str(1)
-	var elems []Reply
-	err := c.view(key, func(n *node, r mtm.Reader) error {
-		_, fields, ok, err := c.loadHash(n, r, key)
-		if err != nil || !ok {
-			return err
-		}
-		elems = make([]Reply, 0, 2*len(fields))
+		c.w.WriteArrayHeader(2 * len(fields))
 		for _, f := range fields {
-			elems = append(elems,
-				bulkReply(append([]byte(nil), f.Name...)),
-				bulkReply(append([]byte(nil), f.Value...)))
+			c.w.WriteBulk(f.Name)
+			c.w.WriteBulk(f.Value)
 		}
 		return nil
 	})
 	if err != nil {
-		return errfReply(err)
+		c.w.Truncate(mark)
+		c.fail(err.Error())
 	}
-	return arrayReply(elems)
 }

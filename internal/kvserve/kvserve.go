@@ -59,6 +59,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/pds"
 	"repro/internal/pds/mod"
+	"repro/internal/resp"
 	"repro/internal/shard"
 	"repro/internal/telemetry"
 )
@@ -74,7 +75,7 @@ var (
 type Server struct {
 	tree *pds.BPTree         // unsharded MTM tree (crash harnesses reach in); nil when sharded or MOD
 	mod  *mod.Map            // unsharded MOD map; nil on the mtm backend
-	hash func(string) uint64 // hashKey, overridable by collision tests
+	hash func([]byte) uint64 // shard.HashKeyBytes, overridable by collision tests
 
 	// store is the engine's storage backend: one node unsharded, N nodes
 	// over independent PM instances sharded. Handlers never fork on the
@@ -105,7 +106,7 @@ type Server struct {
 func newServer() *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Server{
-		hash:   hashKey,
+		hash:   shard.HashKeyBytes,
 		now:    func() int64 { return time.Now().UnixNano() },
 		reapCh: make(chan reapItem, 1024),
 		ctx:    ctx,
@@ -201,14 +202,6 @@ func NewSharded(st *shard.Store) (*Server, error) {
 	}
 	s.store = ms
 	return s, nil
-}
-
-// hashKey maps a string key into the tree's key space (FNV-1a). The full
-// key is stored with the value to detect collisions. It is the same
-// function the shard front end routes with (shard.HashKey), so batch
-// partitions and shard routing agree.
-func hashKey(s string) uint64 {
-	return shard.HashKey(s)
 }
 
 // Record and protocol size limits, aliases of the shared record codec's
@@ -330,7 +323,9 @@ func (s *Server) session(conn net.Conn) {
 	r := bufio.NewReaderSize(conn, 64<<10)
 	w := bufio.NewWriter(conn)
 	defer w.Flush()
-	batch := make([]string, 0, maxBatch)
+	// Handlers render RESP; the sink here is a scratch buffer whose
+	// replies are translated to the line vocabulary on their way out.
+	ss := s.newSession(new(resp.Writer))
 	for {
 		// One blocking read, then drain whatever a pipelining client
 		// already has buffered: a request-per-reply client always sees a
@@ -343,18 +338,22 @@ func (s *Server) session(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		batch = append(batch[:0], line)
-		for len(batch) < maxBatch && bufferedLine(r) {
+		ss.cmds = append(ss.cmds[:0], s.parseLine(line))
+		for len(ss.cmds) < maxBatch && bufferedLine(r) {
 			more, err := readLine(r)
 			if err != nil {
 				break
 			}
-			batch = append(batch, more)
+			ss.cmds = append(ss.cmds, s.parseLine(more))
 		}
-		replies, quit := s.dispatchBatch(batch)
-		for _, reply := range replies {
-			fmt.Fprintln(w, reply)
+		quit := ss.serve()
+		replies := ss.out.w.Bytes()
+		for i := 0; len(replies) > 0; i++ {
+			text, n := legacyText(&ss.cmds[i], replies)
+			fmt.Fprintln(w, text)
+			replies = replies[n:]
 		}
+		ss.out.w.Truncate(0)
 		w.Flush()
 		if quit {
 			return

@@ -9,6 +9,7 @@ import (
 	"repro/internal/pds"
 	"repro/internal/pds/mod"
 	"repro/internal/pmem"
+	"repro/internal/shard"
 	"repro/internal/telemetry"
 )
 
@@ -66,9 +67,9 @@ func (ms *modStore) View(_ uint64, _ int, fn func(n *node, r mtm.Reader) error) 
 	return ms.n.tree.View(func(r mtm.Reader) error { return fn(&ms.n, r) })
 }
 
-func (ms *modStore) MPut(_ uint64, keys []string, recs [][]byte) error {
-	for i := range keys {
-		if err := ms.srv.putRecord(&ms.n, nil, keys[i], recs[i]); err != nil {
+func (ms *modStore) MPut(_ uint64, recs [][]byte) error {
+	for _, rec := range recs {
+		if err := putRecord(&ms.n, nil, ms.srv.hash(shard.RecordKey(rec)), rec, nil); err != nil {
 			return err
 		}
 	}

@@ -4,43 +4,9 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/resp"
 	"repro/internal/telemetry"
 )
-
-// replyKind enumerates the transport-independent reply shapes. The
-// engine's handlers return a Reply; each transport renders it — the line
-// protocol with its legacy VALUE/MISSING/DELETED vocabulary, RESP with
-// simple strings, integers, bulk strings, nulls, and arrays.
-type replyKind int
-
-const (
-	replySimple replyKind = iota // +OK style status
-	replyError                   // -ERR style error (str carries the bare message)
-	replyInt                     // :N
-	replyBulk                    // $len binary-safe payload
-	replyNil                     // $-1 absent value
-	replyArray                   // *N of nested replies
-	replyBye                     // QUIT: acknowledge, then close the session
-)
-
-// Reply is one command's transport-independent result.
-type Reply struct {
-	kind replyKind
-	str  string
-	n    int64
-	bulk []byte
-	arr  []Reply
-}
-
-func simpleReply(s string) Reply     { return Reply{kind: replySimple, str: s} }
-func errReply(msg string) Reply      { return Reply{kind: replyError, str: msg} }
-func errfReply(err error) Reply      { return Reply{kind: replyError, str: err.Error()} }
-func intReply(n int64) Reply         { return Reply{kind: replyInt, n: n} }
-func bulkReply(b []byte) Reply       { return Reply{kind: replyBulk, bulk: b} }
-func bulkString(s string) Reply      { return Reply{kind: replyBulk, bulk: []byte(s)} }
-func nilReply() Reply                { return Reply{kind: replyNil} }
-func arrayReply(elems []Reply) Reply { return Reply{kind: replyArray, arr: elems} }
-func byeReply() Reply                { return Reply{kind: replyBye} }
 
 // cmdDef is one registry entry: the verb's arity contract, whether the
 // pipeline partitioner may run it concurrently, how the line protocol
@@ -61,10 +27,11 @@ type cmdDef struct {
 	// argument keeps its spaces (SET's value). RESP framing is unaffected.
 	lineSplit int
 	usage     string
-	handler   func(c *call) Reply
-	// legacy renders a non-error Reply for the line protocol; nil uses
+	// handler renders the command's reply, as RESP, into c.w.
+	handler func(c *call)
+	// legacy re-renders a non-error reply for the line protocol; nil uses
 	// the default rendering (errors always render as "ERROR <msg>").
-	legacy func(args [][]byte, r Reply) string
+	legacy func(args [][]byte, v resp.Value) string
 	calls  *telemetry.Counter
 }
 
@@ -89,40 +56,53 @@ func (d *cmdDef) arityOK(argc int) bool {
 }
 
 func init() {
+	ok := func(c *call) { c.w.WriteSimple("OK") }
+	legacyOK := func([][]byte, resp.Value) string { return "OK" }
+	emptyArray := func(c *call) { c.w.WriteArrayHeader(0) }
+	legacyValue := func(args [][]byte, v resp.Value) string {
+		if v.Null {
+			return "MISSING"
+		}
+		return "VALUE " + string(v.Bulk)
+	}
+	legacyDeleted := func(args [][]byte, v resp.Value) string {
+		return "DELETED " + strconv.FormatInt(v.Int, 10)
+	}
+	legacyCount := func(args [][]byte, v resp.Value) string {
+		return "COUNT " + strconv.FormatInt(v.Int, 10)
+	}
+
 	register(&cmdDef{
 		name: "PING", arity: -1, usage: "PING [<message>]",
-		handler: func(c *call) Reply {
+		handler: func(c *call) {
 			if len(c.args) >= 2 {
-				return bulkReply(append([]byte(nil), c.args[1]...))
+				c.w.WriteBulk(c.args[1])
+			} else {
+				c.w.WriteSimple("PONG")
 			}
-			return simpleReply("PONG")
 		},
 	})
 	register(&cmdDef{
 		name: "QUIT", arity: -1, usage: "QUIT",
-		handler: func(c *call) Reply { return byeReply() },
+		handler: func(c *call) { c.quit = true; ok(c) },
+		legacy:  func([][]byte, resp.Value) string { return "BYE" },
 	})
 	register(&cmdDef{
 		name: "ECHO", arity: 2, usage: "ECHO <message>",
-		handler: func(c *call) Reply {
-			return bulkReply(append([]byte(nil), c.args[1]...))
-		},
+		handler: func(c *call) { c.w.WriteBulk(c.args[1]) },
 	})
 	// SELECT/COMMAND/CONFIG are compatibility no-ops so stock redis
 	// clients (redis-cli, redis-benchmark) can open a session.
 	register(&cmdDef{
-		name: "SELECT", arity: 2, usage: "SELECT <db>",
-		handler: func(c *call) Reply { return simpleReply("OK") },
+		name: "SELECT", arity: 2, usage: "SELECT <db>", handler: ok,
 	})
 	register(&cmdDef{
 		name: "COMMAND", arity: -1, usage: "COMMAND [<subcommand>]",
-		handler: func(c *call) Reply { return arrayReply(nil) },
-		legacy:  func(args [][]byte, r Reply) string { return "OK" },
+		handler: emptyArray, legacy: legacyOK,
 	})
 	register(&cmdDef{
 		name: "CONFIG", arity: -2, usage: "CONFIG <subcommand> [...]",
-		handler: func(c *call) Reply { return arrayReply(nil) },
-		legacy:  func(args [][]byte, r Reply) string { return "OK" },
+		handler: emptyArray, legacy: legacyOK,
 	})
 
 	register(&cmdDef{
@@ -132,39 +112,29 @@ func init() {
 	})
 	register(&cmdDef{
 		name: "GET", arity: 2, keyed: true, usage: "GET <key>",
-		handler: cmdGet,
-		legacy: func(args [][]byte, r Reply) string {
-			if r.kind == replyNil {
-				return "MISSING"
-			}
-			return "VALUE " + string(r.bulk)
-		},
+		handler: cmdGet, legacy: legacyValue,
 	})
 	register(&cmdDef{
 		name: "DEL", arity: -2, keyed: true, keyedMax: 2,
 		usage:   "DEL <key> [<key> ...]",
 		handler: cmdDel,
-		legacy: func(args [][]byte, r Reply) string {
-			if len(args) == 2 {
-				if r.n > 0 {
-					return "OK"
-				}
-				return "MISSING"
+		legacy: func(args [][]byte, v resp.Value) string {
+			switch {
+			case len(args) > 2:
+				return legacyDeleted(args, v)
+			case v.Int > 0:
+				return "OK"
 			}
-			return "DELETED " + strconv.FormatInt(r.n, 10)
+			return "MISSING"
 		},
 	})
 	register(&cmdDef{
 		name: "MGET", arity: -2, usage: "MGET <key> [<key> ...]",
 		handler: cmdMGet,
-		legacy: func(args [][]byte, r Reply) string {
-			outs := make([]string, len(r.arr))
-			for i, e := range r.arr {
-				if e.kind == replyNil {
-					outs[i] = "MISSING"
-				} else {
-					outs[i] = "VALUE " + string(e.bulk)
-				}
+		legacy: func(args [][]byte, v resp.Value) string {
+			outs := make([]string, len(v.Array))
+			for i, e := range v.Array {
+				outs[i] = legacyValue(nil, e)
 			}
 			return strings.Join(outs, "\n")
 		},
@@ -177,25 +147,19 @@ func init() {
 	register(&cmdDef{
 		name: "MDEL", arity: -2,
 		usage:   "MDEL <key> [<key> ...]",
-		handler: cmdMDel,
-		legacy: func(args [][]byte, r Reply) string {
-			return "DELETED " + strconv.FormatInt(r.n, 10)
-		},
+		handler: cmdDel, legacy: legacyDeleted,
 	})
-	countLegacy := func(args [][]byte, r Reply) string {
-		return "COUNT " + strconv.FormatInt(r.n, 10)
-	}
 	register(&cmdDef{
 		name: "COUNT", arity: 1, usage: "COUNT",
-		handler: cmdCount, legacy: countLegacy,
+		handler: cmdCount, legacy: legacyCount,
 	})
 	register(&cmdDef{
 		name: "DBSIZE", arity: 1, usage: "DBSIZE",
-		handler: cmdCount, legacy: countLegacy,
+		handler: cmdCount, legacy: legacyCount,
 	})
 	register(&cmdDef{
 		name: "STATS", arity: 1, usage: "STATS",
-		handler: func(c *call) Reply { return bulkString(c.s.store.StatsLine()) },
+		handler: func(c *call) { c.w.WriteBulkString(c.s.store.StatsLine()) },
 	})
 
 	register(&cmdDef{
@@ -205,13 +169,7 @@ func init() {
 	})
 	register(&cmdDef{
 		name: "HGET", arity: 3, keyed: true, usage: "HGET <key> <field>",
-		handler: cmdHGet,
-		legacy: func(args [][]byte, r Reply) string {
-			if r.kind == replyNil {
-				return "MISSING"
-			}
-			return "VALUE " + string(r.bulk)
-		},
+		handler: cmdHGet, legacy: legacyValue,
 	})
 	register(&cmdDef{
 		name: "HDEL", arity: -3, keyed: true,
@@ -225,12 +183,12 @@ func init() {
 	register(&cmdDef{
 		name: "HGETALL", arity: 2, keyed: true, usage: "HGETALL <key>",
 		handler: cmdHGetAll,
-		legacy: func(args [][]byte, r Reply) string {
+		legacy: func(args [][]byte, v resp.Value) string {
 			var b strings.Builder
 			b.WriteString("FIELDS")
-			for _, e := range r.arr {
+			for _, e := range v.Array {
 				b.WriteByte(' ')
-				b.Write(e.bulk)
+				b.Write(e.Bulk)
 			}
 			return b.String()
 		},

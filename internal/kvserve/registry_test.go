@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/resp"
+	"repro/internal/shard"
 )
 
 // TestRegistryArity pins every verb's arity contract: the registry is
@@ -90,7 +92,7 @@ func TestRegistryEntries(t *testing.T) {
 // single-key commands may run concurrently hashed by key, everything
 // else serializes.
 func TestClassify(t *testing.T) {
-	var s Server
+	s := Server{hash: shard.HashKeyBytes}
 	cases := []struct {
 		line  string
 		key   string
@@ -129,9 +131,46 @@ func TestClassify(t *testing.T) {
 		{"EXPIRE k", "", false},   // arity violation
 	}
 	for _, c := range cases {
-		key, keyed := classify(s.parseLine(c.line))
-		if key != c.key || keyed != c.keyed {
-			t.Errorf("classify(%q) = (%q, %v), want (%q, %v)", c.line, key, keyed, c.key, c.keyed)
+		cmd := s.parseLine(c.line)
+		key := ""
+		if cmd.keyed {
+			key = string(cmd.args[1])
+			if cmd.h != s.hash(cmd.args[1]) {
+				t.Errorf("parseLine(%q) carries hash %#x, not its key's", c.line, cmd.h)
+			}
+		}
+		if key != c.key || cmd.keyed != c.keyed {
+			t.Errorf("parseLine(%q) classified (%q, %v), want (%q, %v)", c.line, key, cmd.keyed, c.key, c.keyed)
+		}
+	}
+}
+
+// TestVerbLookup pins the case-insensitive, allocation-free verb
+// resolution: redis-cli's lower-case verbs find the same definitions.
+func TestVerbLookup(t *testing.T) {
+	for _, c := range []struct{ verb, want string }{
+		{"SET", "SET"}, {"set", "SET"}, {"Set", "SET"}, {"sEt", "SET"},
+		{"get", "GET"}, {"Get", "GET"}, {"hgetall", "HGETALL"}, {"HgetAll", "HGETALL"},
+		{"pExpire", "PEXPIRE"}, {"dbsize", "DBSIZE"}, {"Quit", "QUIT"},
+		{"", ""}, {"SE", ""}, {"SETT", ""}, {"s\xc5\xbft", ""}, {"GET\x00", ""},
+		{"averyveryverylongverbindeed", ""},
+	} {
+		got := ""
+		if def := lookup([]byte(c.verb)); def != nil {
+			got = def.name
+		}
+		if got != c.want {
+			t.Errorf("lookup(%q) = %q, want %q", c.verb, got, c.want)
+		}
+		if def := lookup(c.verb); (def == nil) != (c.want == "") {
+			t.Errorf("lookup of the string %q disagrees with the bytes", c.verb)
+		}
+	}
+	// P-prefixed verbs pick their unit from the verb as typed.
+	for verb, unit := range map[string]int64{"ttl": 1e9, "PTTL": 1e6, "pttl": 1e6, "Pexpire": 1e6, "EXPIRE": 1e9} {
+		c := call{args: [][]byte{[]byte(verb)}}
+		if got := c.ttlUnit(); got != unit {
+			t.Errorf("%s counts in units of %d ns, want %d", verb, got, unit)
 		}
 	}
 }
@@ -139,30 +178,39 @@ func TestClassify(t *testing.T) {
 // TestLegacyRenderDefaults pins the default line-protocol rendering of
 // each reply shape (verbs without a legacy override rely on these).
 func TestLegacyRenderDefaults(t *testing.T) {
+	bulk := func(s string) resp.Value { return resp.Value{Type: '$', Bulk: []byte(s)} }
+	null := resp.Value{Type: '$', Null: true}
 	cases := []struct {
-		r    Reply
+		v    resp.Value
 		want string
 	}{
-		{simpleReply("OK"), "OK"},
-		{intReply(7), "7"},
-		{bulkString("payload"), "payload"},
-		{nilReply(), "MISSING"},
-		{byeReply(), "BYE"},
-		{arrayReply([]Reply{bulkString("a"), nilReply()}), "a\nMISSING"},
+		{resp.Value{Type: '+', Str: "OK"}, "OK"},
+		{resp.Value{Type: ':', Int: 7}, "7"},
+		{bulk("payload"), "payload"},
+		{null, "MISSING"},
+		{resp.Value{Type: '*', Array: []resp.Value{bulk("a"), null}}, "a\nMISSING"},
 	}
 	for _, c := range cases {
-		if got := legacyDefault(c.r); got != c.want {
-			t.Errorf("legacyDefault(%+v) = %q, want %q", c.r, got, c.want)
+		if got := legacyDefault(c.v); got != c.want {
+			t.Errorf("legacyDefault(%+v) = %q, want %q", c.v, got, c.want)
 		}
 	}
-	// Errors render with the ERROR prefix regardless of any override.
-	if got := renderLegacy(request{def: registry["GET"]}, errReply("boom")); got != "ERROR boom" {
-		t.Errorf("error render = %q", got)
+	// Errors render with the ERROR prefix regardless of any override, and
+	// QUIT's acknowledgment is the line protocol's BYE.
+	for _, c := range []struct{ verb, reply, want string }{
+		{"GET", "-ERR boom\r\n", "ERROR boom"},
+		{"GET", "-WRONGTYPE nope\r\n", "ERROR WRONGTYPE nope"},
+		{"QUIT", "+OK\r\n", "BYE"},
+	} {
+		got, n := legacyText(&command{def: registry[c.verb]}, []byte(c.reply+"+NEXT\r\n"))
+		if got != c.want || n != len(c.reply) {
+			t.Errorf("legacyText(%s, %q) = %q, %d; want %q, %d", c.verb, c.reply, got, n, c.want, len(c.reply))
+		}
 	}
 }
 
 // TestEchoByeKeepsSession guards the structural QUIT detection: session
-// teardown keys off the replyBye kind, so a bulk reply that happens to
+// teardown keys off the handler's quit mark, so a bulk reply that happens to
 // spell "BYE" must not close the connection.
 func TestEchoByeKeepsSession(t *testing.T) {
 	_, _, addr := startServer(t, core.Config{Dir: t.TempDir(), DeviceSize: 64 << 20})

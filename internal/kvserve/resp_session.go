@@ -2,7 +2,6 @@ package kvserve
 
 import (
 	"net"
-	"strings"
 
 	"repro/internal/resp"
 )
@@ -21,29 +20,28 @@ func (s *Server) respSession(conn net.Conn) {
 	r := resp.NewReader(conn)
 	w := resp.NewWriter(conn)
 	defer w.Flush()
-	cmds := make([][][]byte, 0, maxBatch)
+	ss := s.newSession(w)
 	for {
 		// One blocking read, then drain whatever a pipelining client
-		// already has buffered, mirroring the line-protocol session.
+		// already has buffered, mirroring the line-protocol session. The
+		// commands are views into r's buffer, which stands still until
+		// the next blocking read — by then the batch is answered.
 		args, err := r.ReadCommand()
 		if err != nil {
 			s.respFatal(w, err)
 			return
 		}
-		cmds = append(cmds[:0], args)
+		ss.cmds = append(ss.cmds[:0], s.resolve(args))
 		var perr error
-		for len(cmds) < maxBatch && r.CommandAvailable() {
+		for len(ss.cmds) < maxBatch && r.CommandAvailable() {
 			more, err := r.ReadCommand()
 			if err != nil {
 				perr = err
 				break
 			}
-			cmds = append(cmds, more)
+			ss.cmds = append(ss.cmds, s.resolve(more))
 		}
-		replies, quit := s.dispatchBatchRESP(cmds)
-		for i := range replies {
-			writeRESP(w, replies[i])
-		}
+		quit := ss.serve()
 		w.Flush()
 		if quit {
 			return
@@ -63,34 +61,5 @@ func (s *Server) respFatal(w *resp.Writer, err error) {
 		telErrs.Inc()
 		w.WriteError("ERR protocol error: " + err.Error())
 		w.Flush()
-	}
-}
-
-// writeRESP renders one Reply as a RESP2 frame. Bare engine errors gain
-// redis's ERR prefix; typed errors (WRONGTYPE) pass through so clients
-// can match on the error class.
-func writeRESP(w *resp.Writer, r Reply) {
-	switch r.kind {
-	case replySimple:
-		w.WriteSimple(r.str)
-	case replyBye:
-		w.WriteSimple("OK")
-	case replyError:
-		msg := r.str
-		if !strings.HasPrefix(msg, "WRONGTYPE") {
-			msg = "ERR " + msg
-		}
-		w.WriteError(msg)
-	case replyInt:
-		w.WriteInt(r.n)
-	case replyBulk:
-		w.WriteBulk(r.bulk)
-	case replyNil:
-		w.WriteNull()
-	case replyArray:
-		w.WriteArrayHeader(len(r.arr))
-		for i := range r.arr {
-			writeRESP(w, r.arr[i])
-		}
 	}
 }

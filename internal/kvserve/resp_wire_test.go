@@ -32,9 +32,7 @@ func respDial(t *testing.T, addr string) *respClient {
 // do sends one command and reads one reply.
 func (c *respClient) do(t *testing.T, args ...string) resp.Value {
 	t.Helper()
-	if err := c.w.WriteCommandStrings(args...); err != nil {
-		t.Fatal(err)
-	}
+	c.w.WriteCommandStrings(args...)
 	if err := c.w.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -305,14 +303,10 @@ func TestRESPPipelining(t *testing.T) {
 
 	const n = 40
 	for i := 0; i < n; i++ {
-		if err := c.w.WriteCommandStrings("SET", fmt.Sprintf("pk%d", i), fmt.Sprintf("pv %d", i)); err != nil {
-			t.Fatal(err)
-		}
+		c.w.WriteCommandStrings("SET", fmt.Sprintf("pk%d", i), fmt.Sprintf("pv %d", i))
 	}
 	for i := 0; i < n; i++ {
-		if err := c.w.WriteCommandStrings("GET", fmt.Sprintf("pk%d", i)); err != nil {
-			t.Fatal(err)
-		}
+		c.w.WriteCommandStrings("GET", fmt.Sprintf("pk%d", i))
 	}
 	if err := c.w.Flush(); err != nil {
 		t.Fatal(err)
@@ -333,9 +327,7 @@ func TestRESPPipelining(t *testing.T) {
 
 	// QUIT mid-batch: the tail is dropped, the connection closes.
 	for _, cmd := range [][]string{{"PING"}, {"QUIT"}, {"SET", "dropped", "x"}, {"PING"}} {
-		if err := c.w.WriteCommandStrings(cmd...); err != nil {
-			t.Fatal(err)
-		}
+		c.w.WriteCommandStrings(cmd...)
 	}
 	if err := c.w.Flush(); err != nil {
 		t.Fatal(err)

@@ -141,19 +141,13 @@ func TestSoakRESPMixedCrash(t *testing.T) {
 						switch rng.Intn(5) {
 						case 0: // delete
 							key := fmt.Sprintf("rw%dc%dk%d", wave, ci, rng.Intn(8))
-							if err := c.w.WriteCommandStrings("DEL", key); err != nil {
-								errs <- err
-								return
-							}
+							c.w.WriteCommandStrings("DEL", key)
 							delete(model.strs, key)
 						case 1: // hash write
 							hkey := fmt.Sprintf("rw%dc%dh%d", wave, ci, rng.Intn(3))
 							f := fmt.Sprintf("f%d", rng.Intn(4))
 							v := fmt.Sprintf("hv%d.%d", wave, rng.Intn(1000))
-							if err := c.w.WriteCommandStrings("HSET", hkey, f, v); err != nil {
-								errs <- err
-								return
-							}
+							c.w.WriteCommandStrings("HSET", hkey, f, v)
 							if model.hashes[hkey] == nil {
 								model.hashes[hkey] = map[string]string{}
 							}
@@ -165,10 +159,7 @@ func TestSoakRESPMixedCrash(t *testing.T) {
 							if rng.Intn(3) == 0 {
 								args = append(args, []byte("EX"), []byte("100000"))
 							}
-							if err := c.w.WriteCommand(args...); err != nil {
-								errs <- err
-								return
-							}
+							c.w.WriteCommand(args...)
 							model.strs[key] = val
 						}
 						sent++

@@ -32,7 +32,9 @@ type node struct {
 // handlers see only this interface. It has two implementations: mtmStore
 // (one node or many) and modStore.
 type store interface {
-	// NShards and ShardOf route keys; an unsharded store answers 1 / 0.
+	// NShards is the shard count, 1 unsharded. The engine routes a key by
+	// the hash it has already computed (Server.shard); ShardOf routes one
+	// it has not, given as a string.
 	NShards() int
 	ShardOf(key string) int
 	// Node exposes shard k's persistent handles (for sweeping and scans).
@@ -47,9 +49,10 @@ type store interface {
 	Update(parent uint64, k int, fn func(n *node, tx *mtm.Tx) error) error
 	// View runs fn on a slot-free snapshot of shard k.
 	View(parent uint64, k int, fn func(n *node, r mtm.Reader) error) error
-	// MPut stores every keys[i]=recs[i] atomically: one transaction when
-	// the keys share a shard, the cross-shard intent protocol otherwise.
-	MPut(parent uint64, keys []string, recs [][]byte) error
+	// MPut stores every encoded record under its own key atomically: one
+	// transaction when the keys share a shard, the cross-shard intent
+	// protocol otherwise.
+	MPut(parent uint64, recs [][]byte) error
 	// StatsLine renders the STATS reply body.
 	StatsLine() string
 }
@@ -72,10 +75,7 @@ func (ms *mtmStore) Node(k int) *node  { return &ms.nodes[k] }
 func (ms *mtmStore) SupportsTTL() bool { return true }
 
 func (ms *mtmStore) ShardOf(key string) int {
-	if ms.xs == nil {
-		return 0
-	}
-	return ms.xs.ShardOf(key)
+	return ms.srv.shard(ms.srv.hash([]byte(key)))
 }
 
 func (ms *mtmStore) Update(parent uint64, k int, fn func(n *node, tx *mtm.Tx) error) error {
@@ -88,16 +88,22 @@ func (ms *mtmStore) View(parent uint64, k int, fn func(n *node, r mtm.Reader) er
 	return n.pm.ViewSpanned(parent, func(r *mtm.ReadTx) error { return fn(n, r) })
 }
 
-func (ms *mtmStore) MPut(parent uint64, keys []string, recs [][]byte) error {
-	k := ms.ShardOf(keys[0])
-	for _, key := range keys[1:] {
-		if ms.ShardOf(key) != k {
+func (ms *mtmStore) MPut(parent uint64, recs [][]byte) error {
+	s := ms.srv
+	slot := func(rec []byte) uint64 { return s.hash(shard.RecordKey(rec)) }
+	k := s.shard(slot(recs[0]))
+	for _, rec := range recs[1:] {
+		if s.shard(slot(rec)) != k {
+			keys := make([]string, len(recs))
+			for i := range recs {
+				keys[i] = string(shard.RecordKey(recs[i]))
+			}
 			return ms.xs.MSetRecs(keys, recs)
 		}
 	}
 	return ms.Update(parent, k, func(n *node, tx *mtm.Tx) error {
-		for i := range keys {
-			if err := ms.srv.putRecord(n, tx, keys[i], recs[i]); err != nil {
+		for _, rec := range recs {
+			if err := putRecord(n, tx, slot(rec), rec, nil); err != nil {
 				return err
 			}
 		}

@@ -169,20 +169,13 @@ func (s *Server) sweepShard(k int, now int64) (int, error) {
 					return err
 				}
 				budget--
-				raw, err := n.tree.Get(tx, keyhash)
-				if err == nil {
-					rec, derr := shard.DecodeRecord(raw)
-					if derr != nil {
-						return derr
-					}
-					if rec.Expired(now) {
-						if err := n.tree.Delete(tx, keyhash); err != nil {
-							return err
-						}
-						reaped++
-					}
-				} else if err != pds.ErrNotFound {
+				if dead, err := expiredAt(n, tx, keyhash, now); err != nil {
 					return err
+				} else if dead {
+					if err := n.tree.Delete(tx, keyhash); err != nil {
+						return err
+					}
+					reaped++
 				}
 				e = next
 			}
@@ -229,32 +222,31 @@ func (s *Server) reapLater(k int, h uint64) {
 	}
 }
 
+// expiredAt reports whether the record at slot h has outlived its own
+// deadline, from its header alone; an empty slot has not.
+func expiredAt(n *node, r mtm.Reader, h uint64, now int64) (bool, error) {
+	v, err := n.tree.Find(r, h)
+	if err == pds.ErrNotFound {
+		return false, nil
+	}
+	if err != nil {
+		return false, err
+	}
+	hdr, _, err := shard.LoadHeader(v, nil)
+	return err == nil && hdr.Expired(now), err
+}
+
 // reapOne deletes the record at h on shard k if — and only if — its own
 // deadline has passed; the record may have been overwritten with a fresh
 // value since the hint was queued.
 func (s *Server) reapOne(it reapItem) {
 	reaped := false
 	err := s.store.Update(0, it.k, func(n *node, tx *mtm.Tx) error {
-		reaped = false
-		raw, err := n.tree.Get(tx, it.h)
-		if err == pds.ErrNotFound {
-			return nil
-		}
-		if err != nil {
+		var err error
+		if reaped, err = expiredAt(n, tx, it.h, s.now()); err != nil || !reaped {
 			return err
 		}
-		rec, err := shard.DecodeRecord(raw)
-		if err != nil {
-			return err
-		}
-		if !rec.Expired(s.now()) {
-			return nil
-		}
-		if err := n.tree.Delete(tx, it.h); err != nil {
-			return err
-		}
-		reaped = true
-		return nil
+		return n.tree.Delete(tx, it.h)
 	})
 	if err == nil && reaped {
 		telExpired.Inc()
@@ -285,12 +277,13 @@ func (s *Server) sweeper() {
 
 // --- TTL command handlers ---
 
-func parseTTLArg(a []byte) (int64, error) {
-	d, err := strconv.ParseInt(string(a), 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("invalid expire time %q", string(a))
+// ttlUnit is the time unit of the running command's argument or reply:
+// milliseconds for the P-prefixed verbs (PEXPIRE, PTTL), seconds otherwise.
+func (c *call) ttlUnit() int64 {
+	if c.args[0][0]|0x20 == 'p' {
+		return int64(time.Millisecond)
 	}
-	return d, nil
+	return int64(time.Second)
 }
 
 // cmdExpire serves EXPIRE and PEXPIRE: stamp an absolute deadline into
@@ -298,113 +291,91 @@ func parseTTLArg(a []byte) (int64, error) {
 // transaction. A non-positive ttl deletes the key immediately (redis
 // semantics). Answers 1 when a deadline was set (or the key deleted),
 // 0 when the key does not exist.
-func cmdExpire(c *call) Reply {
+func cmdExpire(c *call) {
 	if !c.s.store.SupportsTTL() {
-		return errReply(errNoTTL)
+		c.fail(errNoTTL)
+		return
 	}
-	key := c.str(1)
-	d, err := parseTTLArg(c.args[2])
+	d, err := strconv.ParseInt(string(c.args[2]), 10, 64)
 	if err != nil {
-		return errfReply(err)
+		c.fail(fmt.Sprintf("invalid expire time %q", c.args[2]))
+		return
 	}
-	unit := int64(time.Second)
-	if c.str(0)[0] == 'P' || c.str(0)[0] == 'p' {
-		unit = int64(time.Millisecond)
-	}
-	applied := int64(0)
-	uerr := c.update(key, func(n *node, tx *mtm.Tx) error {
-		applied = 0 // conflict retries rerun the closure
-		rec, ok, err := c.record(n, tx, key)
+	err = c.update(func(n *node, tx *mtm.Tx) error {
+		c.n = 0
+		hdr, v, ok, err := c.record(n, tx)
 		if err != nil || !ok {
 			return err
 		}
+		c.n = 1
 		if d <= 0 {
-			if err := n.tree.Delete(tx, c.s.hash(key)); err != nil {
-				return err
-			}
-			applied = 1
-			return nil
+			return n.tree.Delete(tx, c.h)
 		}
-		rec.Expire = c.s.now() + d*unit
-		enc, err := shard.EncodeRecord(rec)
-		if err != nil {
+		hdr.Expire = c.s.now() + d*c.ttlUnit()
+		if err := c.restamp(n, tx, hdr, v); err != nil {
 			return err
 		}
-		if err := c.s.putRecord(n, tx, key, enc); err != nil {
-			return err
-		}
-		if err := c.s.wheelAdd(n, tx, c.s.hash(key), rec.Expire); err != nil {
-			return err
-		}
-		applied = 1
-		return nil
+		return c.s.wheelAdd(n, tx, c.h, hdr.Expire)
 	})
-	if uerr != nil {
-		return errfReply(uerr)
+	if err != nil {
+		c.fail(err.Error())
+		return
 	}
-	return intReply(applied)
+	c.w.WriteInt(c.n)
+}
+
+// restamp rewrites the command's key's record with hdr's deadline: a new
+// header in front of the payload, which is read into c.rec.
+func (c *call) restamp(n *node, tx *mtm.Tx, hdr shard.Header, v pds.Stored) error {
+	payload := c.payload(hdr, v)
+	head, err := shard.AppendHeader(nil, c.args[1], hdr.Type, hdr.Expire)
+	if err != nil {
+		return err
+	}
+	return putRecord(n, tx, c.h, head, payload)
 }
 
 // cmdTTL serves TTL and PTTL: -2 for a missing (or expired) key, -1 for
 // a key with no deadline, else the remaining time rounded up.
-func cmdTTL(c *call) Reply {
-	key := c.str(1)
-	unit := int64(time.Second)
-	if c.str(0)[0] == 'P' || c.str(0)[0] == 'p' {
-		unit = int64(time.Millisecond)
-	}
-	out := int64(-2)
-	err := c.view(key, func(n *node, r mtm.Reader) error {
-		rec, ok, err := c.record(n, r, key)
+func cmdTTL(c *call) {
+	err := c.view(func(n *node, r mtm.Reader) error {
+		c.n = -2
+		hdr, _, ok, err := c.record(n, r)
 		if err != nil || !ok {
 			return err
 		}
-		if rec.Expire == 0 {
-			out = -1
-			return nil
-		}
-		rem := rec.Expire - c.s.now()
-		out = (rem + unit - 1) / unit
-		if out < 1 {
-			out = 1 // not yet expired, round the sliver up
+		if c.n = -1; hdr.Expire != 0 {
+			unit := c.ttlUnit()
+			// Not yet expired: round the sliver up.
+			c.n = max(1, (hdr.Expire-c.s.now()+unit-1)/unit)
 		}
 		return nil
 	})
 	if err != nil {
-		return errfReply(err)
+		c.fail(err.Error())
+		return
 	}
-	return intReply(out)
+	c.w.WriteInt(c.n)
 }
 
 // cmdPersist clears a key's deadline: 1 when a deadline was removed,
 // 0 when the key is missing or had none. The wheel entry is left behind
 // as a stale advisory — the sweeper unlinks it without touching the
 // record, whose own Expire field now says "never".
-func cmdPersist(c *call) Reply {
-	key := c.str(1)
-	cleared := int64(0)
-	err := c.update(key, func(n *node, tx *mtm.Tx) error {
-		cleared = 0 // conflict retries rerun the closure
-		rec, ok, err := c.record(n, tx, key)
-		if err != nil || !ok {
+func cmdPersist(c *call) {
+	err := c.update(func(n *node, tx *mtm.Tx) error {
+		c.n = 0
+		hdr, v, ok, err := c.record(n, tx)
+		if err != nil || !ok || hdr.Expire == 0 {
 			return err
 		}
-		if rec.Expire == 0 {
-			return nil
-		}
-		rec.Expire = 0
-		enc, err := shard.EncodeRecord(rec)
-		if err != nil {
-			return err
-		}
-		if err := c.s.putRecord(n, tx, key, enc); err != nil {
-			return err
-		}
-		cleared = 1
-		return nil
+		c.n = 1
+		hdr.Expire = 0
+		return c.restamp(n, tx, hdr, v)
 	})
 	if err != nil {
-		return errfReply(err)
+		c.fail(err.Error())
+		return
 	}
-	return intReply(cleared)
+	c.w.WriteInt(c.n)
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mtm"
 	"repro/internal/pds"
+	"repro/internal/resp"
 )
 
 // ttlClock is a scripted expiry clock: tests advance it explicitly, so
@@ -50,9 +51,11 @@ func run(s *Server, args ...string) string {
 	for i, a := range args {
 		argv[i] = []byte(a)
 	}
-	pr := s.parseCommand(argv)
-	rep := s.exec(pr, 0)
-	return renderLegacy(pr, rep)
+	c := call{s: s, w: new(resp.Writer)}
+	cmd := s.resolve(argv)
+	c.exec(&cmd, 0)
+	text, _ := legacyText(&cmd, c.w.Bytes())
+	return text
 }
 
 func expectReply(t *testing.T, s *Server, want string, args ...string) {
@@ -153,7 +156,7 @@ func TestTTLExpiredMasking(t *testing.T) {
 		t.Fatal("expired read queued no reap hint")
 	}
 	if err := pm.View(func(r *mtm.ReadTx) error {
-		if _, err := s.tree.Get(r, s.hash("dies")); err != pds.ErrNotFound {
+		if _, err := s.tree.Get(r, s.hash([]byte("dies"))); err != pds.ErrNotFound {
 			return fmt.Errorf("tree slot for expired key: %v, want ErrNotFound", err)
 		}
 		return nil
@@ -207,7 +210,7 @@ func TestTTLSweep(t *testing.T) {
 	// Records physically gone, survivors intact.
 	if err := pm.View(func(r *mtm.ReadTx) error {
 		for i := 0; i < dying; i++ {
-			if _, err := s.tree.Get(r, s.hash(fmt.Sprintf("d%d", i))); err != pds.ErrNotFound {
+			if _, err := s.tree.Get(r, s.hash([]byte(fmt.Sprintf("d%d", i)))); err != pds.ErrNotFound {
 				return fmt.Errorf("swept key d%d still in tree: %v", i, err)
 			}
 		}

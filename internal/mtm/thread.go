@@ -1388,6 +1388,11 @@ func (tx *Tx) distinctLines(writes []writeEntry) []pmem.Addr {
 // LoadU64 transactionally reads the word at a.
 func (tx *Tx) LoadU64(a pmem.Addr) uint64 { return tx.read(a) }
 
+// ReadSetLen reports how many word loads the attempt has recorded for
+// validation — what a data structure's read path costs the transaction
+// (tests and assertions).
+func (tx *Tx) ReadSetLen() int { return len(tx.reads) }
+
 // StoreU64 transactionally writes the word at a.
 func (tx *Tx) StoreU64(a pmem.Addr, v uint64) { tx.write(a, v) }
 

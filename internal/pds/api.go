@@ -1,8 +1,8 @@
 package pds
 
 import (
+	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -108,7 +108,18 @@ type Map interface {
 // scans from a start key.
 type OrderedMap interface {
 	Put(tx *mtm.Tx, key uint64, val []byte) error
+	// Upsert is Put of the value head‖tail — a header the caller framed
+	// and a payload it never joins to it — guarded against replacing
+	// another owner's value: a stored value is replaced only if its first
+	// guard bytes equal head's, else nothing changes and the error is
+	// ErrMismatch. The transactional backend checks and replaces in a
+	// single descent.
+	Upsert(tx *mtm.Tx, key uint64, head, tail []byte, guard int) error
 	Get(r mtm.Reader, key uint64) ([]byte, error)
+	// Find locates key's value without copying it; the caller loads the
+	// parts it needs (a header, or the payload straight into a reply
+	// buffer) from the returned Stored.
+	Find(r mtm.Reader, key uint64) (Stored, error)
 	Delete(tx *mtm.Tx, key uint64) error
 	Contains(r mtm.Reader, key uint64) bool
 	Scan(r mtm.Reader, from uint64, fn func(key uint64, val []byte) bool)
@@ -252,9 +263,13 @@ type mtmOrdered struct {
 }
 
 func (m *mtmOrdered) Put(tx *mtm.Tx, key uint64, val []byte) error { return m.t.Put(tx, key, val) }
-func (m *mtmOrdered) Get(r mtm.Reader, key uint64) ([]byte, error) { return m.t.Get(r, key) }
-func (m *mtmOrdered) Delete(tx *mtm.Tx, key uint64) error          { return m.t.Delete(tx, key) }
-func (m *mtmOrdered) Contains(r mtm.Reader, key uint64) bool       { return m.t.Contains(r, key) }
+func (m *mtmOrdered) Upsert(tx *mtm.Tx, key uint64, head, tail []byte, guard int) error {
+	return m.t.Upsert(tx, key, head, tail, guard)
+}
+func (m *mtmOrdered) Get(r mtm.Reader, key uint64) ([]byte, error)  { return m.t.Get(r, key) }
+func (m *mtmOrdered) Find(r mtm.Reader, key uint64) (Stored, error) { return m.t.Find(r, key) }
+func (m *mtmOrdered) Delete(tx *mtm.Tx, key uint64) error           { return m.t.Delete(tx, key) }
+func (m *mtmOrdered) Contains(r mtm.Reader, key uint64) bool        { return m.t.Contains(r, key) }
 func (m *mtmOrdered) Scan(r mtm.Reader, from uint64, fn func(key uint64, val []byte) bool) {
 	m.t.Scan(r, from, fn)
 }
@@ -262,72 +277,6 @@ func (m *mtmOrdered) Len(r mtm.Reader) int                   { return m.t.Len(r)
 func (m *mtmOrdered) Do(fn func(tx *mtm.Tx) error) error     { return m.do(fn) }
 func (m *mtmOrdered) View(fn func(r mtm.Reader) error) error { return m.view(fn) }
 func (m *mtmOrdered) Backend() Backend                       { return BackendMTM }
-
-// OrderedRBTree adapts an *RBTree (Insert/InOrder vocabulary) to
-// OrderedMap, for callers that want the red-black balancing policy
-// behind the common interface.
-func OrderedRBTree(env Env, rootPtr pmem.Addr) OrderedMap {
-	return &rbOrdered{mtmEnv: &mtmEnv{env: env}, t: NewRBTree(rootPtr)}
-}
-
-type rbOrdered struct {
-	*mtmEnv
-	t *RBTree
-}
-
-func (m *rbOrdered) Put(tx *mtm.Tx, key uint64, val []byte) error { return m.t.Insert(tx, key, val) }
-func (m *rbOrdered) Get(r mtm.Reader, key uint64) ([]byte, error) { return m.t.Get(r, key) }
-func (m *rbOrdered) Delete(tx *mtm.Tx, key uint64) error          { return m.t.Delete(tx, key) }
-func (m *rbOrdered) Contains(r mtm.Reader, key uint64) bool       { return m.t.Contains(r, key) }
-func (m *rbOrdered) Scan(r mtm.Reader, from uint64, fn func(key uint64, val []byte) bool) {
-	m.t.InOrder(r, func(key uint64, payload []byte) bool {
-		if key < from {
-			return true
-		}
-		return fn(key, payload)
-	})
-}
-func (m *rbOrdered) Len(r mtm.Reader) int                   { return m.t.Len(r) }
-func (m *rbOrdered) Do(fn func(tx *mtm.Tx) error) error     { return m.do(fn) }
-func (m *rbOrdered) View(fn func(r mtm.Reader) error) error { return m.view(fn) }
-func (m *rbOrdered) Backend() Backend                       { return BackendMTM }
-
-// OrderedAVL adapts an *AVL (byte-string keys) to OrderedMap with
-// big-endian uint64 keys, whose byte order matches integer order.
-func OrderedAVL(env Env, rootPtr pmem.Addr) OrderedMap {
-	return &avlOrdered{mtmEnv: &mtmEnv{env: env}, t: NewAVL(rootPtr)}
-}
-
-type avlOrdered struct {
-	*mtmEnv
-	t *AVL
-}
-
-func avlKeyBytes(key uint64) []byte {
-	var k [8]byte
-	binary.BigEndian.PutUint64(k[:], key)
-	return k[:]
-}
-
-func (m *avlOrdered) Put(tx *mtm.Tx, key uint64, val []byte) error {
-	return m.t.Put(tx, avlKeyBytes(key), val)
-}
-func (m *avlOrdered) Get(r mtm.Reader, key uint64) ([]byte, error) {
-	return m.t.Get(r, avlKeyBytes(key))
-}
-func (m *avlOrdered) Delete(tx *mtm.Tx, key uint64) error { return m.t.Delete(tx, avlKeyBytes(key)) }
-func (m *avlOrdered) Contains(r mtm.Reader, key uint64) bool {
-	return m.t.Contains(r, avlKeyBytes(key))
-}
-func (m *avlOrdered) Scan(r mtm.Reader, from uint64, fn func(key uint64, val []byte) bool) {
-	m.t.Scan(r, avlKeyBytes(from), func(key, val []byte) bool {
-		return fn(binary.BigEndian.Uint64(key), val)
-	})
-}
-func (m *avlOrdered) Len(r mtm.Reader) int                   { return m.t.Len(r) }
-func (m *avlOrdered) Do(fn func(tx *mtm.Tx) error) error     { return m.do(fn) }
-func (m *avlOrdered) View(fn func(r mtm.Reader) error) error { return m.view(fn) }
-func (m *avlOrdered) Backend() Backend                       { return BackendMTM }
 
 // modErr maps the mod package's sentinel onto the pds one so callers
 // match errors.Is(err, pds.ErrNotFound) regardless of backend.
@@ -358,6 +307,23 @@ func (a *modOrdered) Get(r mtm.Reader, key uint64) ([]byte, error) {
 	}
 	v, err := a.m.Get(key)
 	return v, modErr(err)
+}
+
+// Upsert checks the guard against a copy of the stored value, then puts:
+// MOD values may be segmented, so there is no in-place compare to do.
+func (a *modOrdered) Upsert(_ *mtm.Tx, key uint64, head, tail []byte, guard int) error {
+	if old, err := a.m.Get(key); err == nil && !bytes.HasPrefix(old, head[:guard]) {
+		return ErrMismatch
+	} else if err != nil && !errors.Is(err, mod.ErrNotFound) {
+		return err
+	}
+	return a.m.Put(key, append(head[:len(head):len(head)], tail...))
+}
+
+// Find hands over a copy of the value, for the same reason.
+func (a *modOrdered) Find(r mtm.Reader, key uint64) (Stored, error) {
+	val, err := a.Get(r, key)
+	return Stored{n: len(val), b: val}, err
 }
 func (a *modOrdered) Delete(_ *mtm.Tx, key uint64) error { return modErr(a.m.Delete(key)) }
 func (a *modOrdered) Contains(r mtm.Reader, key uint64) bool {

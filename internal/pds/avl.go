@@ -35,7 +35,7 @@ const (
 // (pmem.Nil there means an empty tree).
 //
 // Deprecated: new code should construct structures through the Backend
-// selector (OrderedAVL or NewOrderedMap); this wrapper remains for the
+// selector (NewOrderedMap); this wrapper remains for the
 // structure-specific method set.
 func NewAVL(rootPtr pmem.Addr) *AVL { return &AVL{rootPtr: rootPtr} }
 
@@ -140,7 +140,7 @@ func (t *AVL) put(tx *mtm.Tx, link pmem.Addr, key, val []byte) (grew bool, err e
 		if err != nil {
 			return false, err
 		}
-		vblk, err := writeValue(tx, val)
+		vblk, err := writeValue(tx, val, nil)
 		if err != nil {
 			return false, err
 		}
@@ -157,7 +157,7 @@ func (t *AVL) put(tx *mtm.Tx, link pmem.Addr, key, val []byte) (grew bool, err e
 	case cmp == 0:
 		// Replace the value block.
 		old := pmem.Addr(tx.LoadU64(node.Add(avlVblkOff)))
-		vblk, err := writeValue(tx, val)
+		vblk, err := writeValue(tx, val, nil)
 		if err != nil {
 			return false, err
 		}

@@ -155,8 +155,24 @@ func TestBackendDifferential(t *testing.T) {
 	applyBoth := func(i int, key uint64, put bool, val []byte) {
 		var errMTM, errMOD error
 		if put {
-			errMTM = mtmM.Do(func(tx *mtm.Tx) error { return mtmM.Put(tx, key, val) })
-			errMOD = modM.Do(func(tx *mtm.Tx) error { return modM.Put(tx, key, val) })
+			// Every third put is guarded on its first bytes: refused, by
+			// both backends alike, over a value that starts differently.
+			guard := 0
+			if old, live := model[key]; i%3 == 0 && len(val) >= 4 {
+				if guard = 2; live && len(old) >= 2 && i%2 == 0 {
+					copy(val, old[:2])
+				}
+				if live && !bytes.HasPrefix(old, val[:2]) {
+					errMTM = mtmM.Do(func(tx *mtm.Tx) error { return mtmM.Upsert(tx, key, val[:len(val)/2], val[len(val)/2:], guard) })
+					errMOD = modM.Do(func(tx *mtm.Tx) error { return modM.Upsert(tx, key, val[:len(val)/2], val[len(val)/2:], guard) })
+					if errMTM != ErrMismatch || errMOD != ErrMismatch {
+						t.Fatalf("op %d: guarded put over a mismatching value: mtm=%v mod=%v", i, errMTM, errMOD)
+					}
+					return
+				}
+			}
+			errMTM = mtmM.Do(func(tx *mtm.Tx) error { return mtmM.Upsert(tx, key, val[:len(val)/2], val[len(val)/2:], guard) })
+			errMOD = modM.Do(func(tx *mtm.Tx) error { return modM.Upsert(tx, key, val[:len(val)/2], val[len(val)/2:], guard) })
 			model[key] = val
 		} else {
 			errMTM = mtmM.Do(func(tx *mtm.Tx) error { return mtmM.Delete(tx, key) })
@@ -198,6 +214,16 @@ func TestBackendDifferential(t *testing.T) {
 				got, err := m.Get(r, key)
 				if live && (err != nil || !bytes.Equal(got, want)) {
 					return fmt.Errorf("get %d = %q, %v, want %q", key, got, err, want)
+				}
+				// Find sees the same value without handing over a copy.
+				v, ferr := m.Find(r, key)
+				if ferr != err || v.Len() != len(got) {
+					return fmt.Errorf("find %d = %d bytes, %v; get = %d bytes, %v", key, v.Len(), ferr, len(got), err)
+				}
+				tail := make([]byte, v.Len()/2)
+				v.Load(tail, v.Len()-len(tail))
+				if !bytes.HasSuffix(got, tail) {
+					return fmt.Errorf("find %d loads %q at %d of %q", key, tail, v.Len()-len(tail), got)
 				}
 				if !live && err != ErrNotFound {
 					return fmt.Errorf("get deleted %d = %v", key, err)

@@ -1,7 +1,6 @@
 package pds
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/mtm"
@@ -103,13 +102,22 @@ func bpSearch(tx mtm.Reader, n pmem.Addr, nkeys int, k uint64) int {
 
 // Put inserts or replaces the value for key.
 func (t *BPTree) Put(tx *mtm.Tx, key uint64, val []byte) error {
+	return t.Upsert(tx, key, val, nil, 0)
+}
+
+// Upsert inserts or replaces the value for key — head followed by tail —
+// in one descent. A stored value is replaced only if its first guard bytes
+// equal head's; otherwise the tree is untouched and the error is
+// ErrMismatch. The compare reads the stored prefix in place, so an
+// overwrite's read set does not grow with the value it replaces.
+func (t *BPTree) Upsert(tx *mtm.Tx, key uint64, head, tail []byte, guard int) error {
 	root := pmem.Addr(tx.LoadU64(t.rootPtr))
 	if root == pmem.Nil {
 		leaf, err := bpNewNode(tx, true)
 		if err != nil {
 			return err
 		}
-		vblk, err := writeValue(tx, val)
+		vblk, err := writeValue(tx, head, tail)
 		if err != nil {
 			return err
 		}
@@ -119,7 +127,7 @@ func (t *BPTree) Put(tx *mtm.Tx, key uint64, val []byte) error {
 		tx.StoreU64(t.rootPtr, uint64(leaf))
 		return nil
 	}
-	midKey, sib, err := t.insert(tx, root, key, val)
+	midKey, sib, err := t.insert(tx, root, key, head, tail, guard)
 	if err != nil {
 		return err
 	}
@@ -140,14 +148,17 @@ func (t *BPTree) Put(tx *mtm.Tx, key uint64, val []byte) error {
 
 // insert descends to the leaf; on overflow it splits, returning the
 // separator key and the new right sibling for the parent to link.
-func (t *BPTree) insert(tx *mtm.Tx, n pmem.Addr, key uint64, val []byte) (uint64, pmem.Addr, error) {
+func (t *BPTree) insert(tx *mtm.Tx, n pmem.Addr, key uint64, head, tail []byte, guard int) (uint64, pmem.Addr, error) {
 	nkeys, leaf := bpMeta(tx, n)
 	if leaf {
 		i := bpSearch(tx, n, nkeys, key)
 		if i < nkeys && bpKey(tx, n, i) == key {
 			// Replace the value block in place.
 			old := bpPtr(tx, n, i)
-			vblk, err := writeValue(tx, val)
+			if !hasPrefix(tx, old, head[:guard]) {
+				return 0, pmem.Nil, ErrMismatch
+			}
+			vblk, err := writeValue(tx, head, tail)
 			if err != nil {
 				return 0, pmem.Nil, err
 			}
@@ -157,7 +168,7 @@ func (t *BPTree) insert(tx *mtm.Tx, n pmem.Addr, key uint64, val []byte) (uint64
 			}
 			return 0, pmem.Nil, nil
 		}
-		vblk, err := writeValue(tx, val)
+		vblk, err := writeValue(tx, head, tail)
 		if err != nil {
 			return 0, pmem.Nil, err
 		}
@@ -180,7 +191,7 @@ func (t *BPTree) insert(tx *mtm.Tx, n pmem.Addr, key uint64, val []byte) (uint64
 		i++ // equal keys route right of the separator
 	}
 	child := bpPtr(tx, n, i)
-	midKey, sib, err := t.insert(tx, child, key, val)
+	midKey, sib, err := t.insert(tx, child, key, head, tail, guard)
 	if err != nil || sib == pmem.Nil {
 		return 0, pmem.Nil, err
 	}
@@ -235,18 +246,29 @@ func (t *BPTree) splitInner(tx *mtm.Tx, n pmem.Addr, nkeys int) (uint64, pmem.Ad
 
 // Get returns a copy of the value for key.
 func (t *BPTree) Get(tx mtm.Reader, key uint64) ([]byte, error) {
+	v, err := t.Find(tx, key)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, v.Len())
+	v.Load(out, 0)
+	return out, nil
+}
+
+// Find locates the value for key without copying it.
+func (t *BPTree) Find(tx mtm.Reader, key uint64) (Stored, error) {
 	n := pmem.Addr(tx.LoadU64(t.rootPtr))
 	if n == pmem.Nil {
-		return nil, ErrNotFound
+		return Stored{}, ErrNotFound
 	}
 	for {
 		nkeys, leaf := bpMeta(tx, n)
 		i := bpSearch(tx, n, nkeys, key)
 		if leaf {
 			if i < nkeys && bpKey(tx, n, i) == key {
-				return readValue(tx, bpPtr(tx, n, i))
+				return findValue(tx, bpPtr(tx, n, i))
 			}
-			return nil, ErrNotFound
+			return Stored{}, ErrNotFound
 		}
 		if i < nkeys && bpKey(tx, n, i) == key {
 			i++
@@ -529,8 +551,6 @@ func (t *BPTree) CheckInvariants(tx mtm.Reader) error {
 	}
 	return walk(root, 0, 0, false, false, true)
 }
-
-var errBPStop = errors.New("stop")
 
 // Len counts entries via a full scan (for tests).
 func (t *BPTree) Len(tx mtm.Reader) int {

@@ -13,6 +13,8 @@
 package pds
 
 import (
+	"errors"
+
 	"repro/internal/blob"
 	"repro/internal/mtm"
 	"repro/internal/pmem"
@@ -27,19 +29,25 @@ const valueHdr = 8
 // path can tell a plausible length from a corrupt one.
 const MaxValue = 1 << 24
 
-// writeValue allocates a value block and fills it transactionally.
-// Zero-length values are valid and allocate a bare header.
-func writeValue(tx *mtm.Tx, val []byte) (pmem.Addr, error) {
-	if err := blob.CheckWrite(int64(len(val)), MaxValue); err != nil {
+// writeValue allocates a value block and fills it transactionally with
+// head followed by tail — a caller that frames a payload with a header
+// stores both without joining them first. Zero-length values are valid
+// and allocate a bare header.
+func writeValue(tx *mtm.Tx, head, tail []byte) (pmem.Addr, error) {
+	n := int64(len(head) + len(tail))
+	if err := blob.CheckWrite(n, MaxValue); err != nil {
 		return pmem.Nil, err
 	}
-	blk, err := tx.Alloc(valueHdr + int64(len(val)))
+	blk, err := tx.Alloc(valueHdr + n)
 	if err != nil {
 		return pmem.Nil, err
 	}
-	tx.StoreU64(blk, uint64(len(val)))
-	if len(val) > 0 {
-		tx.Store(blk.Add(valueHdr), val)
+	tx.StoreU64(blk, uint64(n))
+	if len(head) > 0 {
+		tx.Store(blk.Add(valueHdr), head)
+	}
+	if len(tail) > 0 {
+		tx.Store(blk.Add(valueHdr+int64(len(head))), tail)
 	}
 	return blk, nil
 }
@@ -58,6 +66,63 @@ func readValue(tx mtm.Reader, blk pmem.Addr) ([]byte, error) {
 		tx.Load(out, blk.Add(valueHdr))
 	}
 	return out, nil
+}
+
+// Stored is a value located by an OrderedMap's Find: its length, and loads
+// of any part of it, without a copy of the whole. It is valid only inside
+// the transaction or view whose reader found it.
+type Stored struct {
+	r    mtm.Reader
+	data pmem.Addr // the value's first byte; Nil when b holds the bytes
+	n    int
+	b    []byte // a backend that cannot read in place hands over its copy
+}
+
+// Len is the value's length in bytes.
+func (v Stored) Len() int { return v.n }
+
+// Load fills dst with the value's bytes from offset off on.
+func (v Stored) Load(dst []byte, off int) {
+	if off < 0 || off+len(dst) > v.n {
+		panic("pds: Stored.Load beyond the value")
+	}
+	if v.data == pmem.Nil {
+		copy(dst, v.b[off:])
+		return
+	}
+	v.r.Load(dst, v.data.Add(int64(off)))
+}
+
+// findValue validates a value block's length prefix and wraps the block
+// for in-place reads.
+func findValue(r mtm.Reader, blk pmem.Addr) (Stored, error) {
+	n := int64(r.LoadU64(blk))
+	if err := blob.CheckRead(n, MaxValue); err != nil {
+		return Stored{}, err
+	}
+	return Stored{r: r, data: blk.Add(valueHdr), n: int(n)}, nil
+}
+
+// ErrMismatch reports an Upsert refused because the stored value does not
+// start with the guard prefix of its replacement.
+var ErrMismatch = errors.New("pds: stored value does not start with the guard prefix")
+
+// hasPrefix reports whether the value block at blk starts with p,
+// comparing the stored words in place: no buffer, and a read set the
+// size of p rather than of the value.
+func hasPrefix(r mtm.Reader, blk pmem.Addr, p []byte) bool {
+	if r.LoadU64(blk) < uint64(len(p)) {
+		return false
+	}
+	for i := 0; i < len(p); i += 8 {
+		w := r.LoadU64(blk.Add(valueHdr + int64(i)))
+		for j := i; j < i+8 && j < len(p); j++ {
+			if byte(w>>(8*uint(j-i))) != p[j] {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // hash64 is the 64-bit finalizer of SplitMix64, used to spread integer

@@ -706,3 +706,61 @@ func TestBPTreeShrinksToSingleLevel(t *testing.T) {
 		return nil
 	})
 }
+
+// TestBPTreeUpsertGuardAndReadSet pins the single-descent guarded upsert:
+// a stored value is replaced only when it starts with the guard prefix of
+// its replacement, and the check reads that prefix in place — so the read
+// set of an overwrite is the same whether the value it replaces holds 64
+// bytes or 2048 (a Get-then-Put overwrite of a 2 KB value loaded ~260
+// words just to compare a key).
+func TestBPTreeUpsertGuardAndReadSet(t *testing.T) {
+	e := newEnv(t)
+	tree := NewBPTree(e.root)
+	const guard = 2 + 16
+	record := func(key string, n int) []byte {
+		return append([]byte{byte(len(key)), 0}, append([]byte(key), bytes.Repeat([]byte("v"), n)...)...)
+	}
+	// upsert stores key's size-byte record at slot size, reporting the
+	// words the descent and the guard check read.
+	upsert := func(key string, size int) (reads int, err error) {
+		err = e.th.Atomic(func(tx *mtm.Tx) error {
+			before := tx.ReadSetLen()
+			err := tree.Upsert(tx, uint64(size), record(key, 0), bytes.Repeat([]byte("v"), size), guard)
+			reads = tx.ReadSetLen() - before
+			return err
+		})
+		return reads, err
+	}
+	sizes := []int{64, 2048}
+	for _, size := range sizes { // insert both, so every overwrite searches the same leaf
+		if _, err := upsert("0123456789abcdef", size); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var reads [2]int
+	for i, size := range sizes {
+		var err error
+		if reads[i], err = upsert("0123456789abcdef", size); err != nil {
+			t.Fatal(err)
+		}
+		// Another key's record at the same slot is refused, untouched.
+		if _, err := upsert("0123456789abcdeX", size); err != ErrMismatch {
+			t.Fatalf("Upsert over another key's %d-byte record: %v, want ErrMismatch", size, err)
+		}
+		e.th.Atomic(func(tx *mtm.Tx) error {
+			v, err := tree.Find(tx, uint64(size))
+			if err != nil || v.Len() != guard+size {
+				t.Fatalf("Find after the refused upsert: %d bytes, %v", v.Len(), err)
+			}
+			tail := make([]byte, 3)
+			v.Load(tail, guard-1)
+			if string(tail) != "fvv" {
+				t.Fatalf("stored record clobbered: ...%q", tail)
+			}
+			return nil
+		})
+	}
+	if reads[0] != reads[1] || reads[1] > 16 {
+		t.Fatalf("overwrite read sets: %d words over a 64 B value, %d over 2048 B; want equal and small", reads[0], reads[1])
+	}
+}

@@ -43,8 +43,8 @@ const (
 // rootPtr (pmem.Nil there means an empty tree).
 //
 // Deprecated: new code should construct structures through the Backend
-// selector (OrderedRBTree or NewOrderedMap); this wrapper remains for
-// the structure-specific method set.
+// selector (NewOrderedMap); this wrapper remains for the
+// structure-specific method set.
 func NewRBTree(rootPtr pmem.Addr) *RBTree { return &RBTree{rootPtr: rootPtr} }
 
 func (t *RBTree) root(tx mtm.Reader) pmem.Addr { return pmem.Addr(tx.LoadU64(t.rootPtr)) }

@@ -12,10 +12,18 @@
 // Bulk strings carry arbitrary bytes — including spaces, newlines, and
 // NULs — which is what lifts the legacy line protocol's "values without
 // spaces" restriction end to end.
+//
+// Neither side of the pair allocates per frame. A Reader owns one input
+// buffer and hands commands out as views into it; a Writer owns one output
+// buffer that replies are appended to, or built in place in (Bulk). The
+// price is a lifetime rule on the reading side: a command's arguments are
+// valid until the Reader next has to wait for the stream — until the
+// batch of commands that were already buffered has been answered — and
+// must be copied to be kept longer. See ReadCommand. Replies parsed on the
+// client side (ReadValue, ParseValue) own their bytes.
 package resp
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -61,306 +69,236 @@ func IsProtocol(err error) bool {
 	return errors.As(err, &pe)
 }
 
-// Reader decodes RESP frames from a stream.
+// Reader decodes RESP frames from a stream through one input buffer it
+// owns. Commands are handed out as views into that buffer, so a served
+// command's key and value are never copied on the way in.
 type Reader struct {
-	br *bufio.Reader
+	rd   io.Reader
+	buf  []byte // unread bytes are buf[r:w]
+	r, w int
+	argv [][]byte // argument views handed out since the last fill
 }
+
+// Buffer sizing: a Reader starts with readBufSize, doubles for a frame
+// that does not fit, and gives the space back once a buffer larger than
+// maxRetained has drained (a Writer drops its buffer the same way), so one
+// oversized frame does not pin its size to the connection for good.
+const (
+	readBufSize = 64 << 10
+	maxRetained = 256 << 10
+)
 
 // NewReader wraps r with a buffered RESP decoder.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{br: bufio.NewReaderSize(r, 64<<10)}
+	return &Reader{rd: r, buf: make([]byte, readBufSize)}
+}
+
+// fill reads more of the stream in behind the unread bytes, first moving
+// them to the front of the buffer and doubling a buffer they fill. This is
+// the one place buffered bytes move or are overwritten: every view handed
+// out before it is dead.
+func (r *Reader) fill() error {
+	r.argv = r.argv[:0]
+	r.w = copy(r.buf, r.buf[r.r:r.w])
+	r.r = 0
+	switch {
+	case r.w == len(r.buf):
+		r.buf = append(r.buf, make([]byte, len(r.buf))...)
+	case r.w == 0 && len(r.buf) > maxRetained:
+		r.buf = make([]byte, readBufSize)
+	}
+	for tries := 0; tries < 100; tries++ {
+		n, err := r.rd.Read(r.buf[r.w:])
+		r.w += n
+		if n > 0 {
+			return nil
+		}
+		if err == io.EOF && r.w > 0 {
+			return io.ErrUnexpectedEOF // the stream ended inside a frame
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return io.ErrNoProgress
 }
 
 // ReadCommand reads one client command: either a RESP array of bulk
 // strings ("*2\r\n$3\r\nGET\r\n$1\r\nk\r\n") or an inline command
 // ("GET k\r\n"). Empty inline lines and empty arrays are skipped, as in
-// Redis. The returned argument slices are freshly allocated and safe to
-// retain. I/O errors (including a torn frame at EOF) come back as-is;
+// Redis. I/O errors (including a torn frame at EOF) come back as-is;
 // framing violations come back as ProtoError.
+//
+// The returned slice and the arguments in it are views into the Reader's
+// buffers, not copies. They stay valid across further ReadCommand calls
+// that CommandAvailable announced — such a call only slices what is
+// already buffered — and die at the next ReadCommand that has to wait for
+// the stream: a server reads a batch, answers it, and only then reads on.
+// Retain an argument beyond that by copying it.
 func (r *Reader) ReadCommand() ([][]byte, error) {
 	for {
-		b, err := r.br.ReadByte()
+		start := len(r.argv)
+		n, argc, err := frame(r.buf[r.r:r.w], &r.argv)
 		if err != nil {
 			return nil, err
 		}
-		if b != '*' {
-			if err := r.br.UnreadByte(); err != nil {
+		if n == 0 {
+			if err := r.fill(); err != nil {
 				return nil, err
-			}
-			args, err := r.readInline()
-			if err != nil {
-				return nil, err
-			}
-			if len(args) == 0 {
-				continue // empty line: skip, as Redis does
-			}
-			return args, nil
-		}
-		n, err := r.readIntLine()
-		if err != nil {
-			return nil, err
-		}
-		if n <= 0 {
-			continue // *0 or *-1: no command here, read on
-		}
-		if n > MaxArrayLen {
-			return nil, protoErrf("multibulk length %d exceeds %d", n, MaxArrayLen)
-		}
-		// Cap the initial allocation: the declared count is attacker
-		// controlled, the actually-delivered elements are not.
-		args := make([][]byte, 0, min(int(n), 64))
-		for i := int64(0); i < n; i++ {
-			arg, err := r.readBulk()
-			if err != nil {
-				return nil, err
-			}
-			args = append(args, arg)
-		}
-		return args, nil
-	}
-}
-
-// readBulk reads one "$<len>\r\n<bytes>\r\n" frame. Null bulks inside a
-// command are a protocol error (a command argument cannot be null).
-func (r *Reader) readBulk() ([]byte, error) {
-	b, err := r.br.ReadByte()
-	if err != nil {
-		return nil, err
-	}
-	if b != '$' {
-		return nil, protoErrf("expected bulk string ('$'), got %q", b)
-	}
-	l, err := r.readIntLine()
-	if err != nil {
-		return nil, err
-	}
-	if l < 0 {
-		return nil, protoErrf("negative bulk length in command")
-	}
-	if l > MaxBulkLen {
-		return nil, protoErrf("bulk length %d exceeds %d", l, MaxBulkLen)
-	}
-	buf := make([]byte, l)
-	if _, err := io.ReadFull(r.br, buf); err != nil {
-		return nil, err
-	}
-	if err := r.readCRLF(); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// readInline reads one inline command line and splits it on whitespace.
-func (r *Reader) readInline() ([][]byte, error) {
-	line, err := r.readLine(MaxInlineLen)
-	if err != nil {
-		return nil, err
-	}
-	fields := bytes.Fields(line)
-	args := make([][]byte, len(fields))
-	for i, f := range fields {
-		// bytes.Fields returns views into line's backing array; copy so
-		// arguments stay valid independent of the reader.
-		args[i] = append([]byte(nil), f...)
-	}
-	return args, nil
-}
-
-// readLine reads up to '\n' (at most max bytes), trimming the trailing
-// CRLF or LF.
-func (r *Reader) readLine(max int) ([]byte, error) {
-	var line []byte
-	for {
-		frag, err := r.br.ReadSlice('\n')
-		line = append(line, frag...)
-		if err == bufio.ErrBufferFull {
-			if len(line) > max {
-				return nil, protoErrf("line exceeds %d bytes", max)
 			}
 			continue
 		}
-		if err != nil {
-			return nil, err
+		r.r += n
+		if argc > 0 {
+			return r.argv[start:len(r.argv):len(r.argv)], nil
 		}
-		break
-	}
-	if len(line) > max+1 {
-		return nil, protoErrf("line exceeds %d bytes", max)
-	}
-	line = bytes.TrimSuffix(line, []byte("\n"))
-	return bytes.TrimSuffix(line, []byte("\r")), nil
-}
-
-// readIntLine parses the "<int>\r\n" remainder of a length header.
-func (r *Reader) readIntLine() (int64, error) {
-	var (
-		n      int64
-		neg    bool
-		digits int
-		first  = true
-	)
-	for {
-		b, err := r.br.ReadByte()
-		if err != nil {
-			return 0, err
-		}
-		switch {
-		case b == '\r':
-			b2, err := r.br.ReadByte()
-			if err != nil {
-				return 0, err
-			}
-			if b2 != '\n' {
-				return 0, protoErrf("length header not CRLF-terminated")
-			}
-			if digits == 0 {
-				return 0, protoErrf("empty length header")
-			}
-			if neg {
-				n = -n
-			}
-			return n, nil
-		case b == '-' && first:
-			neg = true
-		case b >= '0' && b <= '9':
-			digits++
-			if digits > 18 {
-				return 0, protoErrf("length header overflows")
-			}
-			n = n*10 + int64(b-'0')
-		default:
-			return 0, protoErrf("bad byte %q in length header", b)
-		}
-		first = false
 	}
 }
 
-// readCRLF consumes a frame-terminating CRLF.
-func (r *Reader) readCRLF() error {
-	b1, err := r.br.ReadByte()
-	if err != nil {
-		return err
-	}
-	b2, err := r.br.ReadByte()
-	if err != nil {
-		return err
-	}
-	if b1 != '\r' || b2 != '\n' {
-		return protoErrf("bulk string not CRLF-terminated")
-	}
-	return nil
-}
-
-// CommandAvailable reports whether at least one complete command is
-// already buffered, so ReadCommand cannot block. A malformed prefix
-// counts as available: reading it fails fast with a ProtoError instead
-// of blocking. This is how the server drains a pipelined burst — keep
-// reading while complete commands are provably present, then execute
+// CommandAvailable reports whether a complete command is already
+// buffered, so the next ReadCommand neither blocks nor disturbs earlier
+// views. A malformed prefix counts as available: reading it fails fast
+// with a ProtoError instead of blocking. Skippable units in front of the
+// command are consumed here, so they cannot send that ReadCommand back to
+// the stream either. This is how the server drains a pipelined burst —
+// keep reading while complete commands are provably present, then execute
 // the batch.
 func (r *Reader) CommandAvailable() bool {
-	n := r.br.Buffered()
-	if n == 0 {
-		return false
+	for {
+		n, argc, err := frame(r.buf[r.r:r.w], nil)
+		if err != nil || argc > 0 {
+			return true
+		}
+		if n == 0 {
+			return false
+		}
+		r.r += n
 	}
-	b, err := r.br.Peek(n)
-	if err != nil {
-		return false
-	}
-	return commandScan(b) != 0
 }
 
-// commandScan scans one command at the start of b without consuming it:
-// >0 is the byte length of a complete leading command (or skippable
-// unit), 0 means incomplete, -1 means malformed (reading it will error
-// promptly, so it counts as available).
-func commandScan(b []byte) int {
+// frame walks the command frame at the start of b: n > 0 is its length in
+// bytes and argc its argument count, n == 0 means b ends inside it. With
+// argv set, the arguments are appended to it as views into b. A skippable
+// unit ("*0", "*-1", a blank inline line) has a length and no arguments.
+// Declared sizes are validated before anything waits for the bytes they
+// announce.
+func frame(b []byte, argv *[][]byte) (n, argc int, err error) {
 	if len(b) == 0 {
-		return 0
+		return 0, 0, nil
 	}
 	if b[0] != '*' {
-		i := bytes.IndexByte(b, '\n')
-		if i < 0 {
-			if len(b) > MaxInlineLen {
-				return -1
-			}
-			return 0
-		}
-		return i + 1
+		return inlineFrame(b, argv)
 	}
-	n, pos := scanIntLine(b, 1)
-	if pos < 0 {
-		return -1
+	cnt, pos, err := intLine(b, 1)
+	if err != nil || pos == 0 {
+		return 0, 0, err
 	}
-	if pos == 0 {
-		return 0
+	if cnt <= 0 {
+		return pos, 0, nil // *0 or *-1: no command here
 	}
-	if n <= 0 {
-		return pos // *0 / *-1: a complete skippable unit
+	if cnt > MaxArrayLen {
+		return 0, 0, protoErrf("multibulk length %d exceeds %d", cnt, MaxArrayLen)
 	}
-	if n > MaxArrayLen {
-		return -1
-	}
-	for e := int64(0); e < n; e++ {
-		if pos >= len(b) {
-			return 0
+	for e := int64(0); e < cnt; e++ {
+		if pos == len(b) {
+			return 0, 0, nil
 		}
 		if b[pos] != '$' {
-			return -1
+			return 0, 0, protoErrf("expected bulk string ('$'), got %q", b[pos])
 		}
-		l, next := scanIntLine(b, pos+1)
-		if next < 0 || l < 0 || l > MaxBulkLen {
-			return -1
+		l, next, err := intLine(b, pos+1)
+		if err != nil || next == 0 {
+			return 0, 0, err
 		}
-		if next == 0 {
-			return 0
+		if l < 0 {
+			return 0, 0, protoErrf("negative bulk length in command")
 		}
-		pos = next + int(l) + 2
-		if pos > len(b) {
-			return 0
+		if l > MaxBulkLen {
+			return 0, 0, protoErrf("bulk length %d exceeds %d", l, MaxBulkLen)
 		}
+		end := next + int(l)
+		if end+2 > len(b) {
+			return 0, 0, nil
+		}
+		if b[end] != '\r' || b[end+1] != '\n' {
+			return 0, 0, protoErrf("bulk string not CRLF-terminated")
+		}
+		if argv != nil {
+			*argv = append(*argv, b[next:end:end])
+		}
+		pos = end + 2
 	}
-	return pos
+	return pos, int(cnt), nil
 }
 
-// scanIntLine parses "<int>\r\n" at b[from:], returning the value and
-// the offset just past the terminator; next==0 means incomplete,
-// next==-1 means malformed.
-func scanIntLine(b []byte, from int) (v int64, next int) {
+// inlineFrame is frame for an inline command: one line, split on ASCII
+// whitespace.
+func inlineFrame(b []byte, argv *[][]byte) (n, argc int, err error) {
+	n = bytes.IndexByte(b, '\n') + 1
+	if n == 0 && len(b) <= MaxInlineLen {
+		return 0, 0, nil
+	}
+	if n == 0 || n > MaxInlineLen+1 {
+		return 0, 0, protoErrf("line exceeds %d bytes", MaxInlineLen)
+	}
+	for i := 0; i < n; {
+		if isSpace(b[i]) {
+			i++
+			continue
+		}
+		j := i
+		for !isSpace(b[j]) {
+			j++ // stops at the line's '\n' at the latest
+		}
+		if argv != nil {
+			*argv = append(*argv, b[i:j:j])
+		}
+		argc++
+		i = j
+	}
+	return n, argc, nil
+}
+
+func isSpace(c byte) bool {
+	return c == ' ' || (c >= '\t' && c <= '\r')
+}
+
+// intLine parses "<int>\r\n" at b[from:], returning the value and the
+// offset just past the terminator; next == 0 means b ends inside it.
+func intLine(b []byte, from int) (v int64, next int, err error) {
 	i := from
-	neg := false
-	if i < len(b) && b[i] == '-' {
-		neg = true
+	neg := i < len(b) && b[i] == '-'
+	if neg {
 		i++
 	}
 	digits := 0
-	for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-		digits++
-		if digits > 18 {
-			return 0, -1
+	for ; i < len(b) && b[i] >= '0' && b[i] <= '9'; i++ {
+		if digits++; digits > 18 {
+			return 0, 0, protoErrf("length header overflows")
 		}
 		v = v*10 + int64(b[i]-'0')
-		i++
 	}
-	if i >= len(b) {
-		return 0, 0
-	}
-	if digits == 0 || b[i] != '\r' {
-		return 0, -1
-	}
-	if i+1 >= len(b) {
-		return 0, 0
-	}
-	if b[i+1] != '\n' {
-		return 0, -1
+	switch {
+	case i == len(b):
+		return 0, 0, nil
+	case b[i] != '\r':
+		return 0, 0, protoErrf("bad byte %q in length header", b[i])
+	case digits == 0:
+		return 0, 0, protoErrf("empty length header")
+	case i+1 == len(b):
+		return 0, 0, nil
+	case b[i+1] != '\n':
+		return 0, 0, protoErrf("length header not CRLF-terminated")
 	}
 	if neg {
 		v = -v
 	}
-	return v, i + 2
+	return v, i + 2, nil
 }
 
 // Value is one parsed RESP reply, for the client side of the protocol
-// (tests, cmd/respsmoke, the bench kernel).
+// (tests, cmd/respsmoke, the bench kernel) and for kvserve's line
+// protocol, which renders replies as RESP and translates them.
 type Value struct {
 	Type  byte // '+', '-', ':', '$', '*'
 	Str   string
@@ -371,184 +309,195 @@ type Value struct {
 }
 
 // ReadValue parses one reply of any RESP2 type, recursively for arrays.
+// Unlike a command's arguments, the Value owns its bytes.
 func (r *Reader) ReadValue() (Value, error) {
-	return r.readValue(0)
+	for {
+		v, n, err := parseValue(r.buf[r.r:r.w], 0)
+		if err != nil || n > 0 {
+			r.r += n
+			return v, err
+		}
+		if err := r.fill(); err != nil {
+			return Value{}, err
+		}
+	}
 }
 
-func (r *Reader) readValue(depth int) (Value, error) {
+// ParseValue parses the reply at the start of b, returning it and its
+// length in bytes; a length of 0 means b ends inside the reply.
+func ParseValue(b []byte) (Value, int, error) { return parseValue(b, 0) }
+
+func parseValue(b []byte, depth int) (Value, int, error) {
 	if depth > maxValueDepth {
-		return Value{}, protoErrf("reply nesting exceeds %d", maxValueDepth)
+		return Value{}, 0, protoErrf("reply nesting exceeds %d", maxValueDepth)
 	}
-	t, err := r.br.ReadByte()
-	if err != nil {
-		return Value{}, err
+	if len(b) == 0 {
+		return Value{}, 0, nil
 	}
-	switch t {
-	case '+', '-':
-		line, err := r.readLine(MaxInlineLen)
-		if err != nil {
-			return Value{}, err
+	t := b[0]
+	if t == '+' || t == '-' {
+		n := bytes.IndexByte(b, '\n') + 1
+		if n == 0 && len(b) <= MaxInlineLen {
+			return Value{}, 0, nil
 		}
-		return Value{Type: t, Str: string(line)}, nil
-	case ':':
-		n, err := r.readIntLine()
-		if err != nil {
-			return Value{}, err
+		if n == 0 || n > MaxInlineLen+2 {
+			return Value{}, 0, protoErrf("line exceeds %d bytes", MaxInlineLen)
 		}
-		return Value{Type: t, Int: n}, nil
-	case '$':
-		l, err := r.readIntLine()
-		if err != nil {
-			return Value{}, err
-		}
-		if l == -1 {
-			return Value{Type: t, Null: true}, nil
-		}
+		return Value{Type: t, Str: string(bytes.TrimSuffix(b[1:n-1], []byte("\r")))}, n, nil
+	}
+	if t != ':' && t != '$' && t != '*' {
+		return Value{}, 0, protoErrf("bad reply type byte %q", t)
+	}
+	l, pos, err := intLine(b, 1)
+	if err != nil || pos == 0 {
+		return Value{}, 0, err
+	}
+	switch {
+	case t == ':':
+		return Value{Type: t, Int: l}, pos, nil
+	case l == -1:
+		return Value{Type: t, Null: true}, pos, nil
+	case t == '$':
 		if l < 0 || l > MaxBulkLen {
-			return Value{}, protoErrf("bulk length %d out of range", l)
+			return Value{}, 0, protoErrf("bulk length %d out of range", l)
 		}
-		buf := make([]byte, l)
-		if _, err := io.ReadFull(r.br, buf); err != nil {
-			return Value{}, err
+		end := pos + int(l)
+		if end+2 > len(b) {
+			return Value{}, 0, nil
 		}
-		if err := r.readCRLF(); err != nil {
-			return Value{}, err
+		if b[end] != '\r' || b[end+1] != '\n' {
+			return Value{}, 0, protoErrf("bulk string not CRLF-terminated")
 		}
-		return Value{Type: t, Bulk: buf}, nil
-	case '*':
-		n, err := r.readIntLine()
-		if err != nil {
-			return Value{}, err
-		}
-		if n == -1 {
-			return Value{Type: t, Null: true}, nil
-		}
-		if n < 0 || n > MaxArrayLen {
-			return Value{}, protoErrf("array length %d out of range", n)
-		}
-		elems := make([]Value, 0, min(int(n), 64))
-		for i := int64(0); i < n; i++ {
-			e, err := r.readValue(depth + 1)
-			if err != nil {
-				return Value{}, err
-			}
-			elems = append(elems, e)
-		}
-		return Value{Type: t, Array: elems}, nil
-	default:
-		return Value{}, protoErrf("bad reply type byte %q", t)
+		return Value{Type: t, Bulk: append([]byte{}, b[pos:end]...)}, end + 2, nil
 	}
+	if l < 0 || l > MaxArrayLen {
+		return Value{}, 0, protoErrf("array length %d out of range", l)
+	}
+	elems := make([]Value, 0, min(int(l), 64))
+	for i := int64(0); i < l; i++ {
+		e, n, err := parseValue(b[pos:], depth+1)
+		if err != nil || n == 0 {
+			return Value{}, 0, err
+		}
+		elems = append(elems, e)
+		pos += n
+	}
+	return Value{Type: t, Array: elems}, pos, nil
 }
 
-// Writer encodes RESP frames onto a stream. Nothing is sent until
-// Flush; the server flushes once per pipelined batch.
+// Writer encodes RESP frames into a buffer it owns. Nothing is sent until
+// Flush; the server flushes once per pipelined batch. Until then the
+// buffer can be measured and cut back (Len, Truncate), which is how a
+// handler takes back a reply it had begun when its snapshot read retries.
+// The zero Writer is a buffer with no stream behind it.
 type Writer struct {
-	bw *bufio.Writer
+	w   io.Writer
+	buf []byte
 }
 
 // NewWriter wraps w with a buffered RESP encoder.
-func NewWriter(w io.Writer) *Writer {
-	return &Writer{bw: bufio.NewWriterSize(w, 16<<10)}
+func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
+
+func (w *Writer) crlf() { w.buf = append(w.buf, '\r', '\n') }
+
+// header appends "<type><n>\r\n".
+func (w *Writer) header(t byte, n int64) {
+	w.buf = strconv.AppendInt(append(w.buf, t), n, 10)
+	w.crlf()
 }
 
 // WriteSimple writes "+s\r\n". s must not contain CR or LF.
-func (w *Writer) WriteSimple(s string) error {
-	w.bw.WriteByte('+')
-	w.bw.WriteString(s)
-	_, err := w.bw.WriteString("\r\n")
-	return err
+func (w *Writer) WriteSimple(s string) {
+	w.buf = append(append(w.buf, '+'), s...)
+	w.crlf()
 }
 
 // WriteError writes "-msg\r\n", sanitizing embedded line breaks.
-func (w *Writer) WriteError(msg string) error {
-	w.bw.WriteByte('-')
+func (w *Writer) WriteError(msg string) {
+	w.buf = append(w.buf, '-')
 	for i := 0; i < len(msg); i++ {
 		c := msg[i]
 		if c == '\r' || c == '\n' {
 			c = ' '
 		}
-		w.bw.WriteByte(c)
+		w.buf = append(w.buf, c)
 	}
-	_, err := w.bw.WriteString("\r\n")
-	return err
+	w.crlf()
 }
 
 // WriteInt writes ":n\r\n".
-func (w *Writer) WriteInt(n int64) error {
-	w.bw.WriteByte(':')
-	w.bw.WriteString(strconv.FormatInt(n, 10))
-	_, err := w.bw.WriteString("\r\n")
-	return err
-}
+func (w *Writer) WriteInt(n int64) { w.header(':', n) }
 
 // WriteBulk writes "$len\r\nb\r\n". A nil slice is written as an empty
 // bulk, not a null — use WriteNull for null.
-func (w *Writer) WriteBulk(b []byte) error {
-	w.bw.WriteByte('$')
-	w.bw.WriteString(strconv.Itoa(len(b)))
-	w.bw.WriteString("\r\n")
-	w.bw.Write(b)
-	_, err := w.bw.WriteString("\r\n")
-	return err
-}
+func (w *Writer) WriteBulk(b []byte) { writeBulk(w, b) }
 
 // WriteBulkString writes s as a bulk string.
-func (w *Writer) WriteBulkString(s string) error {
-	w.bw.WriteByte('$')
-	w.bw.WriteString(strconv.Itoa(len(s)))
-	w.bw.WriteString("\r\n")
-	w.bw.WriteString(s)
-	_, err := w.bw.WriteString("\r\n")
-	return err
+func (w *Writer) WriteBulkString(s string) { writeBulk(w, s) }
+
+func writeBulk[T ~string | ~[]byte](w *Writer, b T) {
+	w.header('$', int64(len(b)))
+	w.buf = append(w.buf, b...)
+	w.crlf()
+}
+
+// Bulk writes the frame of an n-byte bulk string and returns the n bytes
+// between its header and its CRLF for the caller to fill in place — a
+// stored value is loaded straight into its reply.
+func (w *Writer) Bulk(n int) []byte {
+	w.header('$', int64(n))
+	w.buf = append(w.buf, make([]byte, n)...)
+	w.crlf()
+	return w.buf[len(w.buf)-2-n : len(w.buf)-2]
 }
 
 // WriteNull writes the null bulk "$-1\r\n".
-func (w *Writer) WriteNull() error {
-	_, err := w.bw.WriteString("$-1\r\n")
-	return err
-}
+func (w *Writer) WriteNull() { w.header('$', -1) }
 
 // WriteArrayHeader writes "*n\r\n"; the caller then writes n elements.
-func (w *Writer) WriteArrayHeader(n int) error {
-	w.bw.WriteByte('*')
-	w.bw.WriteString(strconv.Itoa(n))
-	_, err := w.bw.WriteString("\r\n")
-	return err
-}
+func (w *Writer) WriteArrayHeader(n int) { w.header('*', int64(n)) }
 
 // WriteCommand writes one command as an array of bulk strings — the
 // client side of ReadCommand.
-func (w *Writer) WriteCommand(args ...[]byte) error {
-	if err := w.WriteArrayHeader(len(args)); err != nil {
-		return err
-	}
+func (w *Writer) WriteCommand(args ...[]byte) {
+	w.WriteArrayHeader(len(args))
 	for _, a := range args {
-		if err := w.WriteBulk(a); err != nil {
-			return err
-		}
+		w.WriteBulk(a)
 	}
-	return nil
 }
 
 // WriteCommandStrings writes one command from string arguments.
-func (w *Writer) WriteCommandStrings(args ...string) error {
-	if err := w.WriteArrayHeader(len(args)); err != nil {
-		return err
-	}
+func (w *Writer) WriteCommandStrings(args ...string) {
+	w.WriteArrayHeader(len(args))
 	for _, a := range args {
-		if err := w.WriteBulkString(a); err != nil {
-			return err
-		}
+		w.WriteBulkString(a)
 	}
-	return nil
 }
 
-// Flush sends everything buffered.
-func (w *Writer) Flush() error { return w.bw.Flush() }
+// Write appends already-encoded frames (io.Writer).
+func (w *Writer) Write(p []byte) (int, error) {
+	w.buf = append(w.buf, p...)
+	return len(p), nil
+}
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// Bytes is everything written since the last Flush, valid until the next
+// write.
+func (w *Writer) Bytes() []byte { return w.buf }
+
+// Len is len(Bytes()): a mark to Truncate back to.
+func (w *Writer) Len() int { return len(w.buf) }
+
+// Truncate cuts the buffer back to its first n bytes.
+func (w *Writer) Truncate(n int) { w.buf = w.buf[:n] }
+
+// Flush sends everything buffered and empties the buffer.
+func (w *Writer) Flush() error {
+	if len(w.buf) == 0 {
+		return nil
 	}
-	return b
+	_, err := w.w.Write(w.buf)
+	if w.buf = w.buf[:0]; cap(w.buf) > maxRetained {
+		w.buf = nil
+	}
+	return err
 }

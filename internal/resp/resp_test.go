@@ -20,7 +20,12 @@ func readAll(t *testing.T, input string) [][][]byte {
 		if err != nil {
 			t.Fatalf("ReadCommand(%q): %v", input, err)
 		}
-		cmds = append(cmds, args)
+		// Arguments are views into the reader's buffer: copy to retain.
+		kept := make([][]byte, len(args))
+		for i, a := range args {
+			kept[i] = append([]byte{}, a...)
+		}
+		cmds = append(cmds, kept)
 	}
 }
 
@@ -91,13 +96,13 @@ func TestCommandAvailable(t *testing.T) {
 	}
 	// Half a command: not available.
 	torn := NewReader(strings.NewReader("*2\r\n$3\r\nGET\r\n"))
-	torn.br.Peek(13) // force a fill without consuming
+	torn.fill() // buffer the stream without consuming
 	if torn.CommandAvailable() {
 		t.Fatal("available with a torn frame buffered")
 	}
 	full := "*2\r\n$3\r\nGET\r\n$1\r\nk\r\n*1\r\n$4\r\nPING\r\n"
 	r := NewReader(strings.NewReader(full))
-	r.br.Peek(len(full))
+	r.fill()
 	if !r.CommandAvailable() {
 		t.Fatal("not available with two complete commands buffered")
 	}
@@ -112,6 +117,77 @@ func TestCommandAvailable(t *testing.T) {
 	}
 	if r.CommandAvailable() {
 		t.Fatal("available after the buffer drained")
+	}
+	// Skippable units ahead of a torn frame are no command: had they
+	// counted as one, the read they announce would block on the stream —
+	// and refill the buffer under the views of the batch before it.
+	skips := NewReader(strings.NewReader("*0\r\n\r\n*2\r\n$3\r\nGET\r\n"))
+	skips.fill()
+	if skips.CommandAvailable() {
+		t.Fatal("available with only skippable units and a torn frame buffered")
+	}
+}
+
+// TestArgumentViews pins the lifetime contract: commands read while
+// CommandAvailable holds are views into one buffer and stay intact
+// together; a frame larger than the buffer grows it.
+func TestArgumentViews(t *testing.T) {
+	big := bytes.Repeat([]byte("v"), 3*readBufSize/2)
+	var in bytes.Buffer
+	w := NewWriter(&in)
+	w.WriteCommandStrings("SET", "a", "1")
+	w.WriteCommandStrings("SET", "b", "2")
+	w.WriteCommand([]byte("SET"), []byte("big"), big[:MaxBulkLen], big[:MaxBulkLen])
+	w.WriteCommandStrings("GET", "a")
+	w.Flush()
+	r := NewReader(&in)
+	first, err := r.ReadCommand()
+	if err != nil || !r.CommandAvailable() {
+		t.Fatalf("first command: %v (second available: %v)", err, err == nil)
+	}
+	second, err := r.ReadCommand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(first[1]) != "a" || string(first[2]) != "1" || string(second[1]) != "b" {
+		t.Fatalf("batched views clobbered: %q %q", first, second)
+	}
+	if cap(first[2]) != len(first[2]) {
+		t.Fatalf("argument view has spare capacity %d: an append would write into the buffer", cap(first[2])-len(first[2]))
+	}
+	// The third frame is larger than the buffer: reading it grows it.
+	third, err := r.ReadCommand()
+	if err != nil || len(third) != 4 || !bytes.Equal(third[3], big[:MaxBulkLen]) {
+		t.Fatalf("oversized frame: %d args, %v", len(third), err)
+	}
+	if len(r.buf) <= readBufSize {
+		t.Fatalf("buffer still %d bytes after a %d-byte frame", len(r.buf), 2*MaxBulkLen)
+	}
+	if last, err := r.ReadCommand(); err != nil || string(last[0]) != "GET" {
+		t.Fatalf("command after the oversized frame: %q, %v", last, err)
+	}
+}
+
+// TestWriterBulkAndTruncate covers the in-place reply path: Bulk hands out
+// the window a stored value is loaded into, Truncate takes back a reply an
+// abandoned attempt had begun.
+func TestWriterBulkAndTruncate(t *testing.T) {
+	var w Writer
+	w.WriteSimple("OK")
+	mark := w.Len()
+	copy(w.Bulk(5), "hel") // an attempt dies with the window half filled
+	w.Truncate(mark)
+	copy(w.Bulk(5), "hello")
+	w.WriteInt(-1234567890123)
+	if got, want := string(w.Bytes()), "+OK\r\n$5\r\nhello\r\n:-1234567890123\r\n"; got != want {
+		t.Fatalf("buffer = %q, want %q", got, want)
+	}
+	v, n, err := ParseValue(w.Bytes()[mark:])
+	if err != nil || n != len("$5\r\nhello\r\n") || string(v.Bulk) != "hello" {
+		t.Fatalf("ParseValue = %+v, %d, %v", v, n, err)
+	}
+	if _, n, err := ParseValue([]byte("$5\r\nhel")); n != 0 || err != nil {
+		t.Fatalf("torn reply: n = %d, err = %v, want 0, nil", n, err)
 	}
 }
 
@@ -175,9 +251,7 @@ func TestWriteCommandRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	args := [][]byte{[]byte("SET"), []byte("bin"), {0, 1, 2, '\r', '\n', ' ', 0xff}}
-	if err := w.WriteCommand(args...); err != nil {
-		t.Fatal(err)
-	}
+	w.WriteCommand(args...)
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}

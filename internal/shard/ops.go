@@ -39,7 +39,13 @@ var ErrNotFound = pds.ErrNotFound
 // same function kvserve partitions pipelined batches with, so a batch
 // partition and the shard it routes to agree. The full key is stored
 // with the value to detect collisions.
-func HashKey(s string) uint64 {
+func HashKey(s string) uint64 { return hashKey(s) }
+
+// HashKeyBytes is HashKey of a key still held as bytes (a view into a
+// connection's input buffer).
+func HashKeyBytes(b []byte) uint64 { return hashKey(b) }
+
+func hashKey[K ~string | ~[]byte](s K) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
@@ -67,62 +73,70 @@ func DecodeKV(b []byte) (key, value string, err error) {
 	return rec.Key, string(rec.Value), nil
 }
 
-// lookup reads one key on its shard through any Reader, resolving hash
-// collisions against the stored full key. Records past their expiry
+// find locates key's record on its shard through any Reader and decodes
+// its header, resolving hash collisions against the stored full key: a
+// slot that is empty or holds another key's record answers ErrNotFound.
+// Only the header is loaded; the payload stays in the tree.
+func (st *Store) find(sh *Shard, r mtm.Reader, key string) (Header, pds.Stored, error) {
+	v, err := sh.Tree.Find(r, st.hash(key))
+	if err != nil {
+		return Header{}, v, err
+	}
+	h, _, err := LoadHeader(v, nil)
+	if err == nil && string(h.Key) != key {
+		err = ErrNotFound // hash collision with another key
+	}
+	return h, v, err
+}
+
+// lookup reads one key's string value. Records past their expiry
 // deadline and records of non-string type answer ErrNotFound and
 // ErrWrongType respectively, so the string API never leaks a hash
 // payload or a logically-dead value.
 func (st *Store) lookup(sh *Shard, r mtm.Reader, key string) (string, error) {
-	raw, err := sh.Tree.Get(r, st.hash(key))
+	h, v, err := st.find(sh, r, key)
 	if err != nil {
 		return "", err
 	}
-	rec, err := DecodeRecord(raw)
-	if err != nil {
-		return "", err
-	}
-	if rec.Key != key {
-		return "", ErrNotFound // hash collision with another key
-	}
-	if rec.Expired(st.now()) {
+	if h.Expired(st.now()) {
 		return "", ErrNotFound
 	}
-	if rec.Type != RecString {
+	if h.Type != RecString {
 		return "", ErrWrongType
 	}
-	return string(rec.Value), nil
+	value := make([]byte, v.Len()-h.Size)
+	v.Load(value, h.Size)
+	return string(value), nil
 }
 
 // checkCollision fails with ErrHashCollision when key's slot already
 // holds a different key's record; an absent or same-key slot is fine.
 func (st *Store) checkCollision(sh *Shard, r mtm.Reader, key string) error {
-	h := st.hash(key)
-	raw, err := sh.Tree.Get(r, h)
+	v, err := sh.Tree.Find(r, st.hash(key))
 	if err == ErrNotFound {
 		return nil
 	}
 	if err != nil {
 		return err
 	}
-	k, derr := DecodeRecordKey(raw)
-	if derr != nil {
-		return derr
+	h, _, err := LoadHeader(v, nil)
+	if err == nil && string(h.Key) != key {
+		err = fmt.Errorf("%w: %q and stored %q share hash %#x", ErrHashCollision, key, h.Key, st.hash(key))
 	}
-	if k != key {
-		return fmt.Errorf("%w: %q and stored %q share hash %#x", ErrHashCollision, key, k, h)
-	}
-	return nil
+	return err
 }
 
-// checkedPut stores rec at key's slot after comparing the stored full
-// key: overwriting the same key is the normal update, overwriting a
-// colliding key would destroy its record, so that fails with
-// ErrHashCollision and the transaction aborts untouched.
+// checkedPut stores rec, key's record, at key's slot in one descent that
+// compares the stored key in place: overwriting the same key is the
+// normal update, overwriting a colliding key would destroy its record,
+// so that fails with ErrHashCollision and the transaction aborts
+// untouched.
 func (st *Store) checkedPut(sh *Shard, tx *mtm.Tx, key string, rec []byte) error {
-	if err := st.checkCollision(sh, tx, key); err != nil {
-		return err
+	err := sh.Tree.Upsert(tx, st.hash(key), rec, nil, KeyPrefixLen(rec))
+	if err == pds.ErrMismatch {
+		return fmt.Errorf("%w: %q at hash %#x", ErrHashCollision, key, st.hash(key))
 	}
-	return sh.Tree.Put(tx, st.hash(key), rec)
+	return err
 }
 
 // Set durably stores key=value on its shard.
@@ -159,16 +173,8 @@ func (st *Store) Del(key string) error {
 		// Compare the stored key before deleting: the tree is keyed by
 		// hash, and deleting on a collision would destroy a different
 		// key's record.
-		raw, err := sh.Tree.Get(tx, st.hash(key))
-		if err != nil {
+		if _, _, err := st.find(sh, tx, key); err != nil {
 			return err
-		}
-		k, err := DecodeRecordKey(raw)
-		if err != nil {
-			return err
-		}
-		if k != key {
-			return ErrNotFound
 		}
 		return sh.Tree.Delete(tx, st.hash(key))
 	})
@@ -286,19 +292,10 @@ func (st *Store) MDel(keys []string) (int, error) {
 		err := sh.PM.Atomic(func(tx *mtm.Tx) error {
 			n = 0 // conflict retries rerun the closure
 			for _, i := range idxs {
-				raw, err := sh.Tree.Get(tx, st.hash(keys[i]))
-				if err == ErrNotFound {
-					continue
-				}
-				if err != nil {
+				if _, _, err := st.find(sh, tx, keys[i]); err == ErrNotFound {
+					continue // absent, or a colliding key's record
+				} else if err != nil {
 					return err
-				}
-				sk, err := DecodeRecordKey(raw)
-				if err != nil {
-					return err
-				}
-				if sk != keys[i] {
-					continue // hash collision with another key
 				}
 				if err := sh.Tree.Delete(tx, st.hash(keys[i])); err != nil {
 					return err

@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/blob"
+	"repro/internal/pds"
 )
 
 // Tree records are typed since the RESP redesign: a record is no longer
@@ -63,75 +65,120 @@ var ErrWrongType = errors.New("WRONGTYPE operation against a key holding the wro
 // EncodeRecord builds a tree record, enforcing the key and payload size
 // caps (the payload cap applies to a hash's whole encoded field set).
 func EncodeRecord(r Record) ([]byte, error) {
-	if err := blob.CheckWrite(int64(len(r.Key)), MaxKeyLen); err != nil {
-		return nil, fmt.Errorf("%w: %d bytes exceeds %d", ErrKeyTooLong, len(r.Key), MaxKeyLen)
+	return AppendRecord(nil, r.Key, r.Type, r.Expire, r.Value)
+}
+
+// AppendRecord appends the record's encoding to dst.
+func AppendRecord[K ~string | ~[]byte](dst []byte, key K, typ RecType, expire int64, value []byte) ([]byte, error) {
+	dst, err := AppendHeader(slices.Grow(dst, headerLen(len(key))+len(value)), key, typ, expire)
+	if err != nil {
+		return nil, err
 	}
-	if err := blob.CheckWrite(int64(len(r.Value)), MaxValueLen); err != nil {
-		return nil, fmt.Errorf("%w: %d bytes exceeds %d", ErrValueTooLong, len(r.Value), MaxValueLen)
+	if err := blob.CheckWrite(int64(len(value)), MaxValueLen); err != nil {
+		return nil, fmt.Errorf("%w: %d bytes exceeds %d", ErrValueTooLong, len(value), MaxValueLen)
 	}
-	flags := byte(r.Type) & recTypeMask
-	n := 2 + len(r.Key) + 1
-	if r.Expire != 0 {
-		flags |= recFlagExpire
-		n += 8
+	return append(dst, value...), nil
+}
+
+// AppendHeader appends the encoding of a record's header — everything
+// ahead of its payload — to dst. The serving path frames a value still in
+// the connection's input buffer this way, in a scratch buffer its session
+// owns, and hands header and value to the tree as two parts.
+func AppendHeader[K ~string | ~[]byte](dst []byte, key K, typ RecType, expire int64) ([]byte, error) {
+	if err := blob.CheckWrite(int64(len(key)), MaxKeyLen); err != nil {
+		return nil, fmt.Errorf("%w: %d bytes exceeds %d", ErrKeyTooLong, len(key), MaxKeyLen)
 	}
-	out := make([]byte, n+len(r.Value))
-	out[0] = byte(len(r.Key))
-	out[1] = byte(len(r.Key) >> 8)
-	copy(out[2:], r.Key)
-	out[2+len(r.Key)] = flags
-	if r.Expire != 0 {
-		binary.LittleEndian.PutUint64(out[3+len(r.Key):], uint64(r.Expire))
+	dst = append(dst, byte(len(key)), byte(len(key)>>8))
+	dst = append(dst, key...)
+	flags := byte(typ) & recTypeMask
+	if expire == 0 {
+		return append(dst, flags), nil
 	}
-	copy(out[n:], r.Value)
-	return out, nil
+	dst = append(dst, flags|recFlagExpire)
+	return binary.LittleEndian.AppendUint64(dst, uint64(expire)), nil
+}
+
+// headerLen is the longest header a record with a keyLen-byte key has.
+func headerLen(keyLen int) int { return 2 + keyLen + 1 + 8 }
+
+// KeyPrefixLen is the length of the leading [key length][key] bytes of
+// rec, a record or its header: two records with equal prefixes belong to
+// the same key, which is what a guarded tree upsert compares before
+// replacing one with the other.
+func KeyPrefixLen(rec []byte) int { return 2 + (int(rec[0]) | int(rec[1])<<8) }
+
+// RecordKey is the key of rec, an encoding AppendRecord or AppendHeader
+// built, as a view.
+func RecordKey(rec []byte) []byte { return rec[2:KeyPrefixLen(rec)] }
+
+// Header is a record's metadata, decoded from its leading bytes without
+// touching the payload.
+type Header struct {
+	Key    []byte // a view into the decoded bytes
+	Type   RecType
+	Expire int64 // UNIX nanoseconds; 0 = no expiry
+	Size   int   // header length: the payload is everything from here on
+}
+
+// Expired reports whether the record's deadline has passed at now.
+func (h *Header) Expired(now int64) bool {
+	return h.Expire != 0 && h.Expire <= now
+}
+
+// DecodeHeader decodes the header of the record starting at b; b may end
+// anywhere past it.
+func DecodeHeader(b []byte) (Header, error) {
+	if len(b) < 2 {
+		return Header{}, errors.New("shard: short record")
+	}
+	kl := KeyPrefixLen(b) - 2
+	if err := blob.CheckRead(int64(kl), MaxKeyLen); err != nil {
+		return Header{}, fmt.Errorf("shard: record key length: %w", err)
+	}
+	if len(b) < 2+kl+1 {
+		return Header{}, errors.New("shard: truncated record")
+	}
+	h := Header{Key: b[2 : 2+kl], Size: 2 + kl + 1}
+	flags := b[2+kl]
+	if flags&^byte(recFlagsKnown) != 0 {
+		return Header{}, fmt.Errorf("shard: unknown record flags %#x", flags)
+	}
+	h.Type = RecType(flags & recTypeMask)
+	if flags&recFlagExpire != 0 {
+		if len(b) < h.Size+8 {
+			return Header{}, errors.New("shard: truncated record expiry")
+		}
+		h.Expire = int64(binary.LittleEndian.Uint64(b[h.Size:]))
+		h.Size += 8
+	}
+	return h, nil
+}
+
+// LoadHeader decodes the header of a record located in a tree, loading
+// only its leading bytes into buf — the key length, then as much as a
+// header with that key spans — never the payload. The header's Key is a
+// view into the returned buffer.
+func LoadHeader(v pds.Stored, buf []byte) (Header, []byte, error) {
+	n := min(v.Len(), 2)
+	buf = append(buf[:0], make([]byte, n)...)
+	v.Load(buf, 0)
+	if n == 2 {
+		n = min(v.Len(), headerLen(KeyPrefixLen(buf)-2))
+		buf = append(buf[:0], make([]byte, n)...)
+		v.Load(buf, 0)
+	}
+	h, err := DecodeHeader(buf)
+	return h, buf, err
 }
 
 // DecodeRecord splits a tree record back into its parts. The returned
 // Value aliases b.
 func DecodeRecord(b []byte) (Record, error) {
-	if len(b) < 2 {
-		return Record{}, errors.New("shard: short record")
+	h, err := DecodeHeader(b)
+	if err != nil {
+		return Record{}, err
 	}
-	kl := int(b[0]) | int(b[1])<<8
-	if err := blob.CheckRead(int64(kl), MaxKeyLen); err != nil {
-		return Record{}, fmt.Errorf("shard: record key length: %w", err)
-	}
-	if len(b) < 2+kl+1 {
-		return Record{}, errors.New("shard: truncated record")
-	}
-	r := Record{Key: string(b[2 : 2+kl])}
-	flags := b[2+kl]
-	if flags&^byte(recFlagsKnown) != 0 {
-		return Record{}, fmt.Errorf("shard: unknown record flags %#x", flags)
-	}
-	r.Type = RecType(flags & recTypeMask)
-	rest := b[2+kl+1:]
-	if flags&recFlagExpire != 0 {
-		if len(rest) < 8 {
-			return Record{}, errors.New("shard: truncated record expiry")
-		}
-		r.Expire = int64(binary.LittleEndian.Uint64(rest))
-		rest = rest[8:]
-	}
-	r.Value = rest
-	return r, nil
-}
-
-// DecodeRecordKey extracts just the stored key — enough for collision
-// checks and intent-recovery routing, without touching the payload.
-func DecodeRecordKey(b []byte) (string, error) {
-	if len(b) < 2 {
-		return "", errors.New("shard: short record")
-	}
-	kl := int(b[0]) | int(b[1])<<8
-	if err := blob.CheckRead(int64(kl), MaxKeyLen); err != nil {
-		return "", fmt.Errorf("shard: record key length: %w", err)
-	}
-	if len(b) < 2+kl {
-		return "", errors.New("shard: truncated record")
-	}
-	return string(b[2 : 2+kl]), nil
+	return Record{Key: string(h.Key), Type: h.Type, Expire: h.Expire, Value: b[h.Size:]}, nil
 }
 
 // HashField is one field of a hash value.

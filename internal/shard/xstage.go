@@ -288,14 +288,9 @@ func (st *Store) msetCross(parts [][]int, mask uint64, keys []string, recs [][]b
 					// landed a colliding key after our prepare) cannot
 					// abort the MSET anymore; skip the pair rather than
 					// destroy the newer record, and count the skip.
-					if cerr := st.checkCollision(sh, tx, keys[i]); cerr != nil {
-						if errors.Is(cerr, ErrHashCollision) {
-							skipped++
-							continue
-						}
-						return cerr
-					}
-					if err := sh.Tree.Put(tx, st.hash(keys[i]), recs[i]); err != nil {
+					if err := st.checkedPut(sh, tx, keys[i], recs[i]); errors.Is(err, ErrHashCollision) {
+						skipped++
+					} else if err != nil {
 						return err
 					}
 				}
@@ -429,21 +424,16 @@ func (st *Store) resolveIntents() (commits, aborts int, err error) {
 						return serr
 					}
 					for _, rec := range it.recs {
-						key, derr := DecodeRecordKey(rec)
+						h, derr := DecodeHeader(rec)
 						if derr != nil {
 							return derr
 						}
 						// Recovery must finish: a pair whose slot a
 						// different key took since the prepare is skipped
 						// and counted, never clobbered and never fatal.
-						if cerr := st.checkCollision(sh, tx, key); cerr != nil {
-							if errors.Is(cerr, ErrHashCollision) {
-								skipped++
-								continue
-							}
-							return cerr
-						}
-						if perr := sh.Tree.Put(tx, st.hash(key), rec); perr != nil {
+						if perr := st.checkedPut(sh, tx, string(h.Key), rec); errors.Is(perr, ErrHashCollision) {
+							skipped++
+						} else if perr != nil {
 							return perr
 						}
 					}

@@ -16,7 +16,6 @@ type Phase uint8
 const (
 	PhaseNone       Phase = iota
 	PhaseRequest          // kvserve: one protocol command, wire to reply
-	PhaseParse            // kvserve: request-line split and verb decode
 	PhaseExec             // kvserve: verb execution (txn or view inside)
 	PhaseView             // mtm: slot-free snapshot read transaction
 	PhaseLeaseWait        // mtm: blocked waiting for a free log slot
@@ -44,7 +43,6 @@ const (
 var phaseNames = [NumPhases]string{
 	PhaseNone:       "none",
 	PhaseRequest:    "request",
-	PhaseParse:      "parse",
 	PhaseExec:       "exec",
 	PhaseView:       "view",
 	PhaseLeaseWait:  "lease_wait",
