@@ -320,8 +320,8 @@ func BenchmarkRESPServe(b *testing.B) {
 }
 
 // BenchmarkModCommit prices one committed mutation on the MOD
-// shadow-update map against the transactional hash table under redo,
-// both driven through the shared pds.Map interface. The
+// shadow-update map against the transactional B+ tree under redo, both
+// driven through the shared pds.OrderedMap interface. The
 // paper-comparable numbers are fences/op (MOD's contract: exactly 1)
 // and the shadow bytes each copy-on-write path costs.
 func BenchmarkModCommit(b *testing.B) {

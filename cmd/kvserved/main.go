@@ -5,7 +5,7 @@
 // Usage:
 //
 //	kvserved [-addr :7070] [-resp-addr :6379] [-image scm.img] [-dir ./pmem]
-//	         [-size 256MiB] [-backend mtm|mod] [-shards 4] [-recovery-workers 2]
+//	         [-size 256MiB] [-shards 4] [-recovery-workers 2]
 //	         [-group-commit] [-group-commit-wait 50µs] [-metrics-addr :9090]
 //	         [-commit-mode hybrid] [-hybrid-undo-max 16]
 //	         [-read-cache 65536] [-read-latency 100ns]
@@ -29,12 +29,6 @@
 // Pipelined clients (several request lines in flight) are answered in
 // order; with -group-commit their transactions share durability fences.
 //
-// With -backend mod the store runs on the MOD shadow-update map instead
-// of the transactional B+ tree: one fence per mutation (no log, no
-// transaction slots), buffered durability (a crash can lose only the
-// single most recent acknowledged write), no TTL commands, unsharded
-// only.
-//
 // With -resp-addr the same store is additionally served over RESP2 (the
 // redis wire protocol): `redis-cli -p 6379` then SET/GET/DEL/MSET/MGET,
 // hashes (HSET/HGET/HDEL/HLEN/HGETALL) and crash-safe TTLs (SET ... EX,
@@ -48,10 +42,10 @@
 // on GET /trace (load it in chrome://tracing or Perfetto).
 //
 // Phase attribution (-attribution, on by default) records per-phase
-// latency histograms for every stage of a request — parse, exec, lease
-// wait, transaction body, validate, log append, fence, write-back,
-// truncate — and arms the slow-commit flight recorder: any request slower
-// than -slow-threshold is captured as a full span tree, served on
+// latency histograms for every stage of a request — exec, lease wait,
+// transaction body, validate, log append, fence, write-back, truncate —
+// and arms the slow-commit flight recorder: any request slower than
+// -slow-threshold is captured as a full span tree, served on
 // /debug/mnemosyne/slow (and `pmctl slow`). -slow-threshold 0 disarms
 // the recorder.
 package main
@@ -67,7 +61,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kvserve"
-	"repro/internal/pds"
 	"repro/internal/shard"
 	"repro/internal/telemetry"
 )
@@ -96,7 +89,6 @@ var (
 	hybridMax   = flag.Int("hybrid-undo-max", 0, "hybrid mode's write-set threshold for the undo path (0 = default 16)")
 	readCache   = flag.Int("read-cache", 0, "words of volatile read-through cache over hot persistent words, per memory view (0 disables)")
 	readLatency = flag.Duration("read-latency", 0, "emulated extra PCM read latency per word load (0 = reads free, the paper's model)")
-	backendName = flag.String("backend", "mtm", `storage backend: "mtm" (transactional B+ tree, immediate durability) or "mod" (single-fence shadow-update map; buffered durability, no TTLs, unsharded only)`)
 )
 
 func main() {
@@ -131,18 +123,11 @@ func main() {
 		ReadCacheWords:    *readCache,
 		ReadLatency:       *readLatency,
 	}
-	backend, err := pds.ParseBackend(*backendName)
-	if err != nil {
-		log.Fatalf("kvserved: %v", err)
-	}
 	var (
 		srv     *kvserve.Server
 		closeFn func() error
 	)
 	if *shards > 1 {
-		if backend != pds.BackendMTM {
-			log.Fatalf("kvserved: -backend %s is unsharded only (use -shards 1)", backend)
-		}
 		st, err := shard.Open(shard.Config{
 			Config:          cfg,
 			Shards:          *shards,
@@ -160,7 +145,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("kvserved: open persistent memory: %v", err)
 		}
-		if srv, err = kvserve.NewBackend(pm, backend); err != nil {
+		if srv, err = kvserve.New(pm); err != nil {
 			log.Fatalf("kvserved: %v", err)
 		}
 		closeFn = pm.Close

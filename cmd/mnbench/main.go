@@ -585,7 +585,7 @@ func respServe() error {
 }
 
 func modBackend() error {
-	header("MOD shadow updates: single-fence structures vs the mtm hashtable (1 writer)")
+	header("MOD shadow updates: single-fence structures vs the mtm B+ tree (1 writer)")
 	fmt.Printf("%-10s %14s %14s %16s\n", "Backend", "Ops/s", "Fences/op", "Shadow B/op")
 	rows, err := bench.RunMod(bench.ModOpts{
 		Options: baseOptions(),

@@ -178,6 +178,38 @@ func TestHybridKernel(t *testing.T) {
 	}
 }
 
+// TestModKernel pins what perfgate reads off the mod experiment's rows, on
+// the pairing it now runs (B+ tree against treap): MOD commits every
+// mutation with exactly one fence and pays for it in shadow bytes, the
+// in-place backends copy nothing, and undo orders less than redo.
+func TestModKernel(t *testing.T) {
+	rows, err := RunMod(ModOpts{Options: quick(), Ops: 400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 3 {
+		t.Fatalf("got %d rows, want 3", len(rows))
+	}
+	by := map[string]ModRow{}
+	for _, r := range rows {
+		if r.OpsPerSec <= 0 {
+			t.Fatalf("row: %+v", r)
+		}
+		by[r.Backend] = r
+	}
+	mod, redo, undo := by["mod"], by["mtm-redo"], by["mtm-undo"]
+	if mod.FencesPerOp != 1 || mod.ShadowBytesPerOp <= 0 {
+		t.Fatalf("mod: %v fences/op and %v shadow B/op, want exactly 1 and some", mod.FencesPerOp, mod.ShadowBytesPerOp)
+	}
+	if undo.FencesPerOp >= redo.FencesPerOp || mod.FencesPerOp >= redo.FencesPerOp {
+		t.Fatalf("fences/op: mod %.2f, mtm-undo %.2f, mtm-redo %.2f; want both below redo",
+			mod.FencesPerOp, undo.FencesPerOp, redo.FencesPerOp)
+	}
+	if redo.ShadowBytesPerOp != 0 || undo.ShadowBytesPerOp != 0 {
+		t.Fatalf("in-place backends copied shadow bytes: redo %v, undo %v", redo.ShadowBytesPerOp, undo.ShadowBytesPerOp)
+	}
+}
+
 func TestReadCacheKernel(t *testing.T) {
 	rows, err := RunReadCache(ReadCacheOpts{
 		Options: quick(), GoroutineSweep: []int{1, 4}, OpsPerG: 100, Keys: 64,

@@ -11,13 +11,13 @@ import (
 )
 
 // MOD head-to-head: the same single-writer update stream driven through
-// the backend-agnostic pds.Map interface against each persistence
-// strategy — the MOD shadow-update treap (copy the path, flush, one
-// fence, swap the root) and the transactional hash table under the redo
-// and undo commit protocols. The figure of merit is device fences per
-// committed mutation: MOD's contract is exactly 1.00 (the perf gate
-// asserts it), bought at the cost of shadow-copying the path, which the
-// shadow-bytes column prices.
+// pds.OrderedMap against each persistence strategy — the MOD
+// shadow-update treap (copy the path, flush, one fence, swap the root)
+// and the transactional B+ tree under the redo and undo commit protocols,
+// the pairing the benchmark's ladder also measures. The figure of merit
+// is device fences per committed mutation: MOD's contract is exactly 1.00
+// (the perf gate asserts it), bought at the cost of shadow-copying the
+// path, which the shadow-bytes column prices.
 
 // ModOpts configures the experiment.
 type ModOpts struct {
@@ -101,17 +101,17 @@ func RunModCell(o ModOpts, backend string) (ModRow, error) {
 		return ModRow{}, err
 	}
 
-	var m pds.Map
+	var m pds.OrderedMap
 	switch backend {
 	case "mod":
-		m, err = pds.NewMap(pds.BackendMOD, pds.Env{RT: env.RT, Heap: env.Heap}, root, 0)
+		m, err = pds.NewOrderedMap(pds.BackendMOD, pds.Env{RT: env.RT, Heap: env.Heap}, root)
 	case "mtm-redo", "mtm-undo":
 		th, terr := env.TM.NewThread()
 		if terr != nil {
 			return ModRow{}, terr
 		}
 		defer th.Close()
-		m, err = pds.NewMap(pds.BackendMTM, pds.Env{TM: env.TM, Thread: th}, root, o.KeySpace)
+		m, err = pds.NewOrderedMap(pds.BackendMTM, pds.Env{TM: env.TM, Thread: th}, root)
 	default:
 		return ModRow{}, fmt.Errorf("unknown mod-bench backend %q (want mod, mtm-redo, mtm-undo)", backend)
 	}

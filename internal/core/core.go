@@ -16,7 +16,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/mtm"
@@ -131,10 +130,6 @@ type PM struct {
 	rt   *region.Runtime
 	heap *pheap.Heap
 	tm   *mtm.TM
-
-	// MOD shadow-update structures registered for ModSweep (see mod.go).
-	modMu sync.Mutex
-	mods  []ModStructure
 }
 
 // Open creates or reincarnates a persistent-memory instance: it boots the

@@ -104,7 +104,7 @@ func TestCrashPointsKVServe(t *testing.T) {
 					return err
 				}
 				if err := pm.Atomic(func(tx *mtm.Tx) error {
-					return s.tree.CheckInvariants(tx)
+					return s.store.nodes[0].tree.CheckInvariants(tx)
 				}); err != nil {
 					return fmt.Errorf("B+ tree invariants after %d acked commands: %w", done, err)
 				}

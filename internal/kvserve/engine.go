@@ -264,12 +264,9 @@ func cmdSet(c *call) {
 	}
 	var deadline int64
 	if err == nil && len(c.args) > 3 {
-		switch {
-		case len(c.args) != 5:
+		if len(c.args) != 5 {
 			err = errors.New("usage: " + registry["SET"].usage)
-		case !c.s.store.SupportsTTL():
-			err = errors.New(errNoTTL)
-		default:
+		} else {
 			deadline, err = parseExpiry(c.s.now(), c.args[3], c.args[4])
 		}
 	}

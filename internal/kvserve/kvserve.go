@@ -58,7 +58,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/pds"
-	"repro/internal/pds/mod"
 	"repro/internal/resp"
 	"repro/internal/shard"
 	"repro/internal/telemetry"
@@ -73,14 +72,12 @@ var (
 // Server serves the command engine over one or more listeners (line
 // protocol via Serve, RESP2 via ServeRESP).
 type Server struct {
-	tree *pds.BPTree         // unsharded MTM tree (crash harnesses reach in); nil when sharded or MOD
-	mod  *mod.Map            // unsharded MOD map; nil on the mtm backend
 	hash func([]byte) uint64 // shard.HashKeyBytes, overridable by collision tests
 
-	// store is the engine's storage backend: one node unsharded, N nodes
-	// over independent PM instances sharded. Handlers never fork on the
+	// store is the engine's storage: one node unsharded, N nodes over
+	// independent PM instances sharded. Handlers never fork on the
 	// distinction.
-	store store
+	store *mtmStore
 
 	// now is the expiry clock (UNIX nanoseconds); TTL crash tests replace
 	// it with a scripted clock for deterministic deadline exploration.
@@ -103,9 +100,11 @@ type Server struct {
 	wg        sync.WaitGroup
 }
 
-func newServer() *Server {
+// newServer builds a server over pms, one store node each: the tree under
+// the PM's "kvserve.root" static, TTL deadlines under "kvserve.ttl".
+func newServer(pms []*core.PM, xs *shard.Store) (*Server, error) {
 	ctx, cancel := context.WithCancel(context.Background())
-	return &Server{
+	s := &Server{
 		hash:   shard.HashKeyBytes,
 		now:    func() int64 { return time.Now().UnixNano() },
 		reapCh: make(chan reapItem, 1024),
@@ -113,74 +112,28 @@ func newServer() *Server {
 		cancel: cancel,
 		conns:  make(map[net.Conn]bool),
 	}
-}
-
-// newMTMStore builds the transactional store over pms, one node each: the
-// tree under the PM's "kvserve.root" static, TTL deadlines under
-// "kvserve.ttl".
-func newMTMStore(s *Server, pms []*core.PM, xs *shard.Store) (*mtmStore, error) {
-	ms := &mtmStore{srv: s, nodes: make([]node, len(pms)), xs: xs}
+	s.store = &mtmStore{srv: s, nodes: make([]node, len(pms)), xs: xs}
 	for k, pm := range pms {
 		root, _, err := pm.Static("kvserve.root", 8)
 		if err != nil {
+			cancel()
 			return nil, err
 		}
-		tree, err := pds.NewOrderedMap(pds.BackendMTM, pds.Env{TM: pm.TM()}, root)
-		if err != nil {
-			return nil, err
-		}
-		ms.nodes[k] = node{pm: pm, tree: tree}
-		if err := initTTLNode(&ms.nodes[k]); err != nil {
+		n := &s.store.nodes[k]
+		n.pm, n.tree = pm, pds.NewBPTree(root)
+		if err := initTTLNode(n); err != nil {
+			cancel()
 			return nil, err
 		}
 	}
-	return ms, nil
+	return s, nil
 }
 
 // New builds a server over an open persistent-memory instance; state
 // lives under the "kvserve.root" static (and TTL deadlines under
-// "kvserve.ttl"), so a restarted server finds its data again. The store
-// runs on the transactional mtm backend; NewBackend selects others.
+// "kvserve.ttl"), so a restarted server finds its data again.
 func New(pm *core.PM) (*Server, error) {
-	return NewBackend(pm, pds.BackendMTM)
-}
-
-// NewBackend builds an unsharded server over pm with the chosen pds
-// backend.
-//
-// BackendMTM is the classic store: B+ tree updates inside durable mtm
-// transactions, every acknowledged write durable before its reply.
-//
-// BackendMOD serves the same commands from a shadow-update map
-// (internal/pds/mod): every mutation copies its path, flushes the copy,
-// and commits with a single fence and a root-pointer swap — no log
-// record, no transaction slot. Durability is buffered:
-// the root swap an acknowledgment rides on becomes durable at the NEXT
-// mutation's fence (or Close's sync), so a crash can lose at most the
-// single most recent acknowledged write, never tear anything. TTL
-// commands are refused — the timer wheel needs the record and the
-// deadline in one transaction, which the self-committing backend cannot
-// express.
-func NewBackend(pm *core.PM, backend pds.Backend) (*Server, error) {
-	root, _, err := pm.Static("kvserve.root", 8)
-	if err != nil {
-		return nil, err
-	}
-	s := newServer()
-	switch backend {
-	case pds.BackendMTM:
-		s.tree = pds.NewBPTree(root)
-		s.store, err = newMTMStore(s, []*core.PM{pm}, nil)
-	case pds.BackendMOD:
-		s.store, err = newModStore(s, pm, root)
-	default:
-		err = fmt.Errorf("kvserve: unknown backend %v", backend)
-	}
-	if err != nil {
-		s.cancel()
-		return nil, err
-	}
-	return s, nil
+	return newServer([]*core.PM{pm}, nil)
 }
 
 // NewSharded builds a server over a sharded store: the same engine and
@@ -194,14 +147,7 @@ func NewSharded(st *shard.Store) (*Server, error) {
 	for k := range pms {
 		pms[k] = st.Shard(k).PM
 	}
-	s := newServer()
-	ms, err := newMTMStore(s, pms, st)
-	if err != nil {
-		s.cancel()
-		return nil, err
-	}
-	s.store = ms
-	return s, nil
+	return newServer(pms, st)
 }
 
 // Record and protocol size limits, aliases of the shared record codec's
@@ -298,11 +244,6 @@ func (s *Server) Close() error {
 		}
 	}
 	s.wg.Wait()
-	// MOD durability is buffered behind the next fence; a clean shutdown
-	// makes the last acknowledged root swap durable before returning.
-	if s.mod != nil {
-		s.mod.Sync()
-	}
 	return err
 }
 

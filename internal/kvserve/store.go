@@ -15,53 +15,23 @@ import (
 )
 
 // node is one keyspace shard's persistent handles: the PM instance it
-// lives in, its key-value map behind the backend-agnostic pds interface
-// (a transactional B+ tree, or a MOD shadow-update treap), and the root
-// cell of its TTL timer wheel. An unsharded server is a store of exactly
-// one node.
+// lives in, its key-value B+ tree, and the root cell of its TTL timer
+// wheel. An unsharded server is a store of exactly one node.
 type node struct {
 	pm      *core.PM
-	tree    pds.OrderedMap
+	tree    *pds.BPTree
 	ttlRoot pmem.Addr   // 8-byte static cell -> timer wheel block (0 until first TTL)
 	ttlLive atomic.Bool // volatile: the wheel exists, sweeping may find work
 }
 
-// store is the engine's storage surface: command handlers run against
-// it and never ask whether the server is sharded. Both transports (line
-// protocol and RESP) dispatch into the same registry, and the registry's
-// handlers see only this interface. It has two implementations: mtmStore
-// (one node or many) and modStore.
-type store interface {
-	// NShards is the shard count, 1 unsharded. The engine routes a key by
-	// the hash it has already computed (Server.shard); ShardOf routes one
-	// it has not, given as a string.
-	NShards() int
-	ShardOf(key string) int
-	// Node exposes shard k's persistent handles (for sweeping and scans).
-	Node(k int) *node
-	// SupportsTTL reports whether the backend can register expiry
-	// deadlines: the timer wheel commits in the same mtm transaction as
-	// the record, which the self-committing MOD backend has none of, so
-	// TTL-carrying commands are refused there.
-	SupportsTTL() bool
-	// Update runs fn as one durable transaction on shard k, attributed
-	// under the parent span when the backend supports attribution.
-	Update(parent uint64, k int, fn func(n *node, tx *mtm.Tx) error) error
-	// View runs fn on a slot-free snapshot of shard k.
-	View(parent uint64, k int, fn func(n *node, r mtm.Reader) error) error
-	// MPut stores every encoded record under its own key atomically: one
-	// transaction when the keys share a shard, the cross-shard intent
-	// protocol otherwise.
-	MPut(parent uint64, recs [][]byte) error
-	// StatsLine renders the STATS reply body.
-	StatsLine() string
-}
-
-// mtmStore is the transactional backend: one node per shard, each over its
-// own PM. Every write is one PM.AtomicSpanned on its node — the thread it
-// runs on is the transaction system's business (mtm.TM.AtomicSpanned), not
-// the connection's — and every read one ViewSpanned, so commit and view
-// phases attribute under the request span at any shard count.
+// mtmStore is the engine's storage surface: command handlers run against
+// it and never ask whether the server is sharded, and both transports
+// (line protocol and RESP) dispatch into the same registry. It holds one
+// node per shard, each over its own PM. Every write is one
+// PM.AtomicSpanned on its node — the thread it runs on is the transaction
+// system's business (mtm.TM.AtomicSpanned), not the connection's — and
+// every read one ViewSpanned, so commit and view phases attribute under
+// the request span at any shard count.
 type mtmStore struct {
 	srv   *Server
 	nodes []node
@@ -70,24 +40,34 @@ type mtmStore struct {
 	xs *shard.Store
 }
 
-func (ms *mtmStore) NShards() int      { return len(ms.nodes) }
-func (ms *mtmStore) Node(k int) *node  { return &ms.nodes[k] }
-func (ms *mtmStore) SupportsTTL() bool { return true }
+// NShards is the shard count, 1 unsharded. The engine routes a key by the
+// hash it has already computed (Server.shard); ShardOf routes one it has
+// not, given as a string.
+func (ms *mtmStore) NShards() int { return len(ms.nodes) }
 
 func (ms *mtmStore) ShardOf(key string) int {
 	return ms.srv.shard(ms.srv.hash([]byte(key)))
 }
 
+// Node exposes shard k's persistent handles (for sweeping and scans).
+func (ms *mtmStore) Node(k int) *node { return &ms.nodes[k] }
+
+// Update runs fn as one durable transaction on shard k, attributed under
+// the parent span.
 func (ms *mtmStore) Update(parent uint64, k int, fn func(n *node, tx *mtm.Tx) error) error {
 	n := &ms.nodes[k]
 	return n.pm.AtomicSpanned(parent, func(tx *mtm.Tx) error { return fn(n, tx) })
 }
 
+// View runs fn on a slot-free snapshot of shard k.
 func (ms *mtmStore) View(parent uint64, k int, fn func(n *node, r mtm.Reader) error) error {
 	n := &ms.nodes[k]
 	return n.pm.ViewSpanned(parent, func(r *mtm.ReadTx) error { return fn(n, r) })
 }
 
+// MPut stores every encoded record under its own key atomically: one
+// transaction when the keys share a shard, the cross-shard intent
+// protocol otherwise.
 func (ms *mtmStore) MPut(parent uint64, recs [][]byte) error {
 	s := ms.srv
 	slot := func(rec []byte) uint64 { return s.hash(shard.RecordKey(rec)) }

@@ -15,11 +15,6 @@ import (
 var telExpired = telemetry.NewCounter("kvserve_expired_total",
 	"Records physically reclaimed after their TTL deadline (sweeps and lazy reaps).")
 
-// errNoTTL answers expiry-carrying commands on a backend without a timer
-// wheel (the MOD shadow-update store): the deadline and the record must
-// commit in one transaction, which a self-committing backend cannot do.
-const errNoTTL = "expiry not supported on the mod backend (no transactional timer wheel); use the mtm backend for TTLs"
-
 // Persistent timer wheel. Each node owns one wheel, allocated lazily in
 // the first expiry-carrying transaction and rooted at the "kvserve.ttl"
 // static, so deadlines survive crashes and recovery resumes sweeping.
@@ -292,10 +287,6 @@ func (c *call) ttlUnit() int64 {
 // semantics). Answers 1 when a deadline was set (or the key deleted),
 // 0 when the key does not exist.
 func cmdExpire(c *call) {
-	if !c.s.store.SupportsTTL() {
-		c.fail(errNoTTL)
-		return
-	}
 	d, err := strconv.ParseInt(string(c.args[2]), 10, 64)
 	if err != nil {
 		c.fail(fmt.Sprintf("invalid expire time %q", c.args[2]))

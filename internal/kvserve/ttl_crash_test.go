@@ -170,7 +170,7 @@ func TestCrashPointsTTL(t *testing.T) {
 				checkNow := ttlClockAfter(done)
 				s.now = func() int64 { return checkNow }
 				if err := pm.Atomic(func(tx *mtm.Tx) error {
-					return s.tree.CheckInvariants(tx)
+					return s.store.nodes[0].tree.CheckInvariants(tx)
 				}); err != nil {
 					return fmt.Errorf("B+ tree invariants after %d acked steps: %w", done, err)
 				}
@@ -212,7 +212,7 @@ func TestCrashPointsTTL(t *testing.T) {
 					return fmt.Errorf("post-recovery sweep changed visible state: %s", diff)
 				}
 				if err := pm.Atomic(func(tx *mtm.Tx) error {
-					return s.tree.CheckInvariants(tx)
+					return s.store.nodes[0].tree.CheckInvariants(tx)
 				}); err != nil {
 					return fmt.Errorf("B+ tree invariants after post-recovery sweep: %w", err)
 				}

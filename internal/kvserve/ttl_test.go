@@ -156,7 +156,7 @@ func TestTTLExpiredMasking(t *testing.T) {
 		t.Fatal("expired read queued no reap hint")
 	}
 	if err := pm.View(func(r *mtm.ReadTx) error {
-		if _, err := s.tree.Get(r, s.hash([]byte("dies"))); err != pds.ErrNotFound {
+		if _, err := s.store.nodes[0].tree.Get(r, s.hash([]byte("dies"))); err != pds.ErrNotFound {
 			return fmt.Errorf("tree slot for expired key: %v, want ErrNotFound", err)
 		}
 		return nil
@@ -210,7 +210,7 @@ func TestTTLSweep(t *testing.T) {
 	// Records physically gone, survivors intact.
 	if err := pm.View(func(r *mtm.ReadTx) error {
 		for i := 0; i < dying; i++ {
-			if _, err := s.tree.Get(r, s.hash([]byte(fmt.Sprintf("d%d", i)))); err != pds.ErrNotFound {
+			if _, err := s.store.nodes[0].tree.Get(r, s.hash([]byte(fmt.Sprintf("d%d", i)))); err != pds.ErrNotFound {
 				return fmt.Errorf("swept key d%d still in tree: %v", i, err)
 			}
 		}
@@ -231,7 +231,7 @@ func TestTTLSweep(t *testing.T) {
 	}
 
 	// The tree stays structurally sound through sweep deletions.
-	if err := pm.Atomic(func(tx *mtm.Tx) error { return s.tree.CheckInvariants(tx) }); err != nil {
+	if err := pm.Atomic(func(tx *mtm.Tx) error { return s.store.nodes[0].tree.CheckInvariants(tx) }); err != nil {
 		t.Fatal(err)
 	}
 }

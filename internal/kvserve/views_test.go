@@ -5,13 +5,14 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/mtm"
-	"repro/internal/pmem"
 	"repro/internal/resp"
+	"repro/internal/telemetry"
 )
 
 // Commands are views into the connection's input buffer and replies are
@@ -121,42 +122,18 @@ func TestSkippedUnitsBeforeTornFrame(t *testing.T) {
 	}
 }
 
-// abandonStore is a store whose every View first runs its body against a
-// reader that dies halfway through the first large load — a snapshot read
-// losing to a concurrent commit — and then runs it again for real.
-type abandonStore struct{ store }
-
-type dyingReader struct{ mtm.Reader }
-
-type abandoned struct{}
-
-func (d dyingReader) Load(buf []byte, a pmem.Addr) {
-	if len(buf) < 64 {
-		d.Reader.Load(buf, a)
-		return
-	}
-	d.Reader.Load(buf[:len(buf)/2], a)
-	panic(abandoned{})
-}
-
-func (as abandonStore) View(parent uint64, k int, fn func(n *node, r mtm.Reader) error) error {
-	return as.store.View(parent, k, func(n *node, r mtm.Reader) error {
-		func() {
-			defer func() {
-				if p := recover(); p != nil && p != (abandoned{}) {
-					panic(p)
-				}
-			}()
-			fn(n, dyingReader{r})
-		}()
-		return fn(n, r)
-	})
-}
-
 // TestRetriedViewRewindsReply pins the rewind-on-retry rule: a GET renders
-// its value straight into the reply buffer, so an attempt abandoned halfway
-// through the load has already written a bulk header and half a payload.
-// The retry must start the reply over, not append to the wreck.
+// its value straight into the reply buffer, so an attempt that loses to a
+// concurrent commit once the bulk header is out has already written part of
+// a reply. The retry must start the reply over, not append to the wreck.
+//
+// The conflicts are real ones. A lookup reads the expiry clock after it has
+// loaded the record's header and before anyone loads the payload; the
+// first reading inside each View copies both records to new blocks, twice,
+// so the block the reader still points into is handed out again and filled
+// by the second copy. The reader's next payload word is then newer than its
+// snapshot, the words it has already read have moved, and the attempt is
+// abandoned.
 func TestRetriedViewRewindsReply(t *testing.T) {
 	pm, err := core.Open(core.Config{Dir: t.TempDir(), DeviceSize: 64 << 20})
 	if err != nil {
@@ -166,7 +143,29 @@ func TestRetriedViewRewindsReply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.store = abandonStore{srv.store}
+	srv.sweepOnce.Do(func() {}) // no sweeper: it reads the clock too
+	var armed atomic.Bool
+	injected := ^uint64(0) // the count of finished Views the last conflict was injected at
+	srv.now = func() int64 {
+		if views := pm.TM().Snapshot().Views; armed.Load() && views != injected {
+			injected = views
+			for i := 0; i < 2; i++ {
+				for _, key := range []string{"k", "h"} {
+					h := srv.hash([]byte(key))
+					if err := srv.store.Update(0, 0, func(n *node, tx *mtm.Tx) error {
+						rec, err := n.tree.Get(tx, h)
+						if err != nil {
+							return err
+						}
+						return n.tree.Put(tx, h, rec)
+					}); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+		}
+		return time.Now().UnixNano()
+	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -175,8 +174,31 @@ func TestRetriedViewRewindsReply(t *testing.T) {
 	t.Cleanup(func() { srv.Close() })
 	c := respDial(t, l.Addr().String())
 	value := bytes.Repeat([]byte("0123456789"), 100)
+	bulk := func(b []byte) resp.Value { return resp.Value{Type: '$', Bulk: b} }
+	expect := func(wants ...resp.Value) {
+		t.Helper()
+		if err := c.w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range wants {
+			got, err := c.r.ReadValue()
+			if err != nil {
+				t.Fatalf("reply %d: %v", i, err)
+			}
+			if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
+				t.Fatalf("reply %d = %.100q, want %.100q", i, fmt.Sprintf("%+v", got), fmt.Sprintf("%+v", want))
+			}
+		}
+	}
 	c.w.WriteCommand([]byte("SET"), []byte("k"), value)
 	c.w.WriteCommandStrings("HSET", "h", "f1", string(value), "f2", "two")
+	expect(resp.Value{Type: '+', Str: "OK"}, resp.Value{Type: ':', Int: 2})
+
+	// Fewer commands than a batch needs to be spread over partitions: one
+	// goroutine serves them in order, and every reply after the first
+	// starts part-way into the batch's reply buffer.
+	armed.Store(true)
+	retries := telemetry.Default.Snapshot()["mtm_readtx_retries_total"]
 	c.w.WriteCommandStrings("PING")
 	c.w.WriteCommandStrings("GET", "k")
 	c.w.WriteCommandStrings("HGET", "h", "f1")
@@ -184,27 +206,16 @@ func TestRetriedViewRewindsReply(t *testing.T) {
 	c.w.WriteCommandStrings("MGET", "k", "nosuch")
 	c.w.WriteCommandStrings("GET", "h")
 	c.w.WriteCommandStrings("PING")
-	if err := c.w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	bulk := func(b []byte) resp.Value { return resp.Value{Type: '$', Bulk: b} }
-	for i, want := range []resp.Value{
-		{Type: '+', Str: "OK"},
-		{Type: ':', Int: 2},
-		{Type: '+', Str: "PONG"},
+	expect(
+		resp.Value{Type: '+', Str: "PONG"},
 		bulk(value),
 		bulk(value),
-		{Type: '*', Array: []resp.Value{bulk([]byte("f1")), bulk(value), bulk([]byte("f2")), bulk([]byte("two"))}},
-		{Type: '*', Array: []resp.Value{bulk(value), {Type: '$', Null: true}}},
-		{Type: '-', Str: "WRONGTYPE operation against a key holding the wrong kind of value"},
-		{Type: '+', Str: "PONG"},
-	} {
-		got, err := c.r.ReadValue()
-		if err != nil {
-			t.Fatalf("reply %d: %v", i, err)
-		}
-		if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
-			t.Fatalf("reply %d = %.100q, want %.100q", i, fmt.Sprintf("%+v", got), fmt.Sprintf("%+v", want))
-		}
+		resp.Value{Type: '*', Array: []resp.Value{bulk([]byte("f1")), bulk(value), bulk([]byte("f2")), bulk([]byte("two"))}},
+		resp.Value{Type: '*', Array: []resp.Value{bulk(value), {Type: '$', Null: true}}},
+		resp.Value{Type: '-', Str: "WRONGTYPE operation against a key holding the wrong kind of value"},
+		resp.Value{Type: '+', Str: "PONG"},
+	)
+	if got := telemetry.Default.Snapshot()["mtm_readtx_retries_total"] - retries; got < 4 {
+		t.Fatalf("%v snapshot reads were retried, want the four that load a payload", got)
 	}
 }

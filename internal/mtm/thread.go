@@ -134,10 +134,6 @@ type Thread struct {
 	rng    *rand.Rand
 	latSeq uint64 // transaction count for latency-histogram sampling
 
-	// forceUndo routes the next commits through the batched undo path
-	// regardless of the hybrid size threshold; set for the duration of an
-	// AtomicUndo call.
-	forceUndo bool
 	// undoDirty records that committed undo batch/marker records are
 	// still in the log (truncation is amortized); Close truncates them
 	// before the empty-log handoff check.
@@ -584,28 +580,6 @@ func (t *Thread) Atomic(fn func(tx *Tx) error) error {
 	}
 }
 
-// AtomicUndo is Atomic with the commit forced through the batched undo
-// path, regardless of Config.CommitMode and the hybrid size threshold:
-// the old-value set is logged behind one ordering fence, the new values
-// stored in place, and a commit marker fenced behind them. Callers use it
-// for transactions they know are small and latency-critical.
-//
-// The undo path's crash-safety argument requires synchronous truncation
-// (a committed redo record must never outlive its locks), so AtomicUndo
-// fails on a TM opened with AsyncTruncation; it also conflicts with the
-// per-write UndoLogging ablation.
-func (t *Thread) AtomicUndo(fn func(tx *Tx) error) error {
-	if t.tm.cfg.UndoLogging {
-		return errors.New("mtm: AtomicUndo conflicts with the UndoLogging ablation")
-	}
-	if t.tm.mgr != nil {
-		return errors.New("mtm: AtomicUndo requires synchronous truncation")
-	}
-	t.forceUndo = true
-	defer func() { t.forceUndo = false }()
-	return t.Atomic(fn)
-}
-
 // AtomicBatch runs every fn inside one transaction on this thread: one
 // log append, one durability fence (or one group-commit epoch) for the
 // whole batch. The batch is atomic as a unit — all fns commit together,
@@ -966,10 +940,10 @@ func (tx *Tx) commit() error {
 	}
 	tx.flushFresh()
 
-	// Undo commit path: forced by AtomicUndo, selected by CommitMode
-	// "undo", or chosen in hybrid mode for write sets small enough that
-	// in-place stores beat streaming a redo record — as long as the
-	// whole batch plus its marker fits the log at all.
+	// Undo commit path: selected by CommitMode "undo", or chosen in
+	// hybrid mode for write sets small enough that in-place stores beat
+	// streaming a redo record — as long as the whole batch plus its
+	// marker fits the log at all.
 	if tx.useUndoPath() {
 		return tx.commitHybrid()
 	}
@@ -1088,11 +1062,11 @@ func (tx *Tx) truncJob(pos rawl.Pos) truncJob {
 }
 
 // useUndoPath reports whether this validated writing transaction commits
-// through the batched undo path: forced by AtomicUndo, selected by
-// CommitMode "undo", or chosen in hybrid mode for small write sets. What
-// counts is the logged write set: bytes stored into fresh blocks are
-// already durable by now and cost neither path anything, so a transaction
-// that fills a large new value and swings one pointer to it is a small one.
+// through the batched undo path: selected by CommitMode "undo", or
+// chosen in hybrid mode for small write sets. What counts is the logged
+// write set: bytes stored into fresh blocks are already durable by now and
+// cost neither path anything, so a transaction that fills a large new
+// value and swings one pointer to it is a small one.
 // A write set whose batch record plus commit marker cannot fit even an
 // empty log always falls back to redo (which splits across truncations).
 func (tx *Tx) useUndoPath() bool {
@@ -1101,7 +1075,6 @@ func (tx *Tx) useUndoPath() bool {
 	switch {
 	case tm.cfg.UndoLogging || tm.mgr != nil:
 		return false
-	case t.forceUndo:
 	case tm.mode == modeUndo:
 	case tm.mode == modeHybrid && len(tx.writes) <= tm.cfg.HybridUndoMax:
 	default:

@@ -122,35 +122,6 @@ func TestHybridModeSplitsPaths(t *testing.T) {
 	}
 }
 
-// TestAtomicUndoForcesPath checks AtomicUndo on a default (redo) TM, and
-// that it is refused when asynchronous truncation is on.
-func TestAtomicUndoForcesPath(t *testing.T) {
-	e := newEnv(t, Config{})
-	th, _ := e.tm.NewThread()
-	before := telUndoCommits.Value()
-	if err := th.AtomicUndo(func(tx *Tx) error {
-		tx.StoreU64(e.data, 7)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got := telUndoCommits.Value() - before; got != 1 {
-		t.Fatalf("AtomicUndo took undo path %d times, want 1", got)
-	}
-	if got := e.mem.LoadU64(e.data); got != 7 {
-		t.Fatalf("word = %d", got)
-	}
-	if err := th.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	async := newEnv(t, Config{AsyncTruncation: true})
-	tha, _ := async.tm.NewThread()
-	if err := tha.AtomicUndo(func(tx *Tx) error { return nil }); err == nil {
-		t.Fatal("AtomicUndo accepted async truncation")
-	}
-}
-
 // TestUndoFewerFencesThanRedo is the head-to-head the mode exists for: a
 // single-word commit through the undo path issues fewer device fences
 // than through sync redo.

@@ -33,10 +33,6 @@ const (
 
 // NewAVL wraps the AVL tree rooted at the persistent pointer rootPtr
 // (pmem.Nil there means an empty tree).
-//
-// Deprecated: new code should construct structures through the Backend
-// selector (NewOrderedMap); this wrapper remains for the
-// structure-specific method set.
 func NewAVL(rootPtr pmem.Addr) *AVL { return &AVL{rootPtr: rootPtr} }
 
 func avlKey(tx mtm.Reader, node pmem.Addr) []byte {

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/mtm"
-	"repro/internal/pds/mod"
 	"repro/internal/pheap"
 	"repro/internal/pmem"
 	"repro/internal/region"
@@ -242,7 +241,7 @@ func TestBackendDifferential(t *testing.T) {
 	// Crash and recover. MOD durability is buffered (the last root swap
 	// may still be in the write-combining buffer), so the differential
 	// contract across a crash needs the explicit durability point.
-	modM.(interface{ Mod() *mod.Map }).Mod().Sync()
+	modM.(*modOrdered).m.Sync()
 	for _, policy := range []scm.CrashPolicy{scm.DropAll{}, scm.KeepAll{}} {
 		e.restart(t, policy)
 		mtmM, modM = e.maps(t)
@@ -326,8 +325,7 @@ func TestModViewersVsWriterRace(t *testing.T) {
 
 	// Mid-test crash: quiesce, force durability, power-cycle, resume the
 	// soak on the recovered structure.
-	mm := modM.(interface{ Mod() *mod.Map }).Mod()
-	mm.Sync()
+	modM.(*modOrdered).m.Sync()
 	before, _ := dumpOrdered(t, modM)
 	e.restart(t, scm.DropAll{})
 	_, modM = e.maps(t)

@@ -41,10 +41,6 @@ const (
 
 // NewBPTree wraps the B+ tree rooted at the persistent pointer rootPtr
 // (pmem.Nil there means an empty tree).
-//
-// Deprecated: new code should construct structures through the Backend
-// selector (NewOrderedMap with BackendMTM); this wrapper remains for
-// the structure-specific method set (CheckInvariants and friends).
 func NewBPTree(rootPtr pmem.Addr) *BPTree { return &BPTree{rootPtr: rootPtr} }
 
 func bpMeta(tx mtm.Reader, n pmem.Addr) (nkeys int, leaf bool) {

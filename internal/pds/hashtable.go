@@ -54,9 +54,6 @@ var ErrNotFound = errors.New("pds: key not found")
 // committed last is the creation's atomic commit point, so a crash
 // mid-create leaves a root that OpenHashTable rejects and the caller
 // recreates.
-//
-// Deprecated: new code should construct structures through the Backend
-// selector (NewMap), which creates or reopens as needed.
 func CreateHashTable(th *mtm.Thread, rootPtr pmem.Addr, nbuckets int) (*HashTable, error) {
 	if nbuckets <= 0 {
 		return nil, fmt.Errorf("pds: bad bucket count %d", nbuckets)
@@ -103,9 +100,6 @@ func CreateHashTable(th *mtm.Thread, rootPtr pmem.Addr, nbuckets int) (*HashTabl
 // OpenHashTable attaches to the hash table whose address is stored at
 // rootPtr. Opening only reads, so it works inside a snapshot View as well
 // as a writing transaction.
-//
-// Deprecated: new code should construct structures through the Backend
-// selector (NewMap), which creates or reopens as needed.
 func OpenHashTable(tx mtm.Reader, rootPtr pmem.Addr) (*HashTable, error) {
 	base := pmem.Addr(tx.LoadU64(rootPtr))
 	if base == pmem.Nil {

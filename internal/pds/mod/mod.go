@@ -40,7 +40,9 @@
 // reclamation sweep — pgc's conservative mark-sweep with every pinned
 // root added as an extra GC root — frees them once nothing can reach
 // them, and the same sweep reclaims blocks leaked by a crash between
-// shadow allocation and root swap.
+// shadow allocation and root swap. Whoever owns the structure runs it,
+// quiesced: Sync, then a collection with ExtraRoots = PinnedRoots() (on a
+// core.PM, pm.Collect(m.PinnedRoots()...)).
 package mod
 
 import (
@@ -63,17 +65,7 @@ var (
 		"bytes of shadow blocks flushed by MOD commits")
 	telSnapshots = telemetry.NewCounter("mod_snapshots_total",
 		"MOD snapshots pinned")
-	telReclaimed = telemetry.NewCounter("mod_reclaimed_blocks_total",
-		"superseded or leaked MOD blocks freed by reclamation sweeps")
 )
-
-// CountReclaimed accounts blocks freed by a reclamation sweep run on a
-// MOD structure's behalf (the sweep itself lives in pgc/core).
-func CountReclaimed(n int) {
-	if n > 0 {
-		telReclaimed.Add(uint64(n))
-	}
-}
 
 // base carries the pieces every MOD structure shares: the root-pointer
 // cell, the writer's memory context (whose write-combining buffer is the

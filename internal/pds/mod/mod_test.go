@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/pgc"
 	"repro/internal/pheap"
 	"repro/internal/pmem"
 	"repro/internal/region"
@@ -188,21 +189,62 @@ func TestSnapshotIsolationAndReclamation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The snapshot still sees the old world.
-	if snap.Len() != 20 {
-		t.Fatalf("snap.Len = %d", snap.Len())
-	}
-	for i := uint64(0); i < 20; i++ {
-		got, err := snap.Get(i)
-		if err != nil || !bytes.Equal(got, val(i)) {
-			t.Fatalf("snap.Get(%d) = %q, %v", i, got, err)
+	oldWorld := func(when string) {
+		t.Helper()
+		if snap.Len() != 20 {
+			t.Fatalf("%s: snap.Len = %d", when, snap.Len())
+		}
+		for i := uint64(0); i < 20; i++ {
+			got, err := snap.Get(i)
+			if err != nil || !bytes.Equal(got, val(i)) {
+				t.Fatalf("%s: snap.Get(%d) = %q, %v", when, i, got, err)
+			}
 		}
 	}
+	oldWorld("before any sweep")
 	if len(m.PinnedRoots()) != 1 {
 		t.Fatalf("pinned roots: %v", m.PinnedRoots())
 	}
+
+	// A reclamation sweep is Sync, then a quiesced collection that keeps
+	// every pinned root: it frees what neither the live map nor a snapshot
+	// reaches, and nothing else.
+	sweep := func(when string) int {
+		t.Helper()
+		m.Sync()
+		gc, err := pgc.New(e.rt, e.heap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gc.ExtraRoots = m.PinnedRoots()
+		rep, err := gc.Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatalf("%s: sweep damaged the live map: %v", when, err)
+		}
+		if got, err := m.Get(19); m.Len() != 19 || err != nil || string(got) != "new" {
+			t.Fatalf("%s: live map has %d keys, Get(19) = %q, %v", when, m.Len(), got, err)
+		}
+		return rep.Freed
+	}
+	// Pinned: the paths the 21 mutations superseded among themselves go;
+	// the snapshot's world stays.
+	if freed := sweep("pinned sweep"); freed == 0 {
+		t.Fatal("sweep under a pinned snapshot freed nothing")
+	}
+	oldWorld("after the pinned sweep")
+
 	snap.Release()
 	if len(m.PinnedRoots()) != 0 {
 		t.Fatal("pin survived release")
+	}
+	if freed := sweep("sweep after release"); freed == 0 {
+		t.Fatal("sweep after release freed nothing: the snapshot's blocks leaked")
+	}
+	if freed := sweep("third sweep"); freed != 0 {
+		t.Fatalf("third sweep freed %d blocks; the second was incomplete", freed)
 	}
 }
 

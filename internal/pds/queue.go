@@ -54,9 +54,6 @@ func QueueSize(capacity int, cellSize int64) int64 {
 
 // CreateQueue formats a queue at base. cellSize includes an 8-byte length
 // header, so payloads up to cellSize-8 bytes fit.
-//
-// Deprecated: new code should construct queues through the Backend
-// selector (NewQueue), which formats or reopens as needed.
 func CreateQueue(mem pmem.Memory, base pmem.Addr, capacity int, cellSize int64) (*RingQueue, error) {
 	if capacity < 2 || cellSize < 16 || cellSize%8 != 0 {
 		return nil, fmt.Errorf("pds: bad queue geometry %d x %d", capacity, cellSize)
@@ -75,9 +72,6 @@ func CreateQueue(mem pmem.Memory, base pmem.Addr, capacity int, cellSize int64) 
 // OpenQueue attaches to an existing queue. Published elements are exactly
 // those between head and tail; an interrupted enqueue is invisible by
 // construction.
-//
-// Deprecated: new code should construct queues through the Backend
-// selector (NewQueue), which formats or reopens as needed.
 func OpenQueue(mem pmem.Memory, base pmem.Addr) (*RingQueue, error) {
 	if mem.LoadU64(base) != pqMagicV {
 		return nil, fmt.Errorf("pds: no queue at %v", base)

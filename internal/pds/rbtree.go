@@ -41,10 +41,6 @@ const (
 
 // NewRBTree wraps the red-black tree rooted at the persistent pointer
 // rootPtr (pmem.Nil there means an empty tree).
-//
-// Deprecated: new code should construct structures through the Backend
-// selector (NewOrderedMap); this wrapper remains for the
-// structure-specific method set.
 func NewRBTree(rootPtr pmem.Addr) *RBTree { return &RBTree{rootPtr: rootPtr} }
 
 func (t *RBTree) root(tx mtm.Reader) pmem.Addr { return pmem.Addr(tx.LoadU64(t.rootPtr)) }

@@ -47,60 +47,3 @@ func NewBPTree(rootPtr Addr) *BPTree { return pds.NewBPTree(rootPtr) }
 
 // NewRBTree wraps the red-black tree rooted at rootPtr (Nil means empty).
 func NewRBTree(rootPtr Addr) *RBTree { return pds.NewRBTree(rootPtr) }
-
-// ---------------------------------------------------------------------
-// Backend-selectable interface layer. The constructors above are the
-// historical per-structure surface; the redesigned API puts every
-// structure behind Map / OrderedMap / Queue and a Backend selector, so
-// callers choose the persistence strategy — transactional in-place
-// updates (BackendMTM) or single-fence shadow updates (BackendMOD, the
-// MOD minimally-ordered durable structures) — without changing call
-// sites.
-
-// Backend selects the persistence strategy of a pds structure.
-type Backend = pds.Backend
-
-const (
-	// BackendMTM updates structures in place inside mtm transactions.
-	BackendMTM = pds.BackendMTM
-	// BackendMOD shadow-updates structures: copy-on-write paths, one
-	// fence per mutation, commit by root-pointer swap.
-	BackendMOD = pds.BackendMOD
-)
-
-// ParseBackend parses a backend name ("mtm" or "mod"), for flags.
-func ParseBackend(s string) (Backend, error) { return pds.ParseBackend(s) }
-
-// StructEnv bundles the runtime handles the backend constructors need;
-// see pds.Env for which fields each backend reads.
-type StructEnv = pds.Env
-
-// Map is a backend-agnostic unordered persistent map (uint64 keys).
-type Map = pds.Map
-
-// OrderedMap is a backend-agnostic persistent map with ordered scans.
-type OrderedMap = pds.OrderedMap
-
-// PQueue is a backend-agnostic persistent FIFO queue.
-type PQueue = pds.Queue
-
-// RingQueue is the fixed-geometry persistent ring built directly on the
-// persistence primitives (the paper's append-update method).
-type RingQueue = pds.RingQueue
-
-// NewMap returns a Map over the root cell rootPtr on the chosen backend.
-func NewMap(b Backend, env StructEnv, rootPtr Addr, nbuckets int) (Map, error) {
-	return pds.NewMap(b, env, rootPtr, nbuckets)
-}
-
-// NewOrderedMap returns an OrderedMap over the root cell rootPtr on the
-// chosen backend.
-func NewOrderedMap(b Backend, env StructEnv, rootPtr Addr) (OrderedMap, error) {
-	return pds.NewOrderedMap(b, env, rootPtr)
-}
-
-// NewQueue returns a Queue at base on the chosen backend (ring geometry
-// for BackendMTM, unbounded two-list queue for BackendMOD).
-func NewQueue(b Backend, env StructEnv, base Addr, capacity int, cellSize int64) (PQueue, error) {
-	return pds.NewQueue(b, env, base, capacity, cellSize)
-}
