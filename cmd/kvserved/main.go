@@ -1,10 +1,10 @@
-// Command kvserved serves a durable key-value store over TCP, with every
-// acknowledged update persisted through a Mnemosyne durable memory
-// transaction before the reply leaves the server.
+// Command kvserved serves a durable key-value store over RESP2 (the redis
+// wire protocol), with every acknowledged update persisted through a
+// Mnemosyne durable memory transaction before the reply leaves the server.
 //
 // Usage:
 //
-//	kvserved [-addr :7070] [-resp-addr :6379] [-image scm.img] [-dir ./pmem]
+//	kvserved [-addr :6379] [-image scm.img] [-dir ./pmem]
 //	         [-size 256MiB] [-shards 4] [-recovery-workers 2]
 //	         [-group-commit] [-group-commit-wait 50µs] [-metrics-addr :9090]
 //	         [-commit-mode hybrid] [-hybrid-undo-max 16]
@@ -21,20 +21,13 @@
 // (default: one worker per shard). -shards 1 (the default) keeps the
 // classic single-instance layout, so existing images stay drop-in.
 //
-// Protocol (line-oriented; try it with `nc localhost 7070`):
-//
-//	SET <key> <value> | GET <key> | DEL <key> | MSET <k> <v> ... |
-//	MDEL <key> ... | COUNT | STATS | PING | QUIT
-//
-// Pipelined clients (several request lines in flight) are answered in
+// Try it with `redis-cli -p 6379`, or with inline commands over
+// `nc localhost 6379`: SET/GET/DEL/MSET/MGET/MDEL, hashes
+// (HSET/HGET/HDEL/HLEN/HGETALL), crash-safe TTLs (SET ... EX,
+// EXPIRE/PEXPIRE/TTL/PTTL/PERSIST), COUNT, STATS, PING and QUIT. Bulk
+// strings are binary-safe, so values may contain spaces and arbitrary
+// bytes. Pipelined clients (several commands in flight) are answered in
 // order; with -group-commit their transactions share durability fences.
-//
-// With -resp-addr the same store is additionally served over RESP2 (the
-// redis wire protocol): `redis-cli -p 6379` then SET/GET/DEL/MSET/MGET,
-// hashes (HSET/HGET/HDEL/HLEN/HGETALL) and crash-safe TTLs (SET ... EX,
-// EXPIRE/PEXPIRE/TTL/PTTL/PERSIST). RESP bulk strings are binary-safe,
-// so values may contain spaces and arbitrary bytes; every acknowledged
-// write is durable before its reply on either transport.
 //
 // With -metrics-addr the server also exposes Prometheus metrics on
 // GET /metrics, expvar on /debug/vars, pprof under /debug/pprof/ and —
@@ -66,8 +59,7 @@ import (
 )
 
 var (
-	addr        = flag.String("addr", ":7070", "listen address")
-	respAddr    = flag.String("resp-addr", "", "additionally serve the RESP2 (redis) protocol on this address (empty disables); try `redis-cli -p <port>`")
+	addr        = flag.String("addr", ":6379", "RESP2 (redis protocol) listen address; try `redis-cli -p <port>`")
 	image       = flag.String("image", "scm.img", "SCM device image file")
 	dir         = flag.String("dir", ".", "region backing directory")
 	size        = flag.Int64("size", 256<<20, "device size in bytes")
@@ -155,9 +147,9 @@ func main() {
 		log.Fatalf("kvserved: listen: %v", err)
 	}
 	if *shards > 1 {
-		fmt.Printf("kvserved: serving durable KV on %s (%d shards, image %s.shard<k>)\n", l.Addr(), *shards, *image)
+		fmt.Printf("kvserved: serving durable KV (RESP2) on %s (%d shards, image %s.shard<k>)\n", l.Addr(), *shards, *image)
 	} else {
-		fmt.Printf("kvserved: serving durable KV on %s (image %s)\n", l.Addr(), *image)
+		fmt.Printf("kvserved: serving durable KV (RESP2) on %s (image %s)\n", l.Addr(), *image)
 	}
 	if *metricsAddr != "" {
 		_, bound, err := telemetry.Serve(*metricsAddr, telemetry.Default, telemetry.DefaultTracer)
@@ -166,22 +158,10 @@ func main() {
 		}
 		fmt.Printf("kvserved: telemetry on http://%s/metrics\n", bound)
 	}
-	if *respAddr != "" {
-		rl, err := net.Listen("tcp", *respAddr)
-		if err != nil {
-			log.Fatalf("kvserved: RESP listener: %v", err)
-		}
-		fmt.Printf("kvserved: serving RESP2 (redis protocol) on %s\n", rl.Addr())
-		go func() {
-			if err := srv.ServeRESP(rl); err != nil {
-				log.Fatalf("kvserved: resp: %v", err)
-			}
-		}()
-	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)
-	// The handler only stops the listener; Serve then returns nil and the
+	// The handler only stops the listener; ServeRESP then returns nil and the
 	// main goroutine runs the one pm.Close. Closing (and exiting) here as
 	// well raced that close and could kill the process mid image-save,
 	// losing acknowledged data across a graceful restart.
@@ -191,7 +171,7 @@ func main() {
 		srv.Close()
 	}()
 
-	if err := srv.Serve(l); err != nil {
+	if err := srv.ServeRESP(l); err != nil {
 		log.Fatalf("kvserved: %v", err)
 	}
 	if err := closeFn(); err != nil {

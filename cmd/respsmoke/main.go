@@ -1,7 +1,7 @@
 // Command respsmoke is a minimal RESP2 client that smoke-tests a running
-// kvserved -resp-addr endpoint: it drives SET/GET (including a
-// binary-unsafe-over-line-protocol value), hashes, and TTLs over the
-// wire and verifies every reply, exiting non-zero on the first mismatch.
+// kvserved endpoint: it drives SET/GET (including a value with spaces,
+// CRLF and NUL bytes), hashes, and TTLs over the wire and verifies every
+// reply, exiting non-zero on the first mismatch.
 // CI uses it so the RESP surface is exercised end to end without an
 // external redis-cli in the image.
 //
@@ -65,7 +65,7 @@ func main() {
 
 	c.expect(simple("PONG"), "PING")
 
-	// Strings, including a value the line protocol cannot carry.
+	// Strings, including a binary value.
 	c.expect(simple("OK"), "SET", "smoke:k", "hello world\r\nwith binary \x00 bytes")
 	c.expect(bulk("hello world\r\nwith binary \x00 bytes"), "GET", "smoke:k")
 	c.expect(integer(1), "DEL", "smoke:k")

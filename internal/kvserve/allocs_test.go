@@ -57,7 +57,7 @@ func (c *wireClient) roundTrip(req, want []byte) {
 // the session owned its buffers each of these commands cost 11, and a
 // 16-deep batch 16 × 11 plus its batch items.
 func TestServedAllocs(t *testing.T) {
-	_, addr, _ := startRESPServer(t, core.Config{Dir: t.TempDir(), DeviceSize: 64 << 20})
+	_, _, addr := startServer(t, core.Config{Dir: t.TempDir(), DeviceSize: 64 << 20})
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)

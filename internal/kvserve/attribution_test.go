@@ -39,7 +39,7 @@ func testRequestAttribution(t *testing.T, srv *Server) {
 	// sub-microsecond fence/alloc root spans — a 1ns threshold would turn
 	// every such span into a full ring scan and slow the test 100x.
 	start := time.Now()
-	if reply := srv.dispatch("SET warmup value"); reply != "OK" {
+	if reply := show(srv.do("SET", "warmup", "value")); reply != "+OK" {
 		t.Fatalf("SET -> %q", reply)
 	}
 	threshold := time.Since(start) / 4
@@ -49,11 +49,11 @@ func testRequestAttribution(t *testing.T, srv *Server) {
 	telemetry.DefaultRecorder.Configure(threshold, 256, time.Minute)
 
 	for i := 0; i < 50; i++ {
-		if reply := srv.dispatch(fmt.Sprintf("SET key%d value%d", i, i)); reply != "OK" {
+		if reply := show(srv.do("SET", fmt.Sprintf("key%d", i), fmt.Sprintf("value%d", i))); reply != "+OK" {
 			t.Fatalf("SET -> %q", reply)
 		}
 	}
-	if reply := srv.dispatch("GET key7"); reply != "VALUE value7" {
+	if reply := show(srv.do("GET", "key7")); reply != "$value7" {
 		t.Fatalf("GET -> %q", reply)
 	}
 
@@ -105,7 +105,7 @@ func testRequestAttribution(t *testing.T, srv *Server) {
 		t.Error("no captured SET decomposed into txn_body/log_append/log_fence/write_back/truncate")
 	}
 
-	stats := srv.dispatch("STATS")
+	stats := show(srv.do("STATS"))
 	for _, key := range []string{"latency_sample_rate", "readtx_started", "slow_captures"} {
 		if !strings.Contains(stats, key) {
 			t.Errorf("STATS reply missing %q:\n%s", key, stats)

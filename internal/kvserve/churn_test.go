@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/resp"
 )
 
 // TestConnectionChurn is the regression for the slot-exhaustion bug: a
@@ -18,22 +19,22 @@ func TestConnectionChurn(t *testing.T) {
 	})
 	const conns = 4 * 8
 	for i := 0; i < conns; i++ {
-		c := dial(t, addr)
-		if got := c.cmd(t, fmt.Sprintf("SET churn%d v%d", i, i)); got != "OK" {
+		c := respDial(t, addr)
+		if got := c.text(t, "SET", fmt.Sprintf("churn%d", i), fmt.Sprintf("v%d", i)); got != "+OK" {
 			t.Fatalf("conn %d SET -> %q", i, got)
 		}
-		if got := c.cmd(t, fmt.Sprintf("GET churn%d", i)); got != "VALUE v"+fmt.Sprint(i) {
+		if got := c.text(t, "GET", fmt.Sprintf("churn%d", i)); got != "$v"+fmt.Sprint(i) {
 			t.Fatalf("conn %d GET -> %q", i, got)
 		}
-		if got := c.cmd(t, "QUIT"); got != "BYE" {
+		if got := c.text(t, "QUIT"); got != "+OK" {
 			t.Fatalf("conn %d QUIT -> %q", i, got)
 		}
 		c.conn.Close()
 	}
 	// One more connection proves the pool is still healthy, and reads
 	// back a value written by an early, long-closed session.
-	c := dial(t, addr)
-	if got := c.cmd(t, "GET churn0"); got != "VALUE v0" {
+	c := respDial(t, addr)
+	if got := c.text(t, "GET", "churn0"); got != "$v0" {
 		t.Fatalf("GET churn0 after churn -> %q", got)
 	}
 	c.conn.Close()
@@ -41,84 +42,86 @@ func TestConnectionChurn(t *testing.T) {
 }
 
 // TestDelCollision pins the DEL collision fix: with a hash that maps
-// every key to one tree slot, DEL of a never-stored key must answer
-// MISSING and leave the stored record intact, because the server now
+// every key to one tree slot, DEL of a never-stored key must answer 0
+// and leave the stored record intact, because the server now
 // compares the stored key before deleting.
 func TestDelCollision(t *testing.T) {
 	srv, _, addr := startServer(t, core.Config{Dir: t.TempDir(), DeviceSize: 64 << 20})
 	srv.hash = func([]byte) uint64 { return 42 }
-	c := dial(t, addr)
-	if got := c.cmd(t, "SET alpha one"); got != "OK" {
+	c := respDial(t, addr)
+	if got := c.text(t, "SET", "alpha", "one"); got != "+OK" {
 		t.Fatalf("SET -> %q", got)
 	}
 	// "beta" hashes to alpha's slot. The old hash-only DEL destroyed
-	// alpha's record and answered OK here.
-	if got := c.cmd(t, "DEL beta"); got != "MISSING" {
-		t.Fatalf("DEL of colliding absent key -> %q, want MISSING", got)
+	// alpha's record and answered 1 here.
+	if got := c.text(t, "DEL", "beta"); got != ":0" {
+		t.Fatalf("DEL of colliding absent key -> %q, want :0", got)
 	}
-	if got := c.cmd(t, "GET alpha"); got != "VALUE one" {
+	if got := c.text(t, "GET", "alpha"); got != "$one" {
 		t.Fatalf("GET alpha after colliding DEL -> %q", got)
 	}
-	// GET through the collision also answers MISSING, not alpha's value.
-	if got := c.cmd(t, "GET beta"); got != "MISSING" {
+	// GET through the collision also answers null, not alpha's value.
+	if got := c.text(t, "GET", "beta"); got != "(nil)" {
 		t.Fatalf("GET of colliding absent key -> %q", got)
 	}
 	// Deleting the real key still works.
-	if got := c.cmd(t, "DEL alpha"); got != "OK" {
+	if got := c.text(t, "DEL", "alpha"); got != ":1" {
 		t.Fatalf("DEL alpha -> %q", got)
 	}
 }
 
 // TestSetCollision pins the SET clobber fix: with a hash that maps
-// every key to one tree slot, SET of a second key must answer ERROR and
-// leave the first key's record intact — the old hash-only put silently
-// destroyed it and answered OK. Overwriting the same key still works.
+// every key to one tree slot, SET of a second key must answer an error
+// and leave the first key's record intact — the old hash-only put
+// silently destroyed it and answered OK. Overwriting the same key still works.
 func TestSetCollision(t *testing.T) {
 	srv, _, addr := startServer(t, core.Config{Dir: t.TempDir(), DeviceSize: 64 << 20})
 	srv.hash = func([]byte) uint64 { return 42 }
-	c := dial(t, addr)
-	if got := c.cmd(t, "SET alpha one"); got != "OK" {
+	c := respDial(t, addr)
+	if got := c.text(t, "SET", "alpha", "one"); got != "+OK" {
 		t.Fatalf("SET alpha -> %q", got)
 	}
-	if got := c.cmd(t, "SET beta two"); !strings.HasPrefix(got, "ERROR hash collision") {
-		t.Fatalf("SET of colliding key -> %q, want ERROR hash collision", got)
+	if got := c.text(t, "SET", "beta", "two"); !strings.HasPrefix(got, "-ERR hash collision") {
+		t.Fatalf("SET of colliding key -> %q, want -ERR hash collision", got)
 	}
-	if got := c.cmd(t, "GET alpha"); got != "VALUE one" {
+	if got := c.text(t, "GET", "alpha"); got != "$one" {
 		t.Fatalf("GET alpha after colliding SET -> %q", got)
 	}
-	if got := c.cmd(t, "MSET beta x"); !strings.HasPrefix(got, "ERROR hash collision") {
-		t.Fatalf("MSET of colliding key -> %q, want ERROR hash collision", got)
+	if got := c.text(t, "MSET", "beta", "x"); !strings.HasPrefix(got, "-ERR hash collision") {
+		t.Fatalf("MSET of colliding key -> %q, want -ERR hash collision", got)
 	}
-	if got := c.cmd(t, "GET alpha"); got != "VALUE one" {
+	if got := c.text(t, "GET", "alpha"); got != "$one" {
 		t.Fatalf("GET alpha after colliding MSET -> %q", got)
 	}
-	if got := c.cmd(t, "SET alpha updated"); got != "OK" {
+	if got := c.text(t, "SET", "alpha", "updated"); got != "+OK" {
 		t.Fatalf("same-key SET update -> %q", got)
 	}
-	if got := c.cmd(t, "GET alpha"); got != "VALUE updated" {
+	if got := c.text(t, "GET", "alpha"); got != "$updated" {
 		t.Fatalf("GET alpha after update -> %q", got)
 	}
 }
 
-// TestLineTooLong sends a command line beyond the scanner cap and
-// expects an explicit protocol error, not a silent disconnect.
+// TestLineTooLong sends an inline command line beyond resp.MaxInlineLen
+// and expects an explicit protocol error, not a silent disconnect or an
+// RST that destroys the reply: the server drains the rest of the line
+// before it closes.
 func TestLineTooLong(t *testing.T) {
 	_, _, addr := startServer(t, core.Config{Dir: t.TempDir(), DeviceSize: 64 << 20})
 	errsBefore := telErrs.Value()
-	c := dial(t, addr)
-	huge := strings.Repeat("x", 70<<10)
-	if _, err := fmt.Fprintf(c.conn, "SET big %s\n", huge); err != nil {
+	c := respDial(t, addr)
+	huge := strings.Repeat("x", resp.MaxInlineLen+6<<10)
+	if _, err := fmt.Fprintf(c.conn, "SET big %s\r\n", huge); err != nil {
 		t.Fatal(err)
 	}
-	reply, err := c.r.ReadString('\n')
+	v, err := c.r.ReadValue()
 	if err != nil {
 		t.Fatalf("read reply: %v", err)
 	}
-	if reply != "ERROR line too long\n" {
-		t.Fatalf("oversized line -> %q", reply)
+	if got := show(v); !strings.HasPrefix(got, "-ERR protocol error: ") {
+		t.Fatalf("oversized line -> %q", got)
 	}
-	// The scanner cannot resync mid-line, so the server ends the session.
-	if _, err := c.r.ReadString('\n'); err == nil {
+	// The reader cannot resync mid-line, so the server ends the session.
+	if _, err := c.r.ReadValue(); err == nil {
 		t.Fatal("connection stayed open after unrecoverable protocol error")
 	}
 	if got := telErrs.Value(); got <= errsBefore {
@@ -128,24 +131,24 @@ func TestLineTooLong(t *testing.T) {
 
 // TestOversizedKeyAndValueRejected covers the encodeKV bound fix: keys
 // beyond the record header's reach and values beyond the value cap are
-// rejected with ERROR instead of corrupting the record encoding.
+// rejected with an error instead of corrupting the record encoding.
 func TestOversizedKeyAndValueRejected(t *testing.T) {
 	_, _, addr := startServer(t, core.Config{Dir: t.TempDir(), DeviceSize: 64 << 20})
-	c := dial(t, addr)
+	c := respDial(t, addr)
 	longKey := strings.Repeat("k", MaxKeyLen+1)
-	if got := c.cmd(t, "SET "+longKey+" v"); !strings.HasPrefix(got, "ERROR key too long") {
+	if got := c.text(t, "SET", longKey, "v"); !strings.HasPrefix(got, "-ERR key too long") {
 		t.Fatalf("oversized key -> %q", got)
 	}
 	longVal := strings.Repeat("v", MaxValueLen+1)
-	if got := c.cmd(t, "SET k "+longVal); !strings.HasPrefix(got, "ERROR value too long") {
+	if got := c.text(t, "SET", "k", longVal); !strings.HasPrefix(got, "-ERR value too long") {
 		t.Fatalf("oversized value -> %q", got)
 	}
 	// A maximal legal key still round-trips.
 	okKey := strings.Repeat("k", MaxKeyLen)
-	if got := c.cmd(t, "SET "+okKey+" edge"); got != "OK" {
+	if got := c.text(t, "SET", okKey, "edge"); got != "+OK" {
 		t.Fatalf("max-size key SET -> %q", got)
 	}
-	if got := c.cmd(t, "GET "+okKey); got != "VALUE edge" {
+	if got := c.text(t, "GET", okKey); got != "$edge" {
 		t.Fatalf("max-size key GET -> %q", got)
 	}
 }

@@ -15,7 +15,7 @@ import (
 
 // TestServedSetCostModelRESP is TestServedSetCostModel on the wire: the
 // same overwrite SETs sent over a RESP session instead of through
-// s.handle, so the device cost of a served write is pinned on the path
+// s.do, so the device cost of a served write is pinned on the path
 // clients actually use — argument views out of the input buffer, the
 // record framed in the session's scratch, one guarded tree descent — and
 // not only beneath it. The expectations are that test's, number for

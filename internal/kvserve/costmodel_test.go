@@ -2,7 +2,6 @@ package kvserve
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -89,7 +88,7 @@ func TestServedSetCostModel(t *testing.T) {
 					set := func(i int) {
 						t.Helper()
 						value := fmt.Sprintf("%0*d", sz.value, i)
-						if reply := s.handle("SET "+keys[i%shards]+" "+value, 0); strings.HasPrefix(reply, "ERROR") {
+						if reply := show(s.do("SET", keys[i%shards], value)); reply != "+OK" {
 							t.Fatal(reply)
 						}
 					}

@@ -13,7 +13,7 @@ import (
 )
 
 // kvScript is the deterministic command sequence of the crash workload.
-// Every command is acknowledged (OK or MISSING) before the next is issued,
+// Every command is acknowledged (OK or a DEL count) before the next is issued,
 // so the durability contract covers a strict prefix plus at most the one
 // command in flight at the crash.
 var kvScript = []string{
@@ -86,7 +86,7 @@ func TestCrashPointsKVServe(t *testing.T) {
 					return err
 				}
 				for i, cmd := range kvScript {
-					if reply := s.handle(cmd, 0); strings.HasPrefix(reply, "ERROR") {
+					if reply := show(s.do(strings.Fields(cmd)...)); strings.HasPrefix(reply, "-") {
 						return fmt.Errorf("%q: %s", cmd, reply)
 					}
 					done = i + 1
@@ -118,10 +118,10 @@ func TestCrashPointsKVServe(t *testing.T) {
 					want := kvStateAfter(m)
 					diff := ""
 					for _, k := range kvKeys() {
-						reply := s.handle("GET "+k, 0)
-						wantReply := "MISSING"
+						reply := show(s.do("GET", k))
+						wantReply := "(nil)"
 						if v, ok := want[k]; ok {
-							wantReply = "VALUE " + v
+							wantReply = "$" + v
 						}
 						if reply != wantReply {
 							diff = fmt.Sprintf("key %q: got %q, want %q at %d applied commands", k, reply, wantReply, m)
@@ -129,8 +129,8 @@ func TestCrashPointsKVServe(t *testing.T) {
 						}
 					}
 					if diff == "" {
-						if reply := s.handle("COUNT", 0); reply != fmt.Sprintf("COUNT %d", len(want)) {
-							return fmt.Errorf("%s, want %d live keys", reply, len(want))
+						if reply := show(s.do("COUNT")); reply != fmt.Sprintf(":%d", len(want)) {
+							return fmt.Errorf("COUNT %s, want %d live keys", reply, len(want))
 						}
 						return nil
 					}

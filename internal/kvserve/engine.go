@@ -21,8 +21,7 @@ import (
 // the verb once tells every later stage — its registry definition (nil
 // for an unknown verb) and, for a single-key command the batch
 // partitioner may run concurrently with others, its key's hash. The
-// arguments are views into the connection's input buffer (or, on the
-// line protocol, slices of a tokenized line).
+// arguments are views into the connection's input buffer.
 type command struct {
 	args  [][]byte
 	def   *cmdDef
@@ -68,25 +67,6 @@ func (s *Server) resolve(args [][]byte) command {
 	return cmd
 }
 
-// parseLine tokenizes one line-protocol command. Definitions with a
-// lineSplit re-tokenize with SplitN so the last argument keeps its
-// spaces (SET's value), exactly as the pre-registry parser did.
-func (s *Server) parseLine(line string) command {
-	trimmed := strings.TrimSpace(line)
-	parts := strings.Fields(trimmed)
-	if len(parts) == 0 {
-		return command{}
-	}
-	if def := lookup(parts[0]); def != nil && def.lineSplit > 0 {
-		parts = strings.SplitN(trimmed, " ", def.lineSplit)
-	}
-	args := make([][]byte, len(parts))
-	for i, p := range parts {
-		args[i] = []byte(p)
-	}
-	return s.resolve(args)
-}
-
 // call is a command's execution context, and everything in it outlives
 // the command: a session owns one for the commands it runs itself and one
 // per batch partition, so serving a command allocates none of its argv,
@@ -108,7 +88,7 @@ type call struct {
 // run serves cmd as one request: the request span — a root (parent 0):
 // when it outlasts the flight recorder's threshold, the whole tree under
 // it, exec, txn and its commit phases, is captured as one slow entry —
-// then counters and latency, for both transports.
+// then counters and latency.
 func (c *call) run(cmd *command) {
 	req := telemetry.SpanBegin(telemetry.PhaseRequest, 0, 0)
 	start := time.Now()
@@ -251,11 +231,9 @@ func checkValueSize(n int) error {
 // --- string command handlers ---
 
 // cmdSet stores a string record, optionally with an expiry deadline
-// (SET <key> <value> EX <seconds> | PX <milliseconds>). The line
-// protocol tokenizes SET into exactly three arguments — the value is the
-// rest of the line, spaces included — so expiry options are reachable
-// over RESP only. The value's one copy is from the input buffer into the
-// tree's value block: c.rec holds only the record header that frames it.
+// (SET <key> <value> EX <seconds> | PX <milliseconds>). The value's one
+// copy is from the input buffer into the tree's value block: c.rec holds
+// only the record header that frames it.
 func cmdSet(c *call) {
 	key, value := c.args[1], c.args[2]
 	err := checkKeySize(key)
@@ -422,15 +400,11 @@ func cmdMGet(c *call) {
 	}
 }
 
-// cmdMSet stores every pair atomically. The line protocol tokenizes by
-// whitespace, so line-protocol MSET values cannot contain spaces — the
-// odd-argument error says so and points at RESP, where bulk strings
-// carry arbitrary bytes.
+// cmdMSet stores every pair atomically.
 func cmdMSet(c *call) {
 	args := c.args[1:]
 	if len(args)%2 != 0 {
-		c.fail("usage: " + registry["MSET"].usage +
-			" (line-protocol values cannot contain spaces; use the RESP port for binary values)")
+		c.fail("usage: " + registry["MSET"].usage)
 		return
 	}
 	// The records sit back to back in c.rec. Growing it mid-loop moves
@@ -485,65 +459,6 @@ func cmdCount(c *call) {
 		total += c.n
 	}
 	c.w.WriteInt(total)
-}
-
-// --- the line protocol's rendering, and dispatch ---
-
-// legacyText translates the RESP reply at the start of b — what cmd's
-// handler rendered — into the line protocol's reply text, returning it and
-// the reply's length in b. Errors always render as "ERROR <msg>";
-// definitions may override the rest (GET's VALUE/MISSING, DEL's
-// OK/MISSING, MGET's per-key lines).
-func legacyText(cmd *command, b []byte) (string, int) {
-	v, n, err := resp.ParseValue(b)
-	switch {
-	case err != nil || n == 0:
-		return "ERROR internal: unrenderable reply", len(b)
-	case v.Type == '-':
-		return "ERROR " + strings.TrimPrefix(v.Str, "ERR "), n
-	case cmd.def != nil && cmd.def.legacy != nil:
-		return cmd.def.legacy(cmd.args, v), n
-	}
-	return legacyDefault(v), n
-}
-
-func legacyDefault(v resp.Value) string {
-	switch {
-	case v.Type == '+':
-		return v.Str
-	case v.Type == ':':
-		return strconv.FormatInt(v.Int, 10)
-	case v.Null:
-		return "MISSING"
-	case v.Type == '$':
-		return string(v.Bulk)
-	}
-	outs := make([]string, len(v.Array))
-	for i, e := range v.Array {
-		outs[i] = legacyDefault(e)
-	}
-	return strings.Join(outs, "\n")
-}
-
-// handle executes one line-protocol command outside any session and
-// renders its legacy reply; req is the request span id the exec span
-// attaches under. Crash and fuzz harnesses drive the server through this
-// entry point.
-func (s *Server) handle(line string, req uint64) string {
-	c := call{s: s, w: new(resp.Writer)}
-	cmd := s.parseLine(line)
-	c.exec(&cmd, req)
-	text, _ := legacyText(&cmd, c.w.Bytes())
-	return text
-}
-
-// dispatch is handle as a whole request: spans, counters, latency.
-func (s *Server) dispatch(line string) string {
-	c := call{s: s, w: new(resp.Writer)}
-	cmd := s.parseLine(line)
-	c.run(&cmd)
-	text, _ := legacyText(&cmd, c.w.Bytes())
-	return text
 }
 
 // session is one connection's serving state, allocated once and reused for

@@ -1,18 +1,23 @@
 package kvserve
 
 import (
+	"io"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/resp"
 )
 
-// FuzzKVProtocol throws arbitrary wire lines at the command handler. The
-// server must answer every line with exactly one reply line — never
-// panicking, never wedging the session — and still serve a well-formed
-// command afterwards. The persistent stack underneath is real, so fuzzed
-// SETs exercise the transaction and allocation paths with hostile keys
-// and values too.
+// FuzzKVProtocol throws arbitrary inline command lines at the engine, the
+// way a session meets them: line+"\r\n" through resp.Reader.ReadCommand,
+// then resolve and call.run. The reader must either frame a command or
+// fail with a protocol error (or an end of input the line stops inside);
+// a framed command must be answered with exactly one well-formed reply —
+// never a panic, never a wedged engine — and PING must still answer PONG
+// afterwards. The persistent stack underneath is real, so fuzzed SETs
+// exercise the transaction and allocation paths with hostile keys and
+// values too.
 func FuzzKVProtocol(f *testing.F) {
 	pm, err := core.Open(core.Config{DeviceSize: 16 << 20, Threads: 2, Dir: f.TempDir()})
 	if err != nil {
@@ -40,20 +45,19 @@ func FuzzKVProtocol(f *testing.F) {
 	f.Add("UNKNOWN command here")
 
 	f.Fuzz(func(t *testing.T, line string) {
-		reply := s.handle(line, 0)
-		if reply == "" {
-			t.Fatalf("empty reply to %q", line)
-		}
-		// MGET is the one command whose reply spans lines: exactly one
-		// per requested key. Everything else answers a single line.
-		if fields := strings.Fields(line); len(fields) > 1 && strings.ToUpper(fields[0]) == "MGET" {
-			if !strings.HasPrefix(reply, "ERROR") && strings.Count(reply, "\n") != len(fields)-2 {
-				t.Fatalf("MGET %d keys answered %d lines: %q", len(fields)-1, strings.Count(reply, "\n")+1, reply)
+		args, err := resp.NewReader(strings.NewReader(line + "\r\n")).ReadCommand()
+		switch {
+		case err == nil:
+			c := call{s: s, w: new(resp.Writer)}
+			cmd := s.resolve(args)
+			c.run(&cmd)
+			if _, n, err := resp.ParseValue(c.w.Bytes()); err != nil || n == 0 || n != c.w.Len() {
+				t.Fatalf("%q answered %q: not exactly one reply (%v)", line, c.w.Bytes(), err)
 			}
-		} else if strings.ContainsAny(reply, "\n\r") {
-			t.Fatalf("multi-line reply to %q: %q", line, reply)
+		case !resp.IsProtocol(err) && err != io.EOF && err != io.ErrUnexpectedEOF:
+			t.Fatalf("%q: reader failed with %v", line, err)
 		}
-		if got := s.handle("PING", 0); got != "PONG" {
+		if got := show(s.do("PING")); got != "+PONG" {
 			t.Fatalf("server wedged after %q: PING answered %q", line, got)
 		}
 	})

@@ -4,30 +4,15 @@
 // configuration) built directly on persistent memory with no database
 // underneath.
 //
-// The server is a transport-agnostic command engine: a registry maps
-// verbs to handlers (with arity contracts and the pipeline partitioner's
-// keyed/barrier classification), and two wire front ends dispatch into
-// it — the original line protocol, and RESP2 (ServeRESP) for stock redis
-// clients. Values are typed records: plain strings, hashes
+// The server is a command engine behind the RESP2 wire protocol
+// (ServeRESP), so stock redis clients speak to it directly: a registry
+// maps verbs to handlers (with arity contracts and the pipeline
+// partitioner's keyed/barrier classification). Values are typed records:
+// plain strings (SET/GET/DEL, MSET/MGET/MDEL), hashes
 // (HSET/HGET/HDEL/HLEN/HGETALL), and either may carry a crash-safe
 // expiry deadline (SET ... EX, EXPIRE/TTL/PERSIST) registered on a
 // persistent timer wheel and committed in the same durable transaction
-// as the value.
-//
-// The line protocol is unchanged:
-//
-//	SET <key> <value>         -> OK
-//	GET <key>                 -> VALUE <value> | MISSING
-//	MGET <key> [<key> ...]    -> VALUE <v> | MISSING per key (one snapshot)
-//	DEL <key>                 -> OK | MISSING
-//	MSET <k> <v> [<k> <v>...] -> OK (one transaction; values without spaces —
-//	                             the odd-argument error says so; RESP bulk
-//	                             strings carry arbitrary bytes)
-//	MDEL <key> [<key> ...]    -> DELETED <n> (one transaction)
-//	COUNT                     -> COUNT <n>
-//	STATS                     -> STATS key=value ... (telemetry snapshot)
-//	PING                      -> PONG
-//	QUIT                      -> BYE (closes the connection)
+// as the value. COUNT, STATS, PING, ECHO and QUIT round out the surface.
 //
 // Every acknowledged write is durable before the reply is written: the
 // B+ tree update commits in a durable memory transaction, on a thread the
@@ -37,28 +22,22 @@
 // record, no fence, so unbounded readers run in parallel with writers.
 //
 // Clients that pipeline (send several requests without waiting for
-// replies) are served transparently in batches on either transport:
-// buffered commands are dispatched concurrently across a small set of
-// partitions — keyed by hash, so commands on the same key keep their
-// order — and the replies are written back in request order. With group
-// commit enabled the whole batch shares durability fences.
+// replies) are served transparently in batches: buffered commands are
+// dispatched concurrently across a small set of partitions — keyed by
+// hash, so commands on the same key keep their order — and the replies
+// are written back in request order. With group commit enabled the whole
+// batch shares durability fences.
 package kvserve
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"errors"
-	"fmt"
-	"io"
 	"net"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/pds"
-	"repro/internal/resp"
 	"repro/internal/shard"
 	"repro/internal/telemetry"
 )
@@ -66,11 +45,11 @@ import (
 var (
 	telReqLat = telemetry.NewHistogram("kvserve_request_latency_ns", "Latency of kvserve protocol commands, in nanoseconds.")
 	telReqs   = telemetry.NewCounter("kvserve_requests_total", "Protocol commands dispatched by kvserve.")
-	telErrs   = telemetry.NewCounter("kvserve_errors_total", "Protocol commands answered with ERROR.")
+	telErrs   = telemetry.NewCounter("kvserve_errors_total", "Protocol commands answered with an error reply.")
 )
 
-// Server serves the command engine over one or more listeners (line
-// protocol via Serve, RESP2 via ServeRESP).
+// Server serves the command engine over RESP2 on one or more listeners
+// (ServeRESP).
 type Server struct {
 	hash func([]byte) uint64 // shard.HashKeyBytes, overridable by collision tests
 
@@ -137,7 +116,7 @@ func New(pm *core.PM) (*Server, error) {
 }
 
 // NewSharded builds a server over a sharded store: the same engine and
-// both wire protocols, with single-key commands routed to their key's
+// wire protocol, with single-key commands routed to their key's
 // shard and MGET/MSET/MDEL scatter-gathered — cross-shard MSET
 // atomically (see internal/shard). Each shard keeps its state under its
 // own "kvserve.root" static, so a one-shard store serves a classic
@@ -168,17 +147,12 @@ var (
 	ErrValueTooLong = errors.New("kvserve: value too long")
 )
 
-// Serve accepts line-protocol connections until Close. A connection holds
-// no transaction thread: the Threads bound caps transactions in flight,
-// and a burst of writes beyond it queues for slots (up to the lease
-// timeout) instead of erroring.
-func (s *Server) Serve(l net.Listener) error {
-	return s.serveLoop(l, s.session)
-}
-
-// serveLoop is the accept loop both transports share. The first listener
-// also starts the TTL sweeper goroutine.
-func (s *Server) serveLoop(l net.Listener, serve func(net.Conn)) error {
+// ServeRESP accepts RESP2 connections until Close; the first listener
+// also starts the TTL sweeper goroutine. A connection holds no
+// transaction thread: the Threads bound caps transactions in flight, and
+// a burst of writes beyond it queues for slots (up to the lease timeout)
+// instead of erroring.
+func (s *Server) ServeRESP(l net.Listener) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -219,7 +193,7 @@ func (s *Server) serveLoop(l net.Listener, serve func(net.Conn)) error {
 				delete(s.conns, conn)
 				s.mu.Unlock()
 			}()
-			serve(conn)
+			s.respSession(conn)
 		}()
 	}
 }
@@ -255,87 +229,3 @@ const (
 	batchPartitions = 4
 	minPartitioned  = 8
 )
-
-// errLineTooLong marks a request line over the 64 KB cap — a client
-// protocol error, not a silent disconnect.
-var errLineTooLong = errors.New("kvserve: line too long")
-
-func (s *Server) session(conn net.Conn) {
-	r := bufio.NewReaderSize(conn, 64<<10)
-	w := bufio.NewWriter(conn)
-	defer w.Flush()
-	// Handlers render RESP; the sink here is a scratch buffer whose
-	// replies are translated to the line vocabulary on their way out.
-	ss := s.newSession(new(resp.Writer))
-	for {
-		// One blocking read, then drain whatever a pipelining client
-		// already has buffered: a request-per-reply client always sees a
-		// batch of one.
-		line, err := readLine(r)
-		if err == errLineTooLong {
-			s.lineTooLong(conn, w)
-			return
-		}
-		if err != nil {
-			return
-		}
-		ss.cmds = append(ss.cmds[:0], s.parseLine(line))
-		for len(ss.cmds) < maxBatch && bufferedLine(r) {
-			more, err := readLine(r)
-			if err != nil {
-				break
-			}
-			ss.cmds = append(ss.cmds, s.parseLine(more))
-		}
-		quit := ss.serve()
-		replies := ss.out.w.Bytes()
-		for i := 0; len(replies) > 0; i++ {
-			text, n := legacyText(&ss.cmds[i], replies)
-			fmt.Fprintln(w, text)
-			replies = replies[n:]
-		}
-		ss.out.w.Truncate(0)
-		w.Flush()
-		if quit {
-			return
-		}
-	}
-}
-
-// readLine reads one protocol line: up to the reader's buffer size,
-// newline-terminated, with a final unterminated line at EOF still
-// delivered (Scanner semantics, kept across the pipelining rewrite).
-func readLine(r *bufio.Reader) (string, error) {
-	s, err := r.ReadSlice('\n')
-	switch {
-	case err == bufio.ErrBufferFull:
-		return "", errLineTooLong
-	case err != nil && len(s) == 0:
-		return "", err
-	}
-	line := strings.TrimSuffix(string(s), "\n")
-	return strings.TrimSuffix(line, "\r"), nil
-}
-
-// bufferedLine reports whether a complete line is already buffered, so
-// reading it cannot block.
-func bufferedLine(r *bufio.Reader) bool {
-	if r.Buffered() == 0 {
-		return false
-	}
-	b, _ := r.Peek(r.Buffered())
-	return bytes.IndexByte(b, '\n') >= 0
-}
-
-// lineTooLong answers an oversized request line and ends the session;
-// the reader cannot resynchronize mid-line.
-func (s *Server) lineTooLong(conn net.Conn, w *bufio.Writer) {
-	telErrs.Inc()
-	fmt.Fprintln(w, "ERROR line too long")
-	w.Flush()
-	// Drain the rest of the oversized line: closing with unread bytes
-	// queued sends an RST that can destroy the error reply before the
-	// client reads it.
-	conn.SetReadDeadline(time.Now().Add(time.Second))
-	io.Copy(io.Discard, conn)
-}

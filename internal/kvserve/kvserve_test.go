@@ -1,7 +1,6 @@
 package kvserve
 
 import (
-	"bufio"
 	"fmt"
 	"net"
 	"path/filepath"
@@ -10,33 +9,47 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/resp"
 	"repro/internal/shard"
 )
 
-type client struct {
-	conn net.Conn
-	r    *bufio.Reader
+// do runs one command through the engine as one whole request, the way
+// a session runs it — resolve, then call.run into a fresh reply buffer —
+// and parses the reply. In-process harnesses (crash exploration, the cost
+// model, attribution, TTL) drive the server through it.
+func (s *Server) do(args ...string) resp.Value {
+	argv := make([][]byte, len(args))
+	for i, a := range args {
+		argv[i] = []byte(a)
+	}
+	c := call{s: s, w: new(resp.Writer)}
+	cmd := s.resolve(argv)
+	c.run(&cmd)
+	v, n, err := resp.ParseValue(c.w.Bytes())
+	if err != nil || n != c.w.Len() {
+		return resp.Value{Type: '-', Str: fmt.Sprintf("unparsable reply %q: %v", c.w.Bytes(), err)}
+	}
+	return v
 }
 
-func dial(t *testing.T, addr string) *client {
-	t.Helper()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+// show renders a reply compactly for assertions: +OK, :2, $value, (nil)
+// for a null, -ERR msg, and *[...] around an array's elements.
+func show(v resp.Value) string {
+	switch {
+	case v.Null:
+		return "(nil)"
+	case v.Type == '+' || v.Type == '-':
+		return string(v.Type) + v.Str
+	case v.Type == ':':
+		return ":" + strconv.FormatInt(v.Int, 10)
+	case v.Type == '$':
+		return "$" + string(v.Bulk)
 	}
-	return &client{conn: conn, r: bufio.NewReader(conn)}
-}
-
-func (c *client) cmd(t *testing.T, line string) string {
-	t.Helper()
-	if _, err := fmt.Fprintln(c.conn, line); err != nil {
-		t.Fatal(err)
+	elems := make([]string, len(v.Array))
+	for i, e := range v.Array {
+		elems[i] = show(e)
 	}
-	reply, err := c.r.ReadString('\n')
-	if err != nil {
-		t.Fatal(err)
-	}
-	return reply[:len(reply)-1]
+	return "*[" + strings.Join(elems, " ") + "]"
 }
 
 func startServer(t *testing.T, cfg core.Config) (*Server, *core.PM, string) {
@@ -53,7 +66,7 @@ func startServer(t *testing.T, cfg core.Config) (*Server, *core.PM, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go srv.Serve(l)
+	go srv.ServeRESP(l)
 	t.Cleanup(func() { srv.Close() })
 	return srv, pm, l.Addr().String()
 }
@@ -73,7 +86,7 @@ func startSharded(t *testing.T, shards int, cfg core.Config) (*Server, *shard.St
 	if err != nil {
 		t.Fatal(err)
 	}
-	go srv.Serve(l)
+	go srv.ServeRESP(l)
 	t.Cleanup(func() {
 		srv.Close()
 		st.Close()
@@ -83,38 +96,38 @@ func startSharded(t *testing.T, shards int, cfg core.Config) (*Server, *shard.St
 
 func TestProtocolRoundTrip(t *testing.T) {
 	_, _, addr := startServer(t, core.Config{Dir: t.TempDir(), DeviceSize: 64 << 20})
-	c := dial(t, addr)
-	if got := c.cmd(t, "PING"); got != "PONG" {
+	c := respDial(t, addr)
+	if got := c.text(t, "PING"); got != "+PONG" {
 		t.Fatalf("PING -> %q", got)
 	}
-	if got := c.cmd(t, "SET lang go"); got != "OK" {
+	if got := c.text(t, "SET", "lang", "go"); got != "+OK" {
 		t.Fatalf("SET -> %q", got)
 	}
-	if got := c.cmd(t, "GET lang"); got != "VALUE go" {
+	if got := c.text(t, "GET", "lang"); got != "$go" {
 		t.Fatalf("GET -> %q", got)
 	}
-	if got := c.cmd(t, "SET lang golang 1.22"); got != "OK" {
+	if got := c.text(t, "SET", "lang", "golang 1.22"); got != "+OK" {
 		t.Fatalf("SET spaces -> %q", got)
 	}
-	if got := c.cmd(t, "GET lang"); got != "VALUE golang 1.22" {
+	if got := c.text(t, "GET", "lang"); got != "$golang 1.22" {
 		t.Fatalf("GET replaced -> %q", got)
 	}
-	if got := c.cmd(t, "COUNT"); got != "COUNT 1" {
+	if got := c.text(t, "COUNT"); got != ":1" {
 		t.Fatalf("COUNT -> %q", got)
 	}
-	if got := c.cmd(t, "DEL lang"); got != "OK" {
+	if got := c.text(t, "DEL", "lang"); got != ":1" {
 		t.Fatalf("DEL -> %q", got)
 	}
-	if got := c.cmd(t, "GET lang"); got != "MISSING" {
+	if got := c.text(t, "GET", "lang"); got != "(nil)" {
 		t.Fatalf("GET deleted -> %q", got)
 	}
-	if got := c.cmd(t, "DEL lang"); got != "MISSING" {
+	if got := c.text(t, "DEL", "lang"); got != ":0" {
 		t.Fatalf("double DEL -> %q", got)
 	}
-	if got := c.cmd(t, "NONSENSE"); got != "ERROR unknown command" {
+	if got := c.text(t, "NONSENSE"); got != "-ERR unknown command" {
 		t.Fatalf("garbage -> %q", got)
 	}
-	if got := c.cmd(t, "QUIT"); got != "BYE" {
+	if got := c.text(t, "QUIT"); got != "+OK" {
 		t.Fatalf("QUIT -> %q", got)
 	}
 }
@@ -125,25 +138,23 @@ func TestConcurrentClients(t *testing.T) {
 	done := make(chan error, clients)
 	for w := 0; w < clients; w++ {
 		go func(w int) {
-			conn, err := net.Dial("tcp", addr)
+			c, err := respConnect(addr)
 			if err != nil {
 				done <- err
 				return
 			}
-			defer conn.Close()
-			r := bufio.NewReader(conn)
+			defer c.conn.Close()
 			for i := 0; i < 100; i++ {
-				fmt.Fprintf(conn, "SET c%d-k%d v%d\n", w, i, i)
-				if reply, _ := r.ReadString('\n'); reply != "OK\n" {
-					done <- fmt.Errorf("client %d: %q", w, reply)
+				v, err := c.send("SET", fmt.Sprintf("c%d-k%d", w, i), fmt.Sprintf("v%d", i))
+				if reply := show(v); err != nil || reply != "+OK" {
+					done <- fmt.Errorf("client %d: %q %v", w, reply, err)
 					return
 				}
 			}
 			for i := 0; i < 100; i++ {
-				fmt.Fprintf(conn, "GET c%d-k%d\n", w, i)
-				want := fmt.Sprintf("VALUE v%d\n", i)
-				if reply, _ := r.ReadString('\n'); reply != want {
-					done <- fmt.Errorf("client %d get %d: %q", w, i, reply)
+				v, err := c.send("GET", fmt.Sprintf("c%d-k%d", w, i))
+				if reply, want := show(v), fmt.Sprintf("$v%d", i); err != nil || reply != want {
+					done <- fmt.Errorf("client %d get %d: %q %v", w, i, reply, err)
 					return
 				}
 			}
@@ -165,9 +176,9 @@ func TestDataSurvivesServerRestart(t *testing.T) {
 		DeviceSize: 64 << 20,
 	}
 	srv, pm, addr := startServer(t, cfg)
-	c := dial(t, addr)
+	c := respDial(t, addr)
 	for i := 0; i < 50; i++ {
-		if got := c.cmd(t, fmt.Sprintf("SET key%d value%d", i, i)); got != "OK" {
+		if got := c.text(t, "SET", fmt.Sprintf("key%d", i), fmt.Sprintf("value%d", i)); got != "+OK" {
 			t.Fatalf("SET %d -> %q", i, got)
 		}
 	}
@@ -181,13 +192,13 @@ func TestDataSurvivesServerRestart(t *testing.T) {
 
 	// Full process-style restart over the device image.
 	_, _, addr2 := startServer(t, cfg)
-	c2 := dial(t, addr2)
-	if got := c2.cmd(t, "COUNT"); got != "COUNT 50" {
+	c2 := respDial(t, addr2)
+	if got := c2.text(t, "COUNT"); got != ":50" {
 		t.Fatalf("COUNT after restart -> %q", got)
 	}
 	for i := 0; i < 50; i++ {
-		want := fmt.Sprintf("VALUE value%d", i)
-		if got := c2.cmd(t, fmt.Sprintf("GET key%d", i)); got != want {
+		want := fmt.Sprintf("$value%d", i)
+		if got := c2.text(t, "GET", fmt.Sprintf("key%d", i)); got != want {
 			t.Fatalf("GET key%d -> %q", i, got)
 		}
 	}
@@ -208,17 +219,17 @@ func TestStatsCommand(t *testing.T) {
 }
 
 func testStatsCommand(t *testing.T, addr string, shards int) {
-	c := dial(t, addr)
+	c := respDial(t, addr)
 	for i := 0; i < 20; i++ {
-		if got := c.cmd(t, fmt.Sprintf("SET sk%d sv%d", i, i)); got != "OK" {
+		if got := c.text(t, "SET", fmt.Sprintf("sk%d", i), fmt.Sprintf("sv%d", i)); got != "+OK" {
 			t.Fatalf("SET %d -> %q", i, got)
 		}
 	}
-	if got := c.cmd(t, "GET sk0"); got != "VALUE sv0" {
+	if got := c.text(t, "GET", "sk0"); got != "$sv0" {
 		t.Fatalf("GET -> %q", got)
 	}
-	reply := c.cmd(t, "STATS")
-	fields := strings.Fields(reply)
+	reply, _ := c.bulk(t, "STATS")
+	fields := strings.Fields(string(reply))
 	if len(fields) < 2 || fields[0] != "STATS" {
 		t.Fatalf("STATS reply %q", reply)
 	}

@@ -1,7 +1,6 @@
 package kvserve
 
 import (
-	"bufio"
 	"fmt"
 	"math/rand"
 	"net"
@@ -14,63 +13,68 @@ import (
 	"repro/internal/telemetry"
 )
 
-// sendBatch writes all lines in one network write (a pipelining client)
-// and reads exactly want replies, in order.
-func sendBatch(t *testing.T, c *client, lines []string, want int) []string {
-	t.Helper()
-	if _, err := c.conn.Write([]byte(strings.Join(lines, "\n") + "\n")); err != nil {
-		t.Fatal(err)
+// sendBatch writes all commands in one network write (a pipelining
+// client) and reads exactly want replies, in order, rendered by show.
+func sendBatch(c *respClient, cmds [][]string, want int) ([]string, error) {
+	for _, args := range cmds {
+		c.w.WriteCommandStrings(args...)
+	}
+	if err := c.w.Flush(); err != nil {
+		return nil, err
 	}
 	replies := make([]string, 0, want)
 	for i := 0; i < want; i++ {
-		reply, err := c.r.ReadString('\n')
+		v, err := c.r.ReadValue()
 		if err != nil {
-			t.Fatalf("reply %d of %d: %v (got %q so far)", i, want, err, replies)
+			return nil, fmt.Errorf("reply %d of %d: %w (got %q so far)", i, want, err, replies)
 		}
-		replies = append(replies, strings.TrimSuffix(reply, "\n"))
+		replies = append(replies, show(v))
 	}
-	return replies
+	return replies, nil
 }
 
 func TestMSetMDel(t *testing.T) {
 	_, _, addr := startServer(t, core.Config{Dir: t.TempDir(), DeviceSize: 64 << 20})
-	c := dial(t, addr)
-	if got := c.cmd(t, "MSET a 1 b 2 c 3"); got != "OK" {
+	c := respDial(t, addr)
+	if got := c.text(t, "MSET", "a", "1", "b", "2", "c", "3"); got != "+OK" {
 		t.Fatalf("MSET -> %q", got)
 	}
 	for _, kv := range [][2]string{{"a", "1"}, {"b", "2"}, {"c", "3"}} {
-		if got := c.cmd(t, "GET "+kv[0]); got != "VALUE "+kv[1] {
+		if got := c.text(t, "GET", kv[0]); got != "$"+kv[1] {
 			t.Fatalf("GET %s -> %q", kv[0], got)
 		}
 	}
-	if got := c.cmd(t, "COUNT"); got != "COUNT 3" {
+	if got := c.text(t, "COUNT"); got != ":3" {
 		t.Fatalf("COUNT -> %q", got)
 	}
 	// MDEL reports how many named keys were present; missing keys are
 	// skipped, not errors.
-	if got := c.cmd(t, "MDEL a b nosuch"); got != "DELETED 2" {
+	if got := c.text(t, "MDEL", "a", "b", "nosuch"); got != ":2" {
 		t.Fatalf("MDEL -> %q", got)
 	}
-	if got := c.cmd(t, "GET a"); got != "MISSING" {
+	if got := c.text(t, "GET", "a"); got != "(nil)" {
 		t.Fatalf("GET deleted -> %q", got)
 	}
-	if got := c.cmd(t, "GET c"); got != "VALUE 3" {
+	if got := c.text(t, "GET", "c"); got != "$3" {
 		t.Fatalf("GET survivor -> %q", got)
 	}
 	// Usage errors.
-	if got := c.cmd(t, "MSET a"); !strings.HasPrefix(got, "ERROR") {
+	if got := c.text(t, "MSET", "a"); !strings.HasPrefix(got, "-ERR") {
 		t.Fatalf("odd MSET -> %q", got)
 	}
-	if got := c.cmd(t, "MDEL"); !strings.HasPrefix(got, "ERROR") {
+	if got := c.text(t, "MSET", "a", "1", "b"); !strings.HasPrefix(got, "-ERR usage: MSET") {
+		t.Fatalf("odd-argument MSET -> %q", got)
+	}
+	if got := c.text(t, "MDEL"); !strings.HasPrefix(got, "-ERR") {
 		t.Fatalf("empty MDEL -> %q", got)
 	}
 	// MSET is one transaction: an oversized value rejects the whole set
 	// before anything commits.
 	long := strings.Repeat("x", MaxValueLen+1)
-	if got := c.cmd(t, "MSET d 4 e "+long); !strings.HasPrefix(got, "ERROR") {
+	if got := c.text(t, "MSET", "d", "4", "e", long); !strings.HasPrefix(got, "-ERR") {
 		t.Fatalf("oversized MSET -> %q", got)
 	}
-	if got := c.cmd(t, "GET d"); got != "MISSING" {
+	if got := c.text(t, "GET", "d"); got != "(nil)" {
 		t.Fatalf("partial MSET leaked: GET d -> %q", got)
 	}
 }
@@ -82,47 +86,54 @@ func TestPipelinedReplies(t *testing.T) {
 	_, _, addr := startServer(t, core.Config{
 		Dir: t.TempDir(), DeviceSize: 64 << 20, GroupCommit: true,
 	})
-	c := dial(t, addr)
+	c := respDial(t, addr)
 
 	// Same-key sequences must serialize in order even when the batch is
 	// spread across worker threads: SET k v1, GET k, SET k v2, GET k.
-	var lines, want []string
+	var cmds [][]string
+	var want []string
 	const keys = 6
 	for k := 0; k < keys; k++ {
 		key := fmt.Sprintf("pk%d", k)
-		lines = append(lines,
-			"SET "+key+" first",
-			"GET "+key,
-			"SET "+key+" second",
-			"GET "+key,
+		cmds = append(cmds,
+			[]string{"SET", key, "first"},
+			[]string{"GET", key},
+			[]string{"SET", key, "second"},
+			[]string{"GET", key},
 		)
-		want = append(want, "OK", "VALUE first", "OK", "VALUE second")
+		want = append(want, "+OK", "$first", "+OK", "$second")
 	}
 	// A barrier command mid-batch still answers in position.
-	lines = append(lines, "COUNT", "PING")
-	want = append(want, fmt.Sprintf("COUNT %d", keys), "PONG")
-	got := sendBatch(t, c, lines, len(want))
+	cmds = append(cmds, []string{"COUNT"}, []string{"PING"})
+	want = append(want, fmt.Sprintf(":%d", keys), "+PONG")
+	got, err := sendBatch(c, cmds, len(want))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("reply %d (%q) = %q, want %q", i, lines[i], got[i], want[i])
+			t.Fatalf("reply %d (%q) = %q, want %q", i, cmds[i], got[i], want[i])
 		}
 	}
 
-	// Lines pipelined after QUIT are dropped unanswered and the
-	// connection closes after BYE.
-	c2 := dial(t, addr)
-	replies := sendBatch(t, c2, []string{"SET q 1", "QUIT", "SET never 2"}, 2)
-	if replies[0] != "OK" || replies[1] != "BYE" {
+	// Commands pipelined after QUIT are dropped unanswered and the
+	// connection closes after QUIT's acknowledgment.
+	c2 := respDial(t, addr)
+	replies, err := sendBatch(c2, [][]string{{"SET", "q", "1"}, {"QUIT"}, {"SET", "never", "2"}}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replies[0] != "+OK" || replies[1] != "+OK" {
 		t.Fatalf("QUIT batch replies = %q", replies)
 	}
-	if _, err := c2.r.ReadString('\n'); err == nil {
+	if _, err := c2.r.ReadValue(); err == nil {
 		t.Fatal("connection stayed open after pipelined QUIT")
 	}
-	c3 := dial(t, addr)
-	if got := c3.cmd(t, "GET never"); got != "MISSING" {
+	c3 := respDial(t, addr)
+	if got := c3.text(t, "GET", "never"); got != "(nil)" {
 		t.Fatalf("command after QUIT executed: %q", got)
 	}
-	if got := c3.cmd(t, "GET q"); got != "VALUE 1" {
+	if got := c3.text(t, "GET", "q"); got != "$1" {
 		t.Fatalf("command before QUIT lost: %q", got)
 	}
 }
@@ -161,7 +172,7 @@ func TestSoakPipelinedMixedCrash(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		go srv.Serve(l)
+		go srv.ServeRESP(l)
 		return srv, l.Addr().String()
 	}
 
@@ -177,12 +188,16 @@ func TestSoakPipelinedMixedCrash(t *testing.T) {
 				defer wg.Done()
 				model := map[string]string{}
 				models[ci] = model
-				c := dial(t, addr)
+				c, err := respConnect(addr)
+				if err != nil {
+					errs <- err
+					return
+				}
 				defer c.conn.Close()
 				rng := rand.New(rand.NewSource(int64(wave*100 + ci)))
 				pipelined := ci%2 == 0
 				if pipelined {
-					// Batches of SET/DEL lines in one write, replies
+					// Batches of SET/DEL commands in one write, replies
 					// checked as a block; every OK is an acknowledged
 					// durable write.
 					for done := 0; done < ops; {
@@ -190,39 +205,42 @@ func TestSoakPipelinedMixedCrash(t *testing.T) {
 						if n > ops-done {
 							n = ops - done
 						}
-						var lines []string
+						var cmds [][]string
 						var keys []string
 						for j := 0; j < n; j++ {
 							key := fmt.Sprintf("w%dc%dk%d", wave, ci, rng.Intn(10))
 							if rng.Intn(4) == 0 {
-								lines = append(lines, "DEL "+key)
+								cmds = append(cmds, []string{"DEL", key})
 								keys = append(keys, "-"+key)
 							} else {
 								val := fmt.Sprintf("v%d.%d.%d", wave, ci, done+j)
-								lines = append(lines, "SET "+key+" "+val)
+								cmds = append(cmds, []string{"SET", key, val})
 								keys = append(keys, key+"="+val)
 							}
 						}
-						if _, err := c.conn.Write([]byte(strings.Join(lines, "\n") + "\n")); err != nil {
+						for _, args := range cmds {
+							c.w.WriteCommandStrings(args...)
+						}
+						if err := c.w.Flush(); err != nil {
 							errs <- err
 							return
 						}
 						for j := 0; j < n; j++ {
-							reply, err := c.r.ReadString('\n')
+							v, err := c.r.ReadValue()
 							if err != nil {
 								errs <- err
 								return
 							}
-							reply = strings.TrimSuffix(reply, "\n")
+							reply := show(v)
 							if del, key := strings.HasPrefix(keys[j], "-"), keys[j]; del {
-								if reply != "OK" && reply != "MISSING" {
-									errs <- fmt.Errorf("client %d: %q -> %q", ci, lines[j], reply)
+								if reply != ":1" && reply != ":0" {
+									errs <- fmt.Errorf("client %d: %q -> %q", ci, cmds[j], reply)
 									return
 								}
 								delete(model, key[1:])
 							} else {
-								if reply != "OK" {
-									errs <- fmt.Errorf("client %d: %q -> %q", ci, lines[j], reply)
+								if reply != "+OK" {
+									errs <- fmt.Errorf("client %d: %q -> %q", ci, cmds[j], reply)
 									return
 								}
 								k, v, _ := strings.Cut(key, "=")
@@ -238,9 +256,8 @@ func TestSoakPipelinedMixedCrash(t *testing.T) {
 						key := fmt.Sprintf("w%dc%dk%d", wave, ci, rng.Intn(10))
 						switch rng.Intn(5) {
 						case 0:
-							reply := c.cmd(t, "DEL "+key)
-							if reply != "OK" && reply != "MISSING" {
-								errs <- fmt.Errorf("DEL %s: %s", key, reply)
+							if err := c.expect([]string{"DEL", key}, ":1", ":0"); err != nil {
+								errs <- err
 								return
 							}
 							delete(model, key)
@@ -250,15 +267,15 @@ func TestSoakPipelinedMixedCrash(t *testing.T) {
 							if k2 == key {
 								k2 = key + "x"
 							}
-							if reply := c.cmd(t, "MSET "+key+" "+v+" "+k2+" "+v); reply != "OK" {
-								errs <- fmt.Errorf("MSET: %s", reply)
+							if err := c.expect([]string{"MSET", key, v, k2, v}, "+OK"); err != nil {
+								errs <- err
 								return
 							}
 							model[key], model[k2] = v, v
 						default:
 							val := fmt.Sprintf("v%d.%d.%d", wave, ci, j)
-							if reply := c.cmd(t, "SET "+key+" "+val); reply != "OK" {
-								errs <- fmt.Errorf("SET %s: %s", key, reply)
+							if err := c.expect([]string{"SET", key, val}, "+OK"); err != nil {
+								errs <- err
 								return
 							}
 							model[key] = val
@@ -296,13 +313,13 @@ func TestSoakPipelinedMixedCrash(t *testing.T) {
 		}
 		srv, addr = serve()
 
-		c := dial(t, addr)
+		c := respDial(t, addr)
 		for k, v := range expect {
-			if got := c.cmd(t, "GET "+k); got != "VALUE "+v {
-				t.Fatalf("after crash %d: GET %s = %q, want %q", wave, k, got, "VALUE "+v)
+			if got := c.text(t, "GET", k); got != "$"+v {
+				t.Fatalf("after crash %d: GET %s = %q, want %q", wave, k, got, "$"+v)
 			}
 		}
-		if got := c.cmd(t, "COUNT"); got != fmt.Sprintf("COUNT %d", len(expect)) {
+		if got := c.text(t, "COUNT"); got != fmt.Sprintf(":%d", len(expect)) {
 			t.Fatalf("after crash %d: %s, want %d acked keys", wave, got, len(expect))
 		}
 		c.conn.Close()
@@ -343,19 +360,17 @@ func BenchmarkKVPipelined(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			go srv.Serve(l)
+			go srv.ServeRESP(l)
 			defer srv.Close()
 
-			conns := make([]net.Conn, clients)
-			readers := make([]*bufio.Reader, clients)
+			conns := make([]*respClient, clients)
 			for i := range conns {
-				conn, err := net.Dial("tcp", l.Addr().String())
+				c, err := respConnect(l.Addr().String())
 				if err != nil {
 					b.Fatal(err)
 				}
-				defer conn.Close()
-				conns[i] = conn
-				readers[i] = bufio.NewReader(conn)
+				defer c.conn.Close()
+				conns[i] = c
 			}
 
 			startReg := telemetry.Default.Snapshot()
@@ -375,33 +390,32 @@ func BenchmarkKVPipelined(b *testing.B) {
 				wg.Add(1)
 				go func(ci, share int) {
 					defer wg.Done()
-					conn, r := conns[ci], readers[ci]
+					c := conns[ci]
 					if mode == "serial" {
 						for j := 0; j < share; j++ {
-							fmt.Fprintf(conn, "SET b%dk%d v%d\n", ci, j%64, j)
-							if reply, err := r.ReadString('\n'); err != nil || reply != "OK\n" {
+							v, err := c.send("SET", fmt.Sprintf("b%dk%d", ci, j%64), fmt.Sprintf("v%d", j))
+							if reply := show(v); err != nil || reply != "+OK" {
 								fail <- fmt.Errorf("client %d: %q %v", ci, reply, err)
 								return
 							}
 						}
 						return
 					}
-					var sb strings.Builder
 					for done := 0; done < share; {
 						n := window
 						if n > share-done {
 							n = share - done
 						}
-						sb.Reset()
 						for j := 0; j < n; j++ {
-							fmt.Fprintf(&sb, "SET b%dk%d v%d\n", ci, (done+j)%64, done+j)
+							c.w.WriteCommandStrings("SET", fmt.Sprintf("b%dk%d", ci, (done+j)%64), fmt.Sprintf("v%d", done+j))
 						}
-						if _, err := conn.Write([]byte(sb.String())); err != nil {
+						if err := c.w.Flush(); err != nil {
 							fail <- err
 							return
 						}
 						for j := 0; j < n; j++ {
-							if reply, err := r.ReadString('\n'); err != nil || reply != "OK\n" {
+							v, err := c.r.ReadValue()
+							if reply := show(v); err != nil || reply != "+OK" {
 								fail <- fmt.Errorf("client %d: %q %v", ci, reply, err)
 								return
 							}

@@ -19,13 +19,13 @@ func TestReadOnlySessionZeroLeases(t *testing.T) {
 
 	// Seed data on a writing connection, fully acknowledged before the
 	// baselines are sampled.
-	w := dial(t, addr)
+	w := respDial(t, addr)
 	for i := 0; i < 8; i++ {
-		if got := w.cmd(t, fmt.Sprintf("SET rk%d rv%d", i, i)); got != "OK" {
+		if got := w.text(t, "SET", fmt.Sprintf("rk%d", i), fmt.Sprintf("rv%d", i)); got != "+OK" {
 			t.Fatalf("SET %d -> %q", i, got)
 		}
 	}
-	if got := w.cmd(t, "QUIT"); got != "BYE" {
+	if got := w.text(t, "QUIT"); got != "+OK" {
 		t.Fatalf("QUIT -> %q", got)
 	}
 	w.conn.Close()
@@ -34,31 +34,24 @@ func TestReadOnlySessionZeroLeases(t *testing.T) {
 	fences0 := pm.Device().Snapshot().Fences
 	readtx0 := uint64(telemetry.Default.Snapshot()["mtm_readtx_started_total"])
 
-	r := dial(t, addr)
+	r := respDial(t, addr)
 	for i := 0; i < 8; i++ {
-		want := fmt.Sprintf("VALUE rv%d", i)
-		if got := r.cmd(t, fmt.Sprintf("GET rk%d", i)); got != want {
+		want := fmt.Sprintf("$rv%d", i)
+		if got := r.text(t, "GET", fmt.Sprintf("rk%d", i)); got != want {
 			t.Fatalf("GET rk%d -> %q, want %q", i, got, want)
 		}
 	}
-	if got := r.cmd(t, "GET nosuch"); got != "MISSING" {
+	if got := r.text(t, "GET", "nosuch"); got != "(nil)" {
 		t.Fatalf("GET nosuch -> %q", got)
 	}
-	// MGET answers one line per key from one snapshot.
-	fmt.Fprintln(r.conn, "MGET rk0 nosuch rk7")
-	for i, want := range []string{"VALUE rv0", "MISSING", "VALUE rv7"} {
-		line, err := r.r.ReadString('\n')
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := strings.TrimRight(line, "\n"); got != want {
-			t.Fatalf("MGET line %d -> %q, want %q", i, got, want)
-		}
+	// MGET answers one element per key from one snapshot.
+	if got := r.text(t, "MGET", "rk0", "nosuch", "rk7"); got != "*[$rv0 (nil) $rv7]" {
+		t.Fatalf("MGET -> %q", got)
 	}
-	if got := r.cmd(t, "COUNT"); got != "COUNT 8" {
+	if got := r.text(t, "COUNT"); got != ":8" {
 		t.Fatalf("COUNT -> %q", got)
 	}
-	if got := r.cmd(t, "STATS"); !strings.HasPrefix(got, "STATS ") {
+	if got := r.text(t, "STATS"); !strings.HasPrefix(got, "$STATS ") {
 		t.Fatalf("STATS -> %q", got)
 	}
 
@@ -85,17 +78,17 @@ func TestConnectionsShareOneSlot(t *testing.T) {
 		Threads:      1,
 		LeaseTimeout: 2 * time.Second,
 	})
-	a, b := dial(t, addr), dial(t, addr)
+	a, b := respDial(t, addr), respDial(t, addr)
 	defer a.conn.Close()
 	defer b.conn.Close()
 	for i := 0; i < 20; i++ {
-		for name, c := range map[string]*client{"a": a, "b": b} {
-			if got := c.cmd(t, fmt.Sprintf("SET %s%d v%d", name, i, i)); got != "OK" {
+		for name, c := range map[string]*respClient{"a": a, "b": b} {
+			if got := c.text(t, "SET", fmt.Sprintf("%s%d", name, i), fmt.Sprintf("v%d", i)); got != "+OK" {
 				t.Fatalf("connection %s, SET %d -> %q", name, i, got)
 			}
 		}
 	}
-	if got := a.cmd(t, "COUNT"); got != "COUNT 40" {
+	if got := a.text(t, "COUNT"); got != ":40" {
 		t.Fatalf("COUNT -> %q", got)
 	}
 	if got := pm.TM().LiveThreads(); got != 0 {

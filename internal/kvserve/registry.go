@@ -1,16 +1,13 @@
 package kvserve
 
 import (
-	"strconv"
 	"strings"
 
-	"repro/internal/resp"
 	"repro/internal/telemetry"
 )
 
 // cmdDef is one registry entry: the verb's arity contract, whether the
-// pipeline partitioner may run it concurrently, how the line protocol
-// tokenizes it, and its handler.
+// pipeline partitioner may run it concurrently, and its handler.
 type cmdDef struct {
 	name string
 	// arity is redis-style, counting the verb: positive = exact argument
@@ -22,27 +19,19 @@ type cmdDef struct {
 	// args, variadic DEL is a barrier). Non-keyed commands are barriers.
 	keyed    bool
 	keyedMax int
-	// lineSplit, when non-zero, makes the line protocol tokenize with
-	// SplitN(line, " ", lineSplit) instead of Fields, so the final
-	// argument keeps its spaces (SET's value). RESP framing is unaffected.
-	lineSplit int
-	usage     string
+	usage    string
 	// handler renders the command's reply, as RESP, into c.w.
 	handler func(c *call)
-	// legacy re-renders a non-error reply for the line protocol; nil uses
-	// the default rendering (errors always render as "ERROR <msg>").
-	legacy func(args [][]byte, v resp.Value) string
-	calls  *telemetry.Counter
+	calls   *telemetry.Counter
 }
 
-// registry maps upper-cased verbs to their definitions. Both transports
-// dispatch through it; there is no per-transport command switch.
+// registry maps upper-cased verbs to their definitions.
 var registry = map[string]*cmdDef{}
 
 func register(d *cmdDef) *cmdDef {
 	d.calls = telemetry.NewCounter(
 		"kvserve_cmd_"+strings.ToLower(d.name)+"_total",
-		"Invocations of the "+d.name+" command across all transports.")
+		"Invocations of the "+d.name+" command.")
 	registry[d.name] = d
 	return d
 }
@@ -57,20 +46,7 @@ func (d *cmdDef) arityOK(argc int) bool {
 
 func init() {
 	ok := func(c *call) { c.w.WriteSimple("OK") }
-	legacyOK := func([][]byte, resp.Value) string { return "OK" }
 	emptyArray := func(c *call) { c.w.WriteArrayHeader(0) }
-	legacyValue := func(args [][]byte, v resp.Value) string {
-		if v.Null {
-			return "MISSING"
-		}
-		return "VALUE " + string(v.Bulk)
-	}
-	legacyDeleted := func(args [][]byte, v resp.Value) string {
-		return "DELETED " + strconv.FormatInt(v.Int, 10)
-	}
-	legacyCount := func(args [][]byte, v resp.Value) string {
-		return "COUNT " + strconv.FormatInt(v.Int, 10)
-	}
 
 	register(&cmdDef{
 		name: "PING", arity: -1, usage: "PING [<message>]",
@@ -85,7 +61,6 @@ func init() {
 	register(&cmdDef{
 		name: "QUIT", arity: -1, usage: "QUIT",
 		handler: func(c *call) { c.quit = true; ok(c) },
-		legacy:  func([][]byte, resp.Value) string { return "BYE" },
 	})
 	register(&cmdDef{
 		name: "ECHO", arity: 2, usage: "ECHO <message>",
@@ -98,46 +73,30 @@ func init() {
 	})
 	register(&cmdDef{
 		name: "COMMAND", arity: -1, usage: "COMMAND [<subcommand>]",
-		handler: emptyArray, legacy: legacyOK,
+		handler: emptyArray,
 	})
 	register(&cmdDef{
 		name: "CONFIG", arity: -2, usage: "CONFIG <subcommand> [...]",
-		handler: emptyArray, legacy: legacyOK,
+		handler: emptyArray,
 	})
 
 	register(&cmdDef{
-		name: "SET", arity: -3, keyed: true, lineSplit: 3,
+		name: "SET", arity: -3, keyed: true,
 		usage:   "SET <key> <value> [EX <seconds> | PX <milliseconds>]",
 		handler: cmdSet,
 	})
 	register(&cmdDef{
 		name: "GET", arity: 2, keyed: true, usage: "GET <key>",
-		handler: cmdGet, legacy: legacyValue,
+		handler: cmdGet,
 	})
 	register(&cmdDef{
 		name: "DEL", arity: -2, keyed: true, keyedMax: 2,
 		usage:   "DEL <key> [<key> ...]",
 		handler: cmdDel,
-		legacy: func(args [][]byte, v resp.Value) string {
-			switch {
-			case len(args) > 2:
-				return legacyDeleted(args, v)
-			case v.Int > 0:
-				return "OK"
-			}
-			return "MISSING"
-		},
 	})
 	register(&cmdDef{
 		name: "MGET", arity: -2, usage: "MGET <key> [<key> ...]",
 		handler: cmdMGet,
-		legacy: func(args [][]byte, v resp.Value) string {
-			outs := make([]string, len(v.Array))
-			for i, e := range v.Array {
-				outs[i] = legacyValue(nil, e)
-			}
-			return strings.Join(outs, "\n")
-		},
 	})
 	register(&cmdDef{
 		name: "MSET", arity: -3,
@@ -147,15 +106,15 @@ func init() {
 	register(&cmdDef{
 		name: "MDEL", arity: -2,
 		usage:   "MDEL <key> [<key> ...]",
-		handler: cmdDel, legacy: legacyDeleted,
+		handler: cmdDel,
 	})
 	register(&cmdDef{
 		name: "COUNT", arity: 1, usage: "COUNT",
-		handler: cmdCount, legacy: legacyCount,
+		handler: cmdCount,
 	})
 	register(&cmdDef{
 		name: "DBSIZE", arity: 1, usage: "DBSIZE",
-		handler: cmdCount, legacy: legacyCount,
+		handler: cmdCount,
 	})
 	register(&cmdDef{
 		name: "STATS", arity: 1, usage: "STATS",
@@ -169,7 +128,7 @@ func init() {
 	})
 	register(&cmdDef{
 		name: "HGET", arity: 3, keyed: true, usage: "HGET <key> <field>",
-		handler: cmdHGet, legacy: legacyValue,
+		handler: cmdHGet,
 	})
 	register(&cmdDef{
 		name: "HDEL", arity: -3, keyed: true,
@@ -183,15 +142,6 @@ func init() {
 	register(&cmdDef{
 		name: "HGETALL", arity: 2, keyed: true, usage: "HGETALL <key>",
 		handler: cmdHGetAll,
-		legacy: func(args [][]byte, v resp.Value) string {
-			var b strings.Builder
-			b.WriteString("FIELDS")
-			for _, e := range v.Array {
-				b.WriteByte(' ')
-				b.Write(e.Bulk)
-			}
-			return b.String()
-		},
 	})
 
 	register(&cmdDef{

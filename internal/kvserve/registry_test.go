@@ -5,13 +5,12 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/resp"
 	"repro/internal/shard"
 )
 
 // TestRegistryArity pins every verb's arity contract: the registry is
-// what both transports trust before running a handler, so an entry that
-// drifts breaks usage errors on both wires at once.
+// what the engine trusts before running a handler, so an entry that
+// drifts breaks usage errors.
 func TestRegistryArity(t *testing.T) {
 	cases := []struct {
 		verb string
@@ -81,9 +80,6 @@ func TestRegistryEntries(t *testing.T) {
 		if def.keyedMax > 0 && !def.keyed {
 			t.Errorf("%s sets keyedMax without keyed", name)
 		}
-		if def.lineSplit > 0 && def.lineSplit < 3 {
-			t.Errorf("%s lineSplit = %d, must keep verb and key intact", name, def.lineSplit)
-		}
 	}
 }
 
@@ -105,7 +101,7 @@ func TestClassify(t *testing.T) {
 		{"HLEN h", "h", true},
 		{"HGETALL h", "h", true},
 		{"SET k1 v", "k1", true},
-		{"SET k1 v with spaces", "k1", true},
+		{"SET k1 v EX 10", "k1", true},
 		{"DEL k1", "k1", true},
 		{"HSET h f v", "h", true},
 		{"HDEL h f", "h", true},
@@ -127,20 +123,24 @@ func TestClassify(t *testing.T) {
 		{"GET", "", false},        // arity violation
 		{"GET a b", "", false},    // arity violation
 		{"NONSENSE k", "", false}, // unknown verb
-		{"", "", false},           // empty line
+		{"", "", false},           // empty command
 		{"EXPIRE k", "", false},   // arity violation
 	}
 	for _, c := range cases {
-		cmd := s.parseLine(c.line)
+		var argv [][]byte
+		for _, a := range strings.Fields(c.line) {
+			argv = append(argv, []byte(a))
+		}
+		cmd := s.resolve(argv)
 		key := ""
 		if cmd.keyed {
 			key = string(cmd.args[1])
 			if cmd.h != s.hash(cmd.args[1]) {
-				t.Errorf("parseLine(%q) carries hash %#x, not its key's", c.line, cmd.h)
+				t.Errorf("resolve(%q) carries hash %#x, not its key's", c.line, cmd.h)
 			}
 		}
 		if key != c.key || cmd.keyed != c.keyed {
-			t.Errorf("parseLine(%q) classified (%q, %v), want (%q, %v)", c.line, key, cmd.keyed, c.key, c.keyed)
+			t.Errorf("resolve(%q) classified (%q, %v), want (%q, %v)", c.line, key, cmd.keyed, c.key, c.keyed)
 		}
 	}
 }
@@ -175,56 +175,25 @@ func TestVerbLookup(t *testing.T) {
 	}
 }
 
-// TestLegacyRenderDefaults pins the default line-protocol rendering of
-// each reply shape (verbs without a legacy override rely on these).
-func TestLegacyRenderDefaults(t *testing.T) {
-	bulk := func(s string) resp.Value { return resp.Value{Type: '$', Bulk: []byte(s)} }
-	null := resp.Value{Type: '$', Null: true}
-	cases := []struct {
-		v    resp.Value
-		want string
-	}{
-		{resp.Value{Type: '+', Str: "OK"}, "OK"},
-		{resp.Value{Type: ':', Int: 7}, "7"},
-		{bulk("payload"), "payload"},
-		{null, "MISSING"},
-		{resp.Value{Type: '*', Array: []resp.Value{bulk("a"), null}}, "a\nMISSING"},
-	}
-	for _, c := range cases {
-		if got := legacyDefault(c.v); got != c.want {
-			t.Errorf("legacyDefault(%+v) = %q, want %q", c.v, got, c.want)
-		}
-	}
-	// Errors render with the ERROR prefix regardless of any override, and
-	// QUIT's acknowledgment is the line protocol's BYE.
-	for _, c := range []struct{ verb, reply, want string }{
-		{"GET", "-ERR boom\r\n", "ERROR boom"},
-		{"GET", "-WRONGTYPE nope\r\n", "ERROR WRONGTYPE nope"},
-		{"QUIT", "+OK\r\n", "BYE"},
-	} {
-		got, n := legacyText(&command{def: registry[c.verb]}, []byte(c.reply+"+NEXT\r\n"))
-		if got != c.want || n != len(c.reply) {
-			t.Errorf("legacyText(%s, %q) = %q, %d; want %q, %d", c.verb, c.reply, got, n, c.want, len(c.reply))
-		}
-	}
-}
-
 // TestEchoByeKeepsSession guards the structural QUIT detection: session
-// teardown keys off the handler's quit mark, so a bulk reply that happens to
-// spell "BYE" must not close the connection.
+// teardown keys off the handler's quit mark, so a reply that happens to
+// spell a goodbye ("BYE", or "OK" like QUIT's own acknowledgment) must not
+// close the connection.
 func TestEchoByeKeepsSession(t *testing.T) {
 	_, _, addr := startServer(t, core.Config{Dir: t.TempDir(), DeviceSize: 64 << 20})
-	c := dial(t, addr)
-	if got := c.cmd(t, "ECHO BYE"); got != "BYE" {
-		t.Fatalf("ECHO BYE -> %q", got)
+	c := respDial(t, addr)
+	for _, word := range []string{"BYE", "OK"} {
+		if got := c.text(t, "ECHO", word); got != "$"+word {
+			t.Fatalf("ECHO %s -> %q", word, got)
+		}
+		if got := c.text(t, "PING"); got != "+PONG" {
+			t.Fatalf("session closed after ECHO %s: PING -> %q", word, got)
+		}
 	}
-	if got := c.cmd(t, "PING"); got != "PONG" {
-		t.Fatalf("session closed after ECHO BYE: PING -> %q", got)
-	}
-	if got := c.cmd(t, "QUIT"); got != "BYE" {
+	if got := c.text(t, "QUIT"); got != "+OK" {
 		t.Fatalf("QUIT -> %q", got)
 	}
-	if _, err := c.r.ReadByte(); err == nil {
+	if _, err := c.r.ReadValue(); err == nil {
 		t.Fatal("connection still open after QUIT")
 	}
 }

@@ -1,20 +1,12 @@
 package kvserve
 
 import (
+	"io"
 	"net"
+	"time"
 
 	"repro/internal/resp"
 )
-
-// ServeRESP accepts RESP2 connections until Close: the same command
-// engine, registry, batch partitioner, and durability contract as the
-// line protocol, behind redis framing — so redis-cli and redis-benchmark
-// speak to the store directly, and values are binary-safe end to end.
-// Both Serve and ServeRESP may run concurrently on one Server, serving
-// one keyspace through two transports.
-func (s *Server) ServeRESP(l net.Listener) error {
-	return s.serveLoop(l, s.respSession)
-}
 
 func (s *Server) respSession(conn net.Conn) {
 	r := resp.NewReader(conn)
@@ -23,12 +15,13 @@ func (s *Server) respSession(conn net.Conn) {
 	ss := s.newSession(w)
 	for {
 		// One blocking read, then drain whatever a pipelining client
-		// already has buffered, mirroring the line-protocol session. The
-		// commands are views into r's buffer, which stands still until
-		// the next blocking read — by then the batch is answered.
+		// already has buffered: a request-per-reply client always sees a
+		// batch of one. The commands are views into r's buffer, which
+		// stands still until the next blocking read — by then the batch is
+		// answered.
 		args, err := r.ReadCommand()
 		if err != nil {
-			s.respFatal(w, err)
+			s.respFatal(conn, w, err)
 			return
 		}
 		ss.cmds = append(ss.cmds[:0], s.resolve(args))
@@ -47,7 +40,7 @@ func (s *Server) respSession(conn net.Conn) {
 			return
 		}
 		if perr != nil {
-			s.respFatal(w, perr)
+			s.respFatal(conn, w, perr)
 			return
 		}
 	}
@@ -56,10 +49,20 @@ func (s *Server) respSession(conn net.Conn) {
 // respFatal answers a protocol error before closing; the reader cannot
 // resynchronize inside a malformed frame, so the session ends. I/O
 // errors (client went away) close silently.
-func (s *Server) respFatal(w *resp.Writer, err error) {
-	if resp.IsProtocol(err) {
-		telErrs.Inc()
-		w.WriteError("ERR protocol error: " + err.Error())
-		w.Flush()
+func (s *Server) respFatal(conn net.Conn, w *resp.Writer, err error) {
+	if !resp.IsProtocol(err) {
+		return
 	}
+	telErrs.Inc()
+	w.WriteError("ERR protocol error: " + err.Error())
+	w.Flush()
+	// Half-close, then drain what the client still sends (an overlong
+	// line's tail) until it closes or a second passes: closing with unread
+	// bytes queued sends an RST that can destroy the error reply before
+	// the client reads it.
+	if tc, ok := conn.(*net.TCPConn); ok {
+		tc.CloseWrite()
+	}
+	conn.SetReadDeadline(time.Now().Add(time.Second))
+	io.Copy(io.Discard, conn)
 }

@@ -20,27 +20,62 @@ type respClient struct {
 	w    *resp.Writer
 }
 
+func respConnect(addr string) (*respClient, error) {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	return &respClient{conn: conn, r: resp.NewReader(conn), w: resp.NewWriter(conn)}, nil
+}
+
 func respDial(t *testing.T, addr string) *respClient {
 	t.Helper()
-	conn, err := net.Dial("tcp", addr)
+	c, err := respConnect(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &respClient{conn: conn, r: resp.NewReader(conn), w: resp.NewWriter(conn)}
+	return c
 }
 
-// do sends one command and reads one reply.
-func (c *respClient) do(t *testing.T, args ...string) resp.Value {
-	t.Helper()
+// send sends one command and reads one reply.
+func (c *respClient) send(args ...string) (resp.Value, error) {
 	c.w.WriteCommandStrings(args...)
 	if err := c.w.Flush(); err != nil {
-		t.Fatal(err)
+		return resp.Value{}, err
 	}
-	v, err := c.r.ReadValue()
+	return c.r.ReadValue()
+}
+
+// do is send that fails the test on an I/O error.
+func (c *respClient) do(t *testing.T, args ...string) resp.Value {
+	t.Helper()
+	v, err := c.send(args...)
 	if err != nil {
 		t.Fatalf("%v: %v", args, err)
 	}
 	return v
+}
+
+// expect sends one command and checks that its reply, rendered by show,
+// is one of want. It reports instead of failing the test, for client
+// goroutines other than the test's own.
+func (c *respClient) expect(args []string, want ...string) error {
+	v, err := c.send(args...)
+	if err != nil {
+		return fmt.Errorf("%q: %w", args, err)
+	}
+	for _, w := range want {
+		if show(v) == w {
+			return nil
+		}
+	}
+	return fmt.Errorf("%q -> %q, want %q", args, show(v), want)
+}
+
+// text is do with the reply rendered by show.
+func (c *respClient) text(t *testing.T, args ...string) string {
+	t.Helper()
+	return show(c.do(t, args...))
 }
 
 func (c *respClient) status(t *testing.T, args ...string) string {
@@ -78,18 +113,6 @@ func (c *respClient) respErr(t *testing.T, args ...string) string {
 		t.Fatalf("%v: got %+v, want error", args, v)
 	}
 	return v.Str
-}
-
-// startRESPServer serves both transports of one unsharded server.
-func startRESPServer(t *testing.T, cfg core.Config) (*Server, string, string) {
-	t.Helper()
-	srv, _, lineAddr := startServer(t, cfg)
-	rl, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.ServeRESP(rl)
-	return srv, rl.Addr().String(), lineAddr
 }
 
 // testRESPSemantics drives the redis-compatible surface over one RESP
@@ -218,21 +241,10 @@ func testRESPSemantics(t *testing.T, c *respClient) {
 }
 
 func TestRESPWire(t *testing.T) {
-	_, addr, lineAddr := startRESPServer(t, core.Config{Dir: t.TempDir(), DeviceSize: 64 << 20})
+	_, _, addr := startServer(t, core.Config{Dir: t.TempDir(), DeviceSize: 64 << 20})
 	c := respDial(t, addr)
 	defer c.conn.Close()
 	testRESPSemantics(t, c)
-
-	// A value written over RESP with spaces reads back over the line
-	// protocol too (one store, two transports).
-	if got := c.status(t, "SET", "xts", "cross transport"); got != "OK" {
-		t.Fatalf("SET -> %q", got)
-	}
-	lc := dial(t, lineAddr)
-	defer lc.conn.Close()
-	if got := lc.cmd(t, "GET xts"); got != "VALUE cross transport" {
-		t.Fatalf("line GET of RESP-written key -> %q", got)
-	}
 
 	// QUIT acknowledges then closes.
 	if got := c.status(t, "QUIT"); got != "OK" {
@@ -297,7 +309,7 @@ func TestRESPWireSharded(t *testing.T) {
 // reply: replies must come back complete and in request order, and
 // commands pipelined after QUIT are dropped unanswered.
 func TestRESPPipelining(t *testing.T) {
-	_, addr, _ := startRESPServer(t, core.Config{Dir: t.TempDir(), DeviceSize: 64 << 20})
+	_, _, addr := startServer(t, core.Config{Dir: t.TempDir(), DeviceSize: 64 << 20})
 	c := respDial(t, addr)
 	defer c.conn.Close()
 
@@ -354,7 +366,7 @@ func TestRESPPipelining(t *testing.T) {
 // protocol error and closes the connection (redis behavior), without
 // disturbing other sessions.
 func TestRESPProtocolError(t *testing.T) {
-	_, addr, _ := startRESPServer(t, core.Config{Dir: t.TempDir(), DeviceSize: 64 << 20})
+	_, _, addr := startServer(t, core.Config{Dir: t.TempDir(), DeviceSize: 64 << 20})
 	for _, raw := range []string{"*notanumber\r\n", "*1\r\n$-5\r\n", "*1\r\n:99\r\n"} {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
@@ -375,29 +387,5 @@ func TestRESPProtocolError(t *testing.T) {
 	defer c.conn.Close()
 	if got := c.status(t, "PING"); got != "PONG" {
 		t.Fatalf("PING after protocol errors -> %q", got)
-	}
-}
-
-// TestLineMSETSpaces pins the line protocol's documented limitation:
-// values with spaces mis-tokenize into an odd argument count, and the
-// error now names the limitation and the escape hatch instead of a bare
-// usage line.
-func TestLineMSETSpaces(t *testing.T) {
-	_, _, addr := startServer(t, core.Config{Dir: t.TempDir(), DeviceSize: 64 << 20})
-	c := dial(t, addr)
-	defer c.conn.Close()
-	got := c.cmd(t, "MSET k1 value with spaces inside")
-	if !strings.HasPrefix(got, "ERROR") || !strings.Contains(got, "cannot contain spaces") || !strings.Contains(got, "RESP") {
-		t.Fatalf("MSET with spaces -> %q, want an error naming the limitation and the RESP port", got)
-	}
-	// Even-argument MSET still works, and SET (lineSplit) keeps spaces.
-	if got := c.cmd(t, "MSET k1 v1 k2 v2"); got != "OK" {
-		t.Fatalf("MSET -> %q", got)
-	}
-	if got := c.cmd(t, "SET k3 spaced value here"); got != "OK" {
-		t.Fatalf("SET -> %q", got)
-	}
-	if got := c.cmd(t, "GET k3"); got != "VALUE spaced value here" {
-		t.Fatalf("GET -> %q", got)
 	}
 }

@@ -19,20 +19,19 @@ type respSoakModel struct {
 	hashes map[string]map[string]string
 }
 
-// TestSoakRESPMixedCrash drives line-protocol and RESP clients against
-// the same server concurrently — binary values, hashes, and far-future
-// TTLs over RESP, classic text commands over the line protocol — then
-// crashes the device under a reproducible keep/drop policy mid-test and
-// reincarnates the stack. Every acknowledged write from either transport
-// must survive, byte for byte. Run with -race this shakes the shared
-// engine: both transports dispatch into one registry, one batch
-// partitioner, one store.
+// TestSoakRESPMixedCrash drives two kinds of client against the same
+// server concurrently — pipelined batches of binary values, hashes and
+// far-future TTLs, and request-per-reply plain SET/DEL — then crashes the
+// device under a reproducible keep/drop policy mid-test and reincarnates
+// the stack. Every acknowledged write from either kind must survive, byte
+// for byte. Run with -race this shakes the shared engine: every session
+// dispatches into one registry, one batch partitioner, one store.
 func TestSoakRESPMixedCrash(t *testing.T) {
 	waves, pairs, ops := 2, 2, 40
 	if testing.Short() {
 		ops = 15
 	}
-	clients := 2 * pairs // half line, half RESP
+	clients := 2 * pairs // half plain, half pipelined
 	cfg := core.Config{
 		Dir:             t.TempDir(),
 		DeviceSize:      64 << 20,
@@ -45,58 +44,56 @@ func TestSoakRESPMixedCrash(t *testing.T) {
 	}
 	dev := pm.Device()
 
-	serve := func() (*Server, string, string) {
+	serve := func() (*Server, string) {
 		t.Helper()
 		srv, err := New(pm)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ll, err := net.Listen("tcp", "127.0.0.1:0")
+		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		rl, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go srv.Serve(ll)
-		go srv.ServeRESP(rl)
-		return srv, ll.Addr().String(), rl.Addr().String()
+		go srv.ServeRESP(l)
+		return srv, l.Addr().String()
 	}
 
-	lineExpect := map[string]string{} // acknowledged line-client state
+	plainExpect := map[string]string{} // acknowledged plain-client state
 	respExpect := respSoakModel{strs: map[string][]byte{}, hashes: map[string]map[string]string{}}
 
-	srv, lineAddr, respAddr := serve()
+	srv, addr := serve()
 	for wave := 0; wave < waves; wave++ {
-		lineModels := make([]map[string]string, pairs)
+		plainModels := make([]map[string]string, pairs)
 		respModels := make([]respSoakModel, pairs)
 		var wg sync.WaitGroup
 		errs := make(chan error, clients)
 
-		// Line clients: the legacy text protocol, untouched by the redesign.
+		// Plain clients: one text SET or DEL per round trip.
 		for ci := 0; ci < pairs; ci++ {
 			wg.Add(1)
 			go func(ci int) {
 				defer wg.Done()
 				model := map[string]string{}
-				lineModels[ci] = model
-				c := dial(t, lineAddr)
+				plainModels[ci] = model
+				c, err := respConnect(addr)
+				if err != nil {
+					errs <- err
+					return
+				}
 				defer c.conn.Close()
 				rng := rand.New(rand.NewSource(int64(wave*100 + ci)))
 				for j := 0; j < ops; j++ {
 					key := fmt.Sprintf("lw%dc%dk%d", wave, ci, rng.Intn(8))
 					if rng.Intn(4) == 0 {
-						reply := c.cmd(t, "DEL "+key)
-						if reply != "OK" && reply != "MISSING" {
-							errs <- fmt.Errorf("line DEL %s: %s", key, reply)
+						if err := c.expect([]string{"DEL", key}, ":1", ":0"); err != nil {
+							errs <- fmt.Errorf("plain client: %w", err)
 							return
 						}
 						delete(model, key)
 					} else {
 						val := fmt.Sprintf("tv%d.%d.%d", wave, ci, j)
-						if reply := c.cmd(t, "SET "+key+" "+val); reply != "OK" {
-							errs <- fmt.Errorf("line SET %s: %s", key, reply)
+						if err := c.expect([]string{"SET", key, val}, "+OK"); err != nil {
+							errs <- fmt.Errorf("plain client: %w", err)
 							return
 						}
 						model[key] = val
@@ -105,7 +102,7 @@ func TestSoakRESPMixedCrash(t *testing.T) {
 			}(ci)
 		}
 
-		// RESP clients: pipelined batches of binary-valued SETs, hash
+		// Pipelined clients: batches of binary-valued SETs, hash
 		// writes, deletes, and far-future TTL stamps (far enough that the
 		// wall clock never crosses them inside a test run, so the model
 		// stays exact).
@@ -115,7 +112,11 @@ func TestSoakRESPMixedCrash(t *testing.T) {
 				defer wg.Done()
 				model := respSoakModel{strs: map[string][]byte{}, hashes: map[string]map[string]string{}}
 				respModels[ci] = model
-				c := respDial(t, respAddr)
+				c, err := respConnect(addr)
+				if err != nil {
+					errs <- err
+					return
+				}
 				defer c.conn.Close()
 				rng := rand.New(rand.NewSource(int64(wave*1000 + ci)))
 				flush := func(sent int) bool {
@@ -176,15 +177,15 @@ func TestSoakRESPMixedCrash(t *testing.T) {
 		for err := range errs {
 			t.Fatal(err)
 		}
-		// Keyspaces are disjoint per (transport, wave, client): each model
+		// Keyspaces are disjoint per (client kind, wave, client): each model
 		// is authoritative for its own keys.
 		for ci := 0; ci < pairs; ci++ {
 			for n := 0; n < 8; n++ {
 				k := fmt.Sprintf("lw%dc%dk%d", wave, ci, n)
-				if v, ok := lineModels[ci][k]; ok {
-					lineExpect[k] = v
+				if v, ok := plainModels[ci][k]; ok {
+					plainExpect[k] = v
 				} else {
-					delete(lineExpect, k)
+					delete(plainExpect, k)
 				}
 				rk := fmt.Sprintf("rw%dc%dk%d", wave, ci, n)
 				if v, ok := respModels[ci].strs[rk]; ok {
@@ -207,18 +208,12 @@ func TestSoakRESPMixedCrash(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reattach after crash %d: %v", wave, err)
 		}
-		srv, lineAddr, respAddr = serve()
+		srv, addr = serve()
 
-		// Verify through BOTH transports: line keys over RESP too, so the
-		// transports agree on every byte the other acknowledged.
-		lc := dial(t, lineAddr)
-		rc := respDial(t, respAddr)
-		for k, v := range lineExpect {
-			if got := lc.cmd(t, "GET "+k); got != "VALUE "+v {
-				t.Fatalf("after crash %d: line GET %s = %q, want %q", wave, k, got, "VALUE "+v)
-			}
+		rc := respDial(t, addr)
+		for k, v := range plainExpect {
 			if got, ok := rc.bulk(t, "GET", k); !ok || string(got) != v {
-				t.Fatalf("after crash %d: resp GET %s = %q (present=%v), want %q", wave, k, got, ok, v)
+				t.Fatalf("after crash %d: GET %s = %q (present=%v), want %q", wave, k, got, ok, v)
 			}
 		}
 		for k, v := range respExpect.strs {
@@ -240,11 +235,10 @@ func TestSoakRESPMixedCrash(t *testing.T) {
 				}
 			}
 		}
-		total := len(lineExpect) + len(respExpect.strs) + len(respExpect.hashes)
-		if got := lc.cmd(t, "COUNT"); got != fmt.Sprintf("COUNT %d", total) {
-			t.Fatalf("after crash %d: %s, want %d acked keys", wave, got, total)
+		total := len(plainExpect) + len(respExpect.strs) + len(respExpect.hashes)
+		if got := rc.integer(t, "COUNT"); got != int64(total) {
+			t.Fatalf("after crash %d: COUNT %d, want %d acked keys", wave, got, total)
 		}
-		lc.conn.Close()
 		rc.conn.Close()
 	}
 	srv.Close()

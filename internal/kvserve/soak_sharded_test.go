@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -32,6 +33,15 @@ func groupKeys(c, nShards int) []string {
 		}
 	}
 	return keys
+}
+
+// groupReply is MGET's reply to a group holding vals, rendered by show.
+func groupReply(vals []uint64) string {
+	elems := make([]string, len(vals))
+	for i, v := range vals {
+		elems[i] = "$" + strconv.FormatUint(v, 10)
+	}
+	return "*[" + strings.Join(elems, " ") + "]"
 }
 
 // TestSoakShardedMixedCrash drives concurrent pipelined clients against
@@ -77,7 +87,7 @@ func TestSoakShardedMixedCrash(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		go srv.Serve(l)
+		go srv.ServeRESP(l)
 		return srv, l.Addr().String()
 	}
 
@@ -100,21 +110,26 @@ func TestSoakShardedMixedCrash(t *testing.T) {
 			wg.Add(1)
 			go func(c int) {
 				defer wg.Done()
-				conn := dial(t, addr)
+				conn, err := respConnect(addr)
+				if err != nil {
+					errs <- err
+					return
+				}
 				defer conn.conn.Close()
 				rng := rand.New(rand.NewSource(int64(1000*wave + c)))
 				g := groups[c]
 				for b := 0; b < batches; b++ {
 					// Build one pipelined batch: interleaved single-key
 					// SET/GET and cross-shard MSET/MGET, with the expected
-					// reply for every line.
-					var lines, want []string
+					// reply for every command.
+					var cmds [][]string
+					var want []string
 					for j := 0; j < perBatch; j++ {
 						if rng.Intn(3) == 0 {
 							// Cross-shard MSET then MGET of the group.
 							vals := make([]uint64, len(g))
 							var sum uint64
-							mset := "MSET"
+							mset := []string{"MSET"}
 							for i := range g {
 								if i < len(g)-1 {
 									vals[i] = rng.Uint64()
@@ -122,25 +137,25 @@ func TestSoakShardedMixedCrash(t *testing.T) {
 									vals[i] = groupSum - sum
 								}
 								sum += vals[i]
-								mset += " " + g[i] + " " + strconv.FormatUint(vals[i], 10)
+								mset = append(mset, g[i], strconv.FormatUint(vals[i], 10))
 							}
-							lines = append(lines, mset)
-							want = append(want, "OK")
-							lines = append(lines, "MGET "+g[0]+" "+g[1]+" "+g[2])
-							for _, v := range vals {
-								want = append(want, "VALUE "+strconv.FormatUint(v, 10))
-							}
+							cmds = append(cmds, mset, append([]string{"MGET"}, g...))
+							want = append(want, "+OK", groupReply(vals))
 							groupVals[c] = vals
 						} else {
 							key := fmt.Sprintf("s%dk%d", c, rng.Intn(singles))
 							ver := vers[c][key] + 1
 							vers[c][key] = ver
 							val := fmt.Sprintf("v%d", ver)
-							lines = append(lines, "SET "+key+" "+val, "GET "+key)
-							want = append(want, "OK", "VALUE "+val)
+							cmds = append(cmds, []string{"SET", key, val}, []string{"GET", key})
+							want = append(want, "+OK", "$"+val)
 						}
 					}
-					replies := sendBatch(t, conn, lines, len(want))
+					replies, err := sendBatch(conn, cmds, len(want))
+					if err != nil {
+						errs <- fmt.Errorf("client %d wave %d batch %d: %w", c, wave, b, err)
+						return
+					}
 					for i := range want {
 						if replies[i] != want[i] {
 							errs <- fmt.Errorf("client %d wave %d batch %d: reply %d: got %q, want %q",
@@ -175,25 +190,23 @@ func TestSoakShardedMixedCrash(t *testing.T) {
 		// Between waves and at the end: every acked single-key version and
 		// every group's acked values (wrap-summing to the constant) must be
 		// intact — on a fresh connection, against the recovered image.
-		conn := dial(t, addr)
+		conn := respDial(t, addr)
 		for c := 0; c < clients; c++ {
 			for key, ver := range vers[c] {
-				wantV := fmt.Sprintf("VALUE v%d", ver)
-				if got := conn.cmd(t, "GET "+key); got != wantV {
+				wantV := fmt.Sprintf("$v%d", ver)
+				if got := conn.text(t, "GET", key); got != wantV {
 					t.Fatalf("wave %d: GET %s = %q, want %q (version regressed or write lost)",
 						wave, key, got, wantV)
 				}
 			}
 			if vals := groupVals[c]; vals != nil {
 				g := groups[c]
-				replies := sendBatch(t, conn, []string{"MGET " + g[0] + " " + g[1] + " " + g[2]}, len(g))
+				if got, want := conn.text(t, append([]string{"MGET"}, g...)...), groupReply(vals); got != want {
+					t.Fatalf("wave %d: group %v = %q, want %q", wave, g, got, want)
+				}
 				var sum uint64
-				for i, rep := range replies {
-					wantV := "VALUE " + strconv.FormatUint(vals[i], 10)
-					if rep != wantV {
-						t.Fatalf("wave %d: group key %s = %q, want %q", wave, g[i], rep, wantV)
-					}
-					sum += vals[i]
+				for _, v := range vals {
+					sum += v
 				}
 				if sum != groupSum {
 					t.Fatalf("wave %d: client %d group wrap-sum = %#x, want %#x", wave, c, sum, groupSum)

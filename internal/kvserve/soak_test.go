@@ -46,7 +46,7 @@ func TestSoakCrashRecover(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		go srv.Serve(l)
+		go srv.ServeRESP(l)
 		return srv, l.Addr().String()
 	}
 
@@ -62,22 +62,25 @@ func TestSoakCrashRecover(t *testing.T) {
 				defer wg.Done()
 				model := map[string]string{}
 				models[ci] = model
-				c := dial(t, addr)
+				c, err := respConnect(addr)
+				if err != nil {
+					errs <- err
+					return
+				}
 				defer c.conn.Close()
 				rng := rand.New(rand.NewSource(int64(wave*100 + ci)))
 				for j := 0; j < ops; j++ {
 					key := fmt.Sprintf("w%dc%dk%d", wave, ci, rng.Intn(10))
 					if rng.Intn(4) == 0 {
-						reply := c.cmd(t, "DEL "+key)
-						if reply != "OK" && reply != "MISSING" {
-							errs <- fmt.Errorf("DEL %s: %s", key, reply)
+						if err := c.expect([]string{"DEL", key}, ":1", ":0"); err != nil {
+							errs <- err
 							return
 						}
 						delete(model, key)
 					} else {
 						val := fmt.Sprintf("v%d.%d.%d", wave, ci, j)
-						if reply := c.cmd(t, "SET "+key+" "+val); reply != "OK" {
-							errs <- fmt.Errorf("SET %s: %s", key, reply)
+						if err := c.expect([]string{"SET", key, val}, "+OK"); err != nil {
+							errs <- err
 							return
 						}
 						model[key] = val
@@ -116,13 +119,13 @@ func TestSoakCrashRecover(t *testing.T) {
 		}
 		srv, addr = serve()
 
-		c := dial(t, addr)
+		c := respDial(t, addr)
 		for k, v := range expect {
-			if got := c.cmd(t, "GET "+k); got != "VALUE "+v {
-				t.Fatalf("after crash %d: GET %s = %q, want %q", wave, k, got, "VALUE "+v)
+			if got := c.text(t, "GET", k); got != "$"+v {
+				t.Fatalf("after crash %d: GET %s = %q, want %q", wave, k, got, "$"+v)
 			}
 		}
-		if got := c.cmd(t, "COUNT"); got != fmt.Sprintf("COUNT %d", len(expect)) {
+		if got := c.text(t, "COUNT"); got != fmt.Sprintf(":%d", len(expect)) {
 			t.Fatalf("after crash %d: %s, want %d acked keys", wave, got, len(expect))
 		}
 		c.conn.Close()
@@ -165,7 +168,7 @@ func TestSoakConnectionChurn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		go srv.Serve(l)
+		go srv.ServeRESP(l)
 		return srv, l.Addr().String()
 	}
 
@@ -185,12 +188,16 @@ func TestSoakConnectionChurn(t *testing.T) {
 					// Fresh connection every round: this is the churn —
 					// each iteration leases a slot some other worker just
 					// released.
-					c := dial(t, addr)
+					c, err := respConnect(addr)
+					if err != nil {
+						errs <- fmt.Errorf("worker %d round %d: %w", wi, r, err)
+						return
+					}
 					for j := 0; j < ops; j++ {
 						key := fmt.Sprintf("p%dw%dr%dk%d", phase, wi, r, j)
 						val := fmt.Sprintf("v%d", j)
-						if reply := c.cmd(t, "SET "+key+" "+val); reply != "OK" {
-							errs <- fmt.Errorf("worker %d round %d: SET %s: %s", wi, r, key, reply)
+						if err := c.expect([]string{"SET", key, val}, "+OK"); err != nil {
+							errs <- fmt.Errorf("worker %d round %d: %w", wi, r, err)
 							c.conn.Close()
 							return
 						}
@@ -199,14 +206,14 @@ func TestSoakConnectionChurn(t *testing.T) {
 					// Delete one key from this round so recycled slots see
 					// delete records too.
 					del := fmt.Sprintf("p%dw%dr%dk0", phase, wi, r)
-					if reply := c.cmd(t, "DEL "+del); reply != "OK" {
-						errs <- fmt.Errorf("worker %d round %d: DEL %s: %s", wi, r, del, reply)
+					if err := c.expect([]string{"DEL", del}, ":1"); err != nil {
+						errs <- fmt.Errorf("worker %d round %d: %w", wi, r, err)
 						c.conn.Close()
 						return
 					}
 					delete(model, del)
-					if reply := c.cmd(t, "QUIT"); reply != "BYE" {
-						errs <- fmt.Errorf("worker %d round %d: QUIT: %s", wi, r, reply)
+					if err := c.expect([]string{"QUIT"}, "+OK"); err != nil {
+						errs <- fmt.Errorf("worker %d round %d: %w", wi, r, err)
 						c.conn.Close()
 						return
 					}
@@ -240,13 +247,13 @@ func TestSoakConnectionChurn(t *testing.T) {
 		}
 	}
 
-	c := dial(t, addr)
+	c := respDial(t, addr)
 	for k, v := range expect {
-		if got := c.cmd(t, "GET "+k); got != "VALUE "+v {
-			t.Fatalf("GET %s = %q, want %q", k, got, "VALUE "+v)
+		if got := c.text(t, "GET", k); got != "$"+v {
+			t.Fatalf("GET %s = %q, want %q", k, got, "$"+v)
 		}
 	}
-	if got := c.cmd(t, "COUNT"); got != fmt.Sprintf("COUNT %d", len(expect)) {
+	if got := c.text(t, "COUNT"); got != fmt.Sprintf(":%d", len(expect)) {
 		t.Fatalf("%s, want %d acked keys", got, len(expect))
 	}
 	c.conn.Close()

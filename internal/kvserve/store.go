@@ -25,8 +25,7 @@ type node struct {
 }
 
 // mtmStore is the engine's storage surface: command handlers run against
-// it and never ask whether the server is sharded, and both transports
-// (line protocol and RESP) dispatch into the same registry. It holds one
+// it and never ask whether the server is sharded. It holds one
 // node per shard, each over its own PM. Every write is one
 // PM.AtomicSpanned on its node — the thread it runs on is the transaction
 // system's business (mtm.TM.AtomicSpanned), not the connection's — and

@@ -32,7 +32,7 @@ func BenchmarkTTLSweep(b *testing.B) {
 		b.StopTimer()
 		for k := 0; k < keys; k++ {
 			key := fmt.Sprintf("sweep%d", k)
-			if rep := run(s, "SET", key, "v", "EX", "1"); rep != "OK" {
+			if rep := show(s.do("SET", key, "v", "EX", "1")); rep != "+OK" {
 				b.Fatalf("SET %s: %s", key, rep)
 			}
 		}

@@ -108,9 +108,9 @@ func ttlModelAfter(m int) map[string]ttlModelRec {
 // at instant now.
 func ttlWantReply(st map[string]ttlModelRec, k string, now int64) string {
 	if r, ok := st[k]; ok && (r.exp == 0 || r.exp > now) {
-		return "VALUE " + r.val
+		return "$" + r.val
 	}
-	return "MISSING"
+	return "(nil)"
 }
 
 // TestCrashPointsTTL explores crash points of the TTL machinery: record
@@ -149,7 +149,7 @@ func TestCrashPointsTTL(t *testing.T) {
 						if _, err := s.sweepAll(now); err != nil {
 							return fmt.Errorf("sweep at step %d: %w", i, err)
 						}
-					} else if reply := run(s, stp.args...); strings.HasPrefix(reply, "ERROR") {
+					} else if reply := show(s.do(stp.args...)); strings.HasPrefix(reply, "-") {
 						return fmt.Errorf("%v: %s", stp.args, reply)
 					}
 					done = i + 1
@@ -180,7 +180,7 @@ func TestCrashPointsTTL(t *testing.T) {
 					want := ttlModelAfter(m)
 					for _, k := range ttlCrashKeys {
 						wantReply := ttlWantReply(want, k, checkNow)
-						if got := run(s, "GET", k); got != wantReply {
+						if got := show(s.do("GET", k)); got != wantReply {
 							return fmt.Sprintf("key %q: got %q, want %q at %d applied steps", k, got, wantReply, m)
 						}
 					}

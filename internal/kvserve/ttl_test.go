@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/mtm"
 	"repro/internal/pds"
-	"repro/internal/resp"
 )
 
 // ttlClock is a scripted expiry clock: tests advance it explicitly, so
@@ -43,24 +42,11 @@ func newTTLServer(t *testing.T, cfg core.Config) (*Server, *core.PM, *ttlClock) 
 	return s, pm, clk
 }
 
-// run drives one command through the engine as RESP-framed argv (so SET
-// EX/PX options are reachable) and renders the line-protocol reply text
-// for compact assertions.
-func run(s *Server, args ...string) string {
-	argv := make([][]byte, len(args))
-	for i, a := range args {
-		argv[i] = []byte(a)
-	}
-	c := call{s: s, w: new(resp.Writer)}
-	cmd := s.resolve(argv)
-	c.exec(&cmd, 0)
-	text, _ := legacyText(&cmd, c.w.Bytes())
-	return text
-}
-
+// expectReply runs one command through the engine and compares its reply,
+// rendered by show.
 func expectReply(t *testing.T, s *Server, want string, args ...string) {
 	t.Helper()
-	if got := run(s, args...); got != want {
+	if got := show(s.do(args...)); got != want {
 		t.Fatalf("%v -> %q, want %q", args, got, want)
 	}
 }
@@ -71,61 +57,61 @@ func expectReply(t *testing.T, s *Server, want string, args ...string) {
 func TestTTLSemantics(t *testing.T) {
 	s, _, clk := newTTLServer(t, core.Config{Dir: t.TempDir(), DeviceSize: 64 << 20})
 
-	expectReply(t, s, "OK", "SET", "k", "v")
-	expectReply(t, s, "-1", "TTL", "k") // no deadline
-	expectReply(t, s, "1", "EXPIRE", "k", "100")
-	expectReply(t, s, "100", "TTL", "k")
-	expectReply(t, s, "100000", "PTTL", "k")
+	expectReply(t, s, "+OK", "SET", "k", "v")
+	expectReply(t, s, ":-1", "TTL", "k") // no deadline
+	expectReply(t, s, ":1", "EXPIRE", "k", "100")
+	expectReply(t, s, ":100", "TTL", "k")
+	expectReply(t, s, ":100000", "PTTL", "k")
 
 	clk.advance(40 * time.Second)
-	expectReply(t, s, "60", "TTL", "k")
+	expectReply(t, s, ":60", "TTL", "k")
 	// 500ms into a second: TTL rounds the sliver up, never down to 0.
 	clk.advance(59*time.Second + 500*time.Millisecond)
-	expectReply(t, s, "1", "TTL", "k")
-	expectReply(t, s, "500", "PTTL", "k")
-	expectReply(t, s, "VALUE v", "GET", "k")
+	expectReply(t, s, ":1", "TTL", "k")
+	expectReply(t, s, ":500", "PTTL", "k")
+	expectReply(t, s, "$v", "GET", "k")
 
 	// PERSIST rescues the key right before its deadline.
-	expectReply(t, s, "1", "PERSIST", "k")
-	expectReply(t, s, "0", "PERSIST", "k") // already persistent
+	expectReply(t, s, ":1", "PERSIST", "k")
+	expectReply(t, s, ":0", "PERSIST", "k") // already persistent
 	clk.advance(time.Hour)
-	expectReply(t, s, "VALUE v", "GET", "k")
-	expectReply(t, s, "-1", "TTL", "k")
+	expectReply(t, s, "$v", "GET", "k")
+	expectReply(t, s, ":-1", "TTL", "k")
 
 	// PEXPIRE uses milliseconds.
-	expectReply(t, s, "1", "PEXPIRE", "k", "2500")
-	expectReply(t, s, "3", "TTL", "k") // 2.5s rounds up
-	expectReply(t, s, "2500", "PTTL", "k")
+	expectReply(t, s, ":1", "PEXPIRE", "k", "2500")
+	expectReply(t, s, ":3", "TTL", "k") // 2.5s rounds up
+	expectReply(t, s, ":2500", "PTTL", "k")
 
 	// SET overwrites to a fresh record without a deadline.
-	expectReply(t, s, "OK", "SET", "k", "v2")
-	expectReply(t, s, "-1", "TTL", "k")
+	expectReply(t, s, "+OK", "SET", "k", "v2")
+	expectReply(t, s, ":-1", "TTL", "k")
 
 	// SET EX / PX stamp deadlines at write time.
-	expectReply(t, s, "OK", "SET", "ke", "v", "EX", "10")
-	expectReply(t, s, "10", "TTL", "ke")
-	expectReply(t, s, "OK", "SET", "kp", "v", "PX", "1500")
-	expectReply(t, s, "1500", "PTTL", "kp")
-	expectReply(t, s, "2", "TTL", "kp")
+	expectReply(t, s, "+OK", "SET", "ke", "v", "EX", "10")
+	expectReply(t, s, ":10", "TTL", "ke")
+	expectReply(t, s, "+OK", "SET", "kp", "v", "PX", "1500")
+	expectReply(t, s, ":1500", "PTTL", "kp")
+	expectReply(t, s, ":2", "TTL", "kp")
 
 	// Missing keys: EXPIRE/PERSIST answer 0, TTL answers -2.
-	expectReply(t, s, "0", "EXPIRE", "nosuch", "5")
-	expectReply(t, s, "0", "PERSIST", "nosuch")
-	expectReply(t, s, "-2", "TTL", "nosuch")
+	expectReply(t, s, ":0", "EXPIRE", "nosuch", "5")
+	expectReply(t, s, ":0", "PERSIST", "nosuch")
+	expectReply(t, s, ":-2", "TTL", "nosuch")
 
 	// Non-positive ttl deletes immediately (redis semantics).
-	expectReply(t, s, "1", "EXPIRE", "k", "0")
-	expectReply(t, s, "MISSING", "GET", "k")
-	expectReply(t, s, "-2", "TTL", "k")
+	expectReply(t, s, ":1", "EXPIRE", "k", "0")
+	expectReply(t, s, "(nil)", "GET", "k")
+	expectReply(t, s, ":-2", "TTL", "k")
 
 	// Bad arguments.
-	if got := run(s, "EXPIRE", "ke", "soon"); got != `ERROR invalid expire time "soon"` {
+	if got := show(s.do("EXPIRE", "ke", "soon")); got != `-ERR invalid expire time "soon"` {
 		t.Fatalf("EXPIRE soon -> %q", got)
 	}
-	if got := run(s, "SET", "ke", "v", "EX", "-3"); got != `ERROR invalid expire time "-3"` {
+	if got := show(s.do("SET", "ke", "v", "EX", "-3")); got != `-ERR invalid expire time "-3"` {
 		t.Fatalf("SET EX -3 -> %q", got)
 	}
-	if got := run(s, "SET", "ke", "v", "ZZ", "3"); got != `ERROR unknown SET option "ZZ"` {
+	if got := show(s.do("SET", "ke", "v", "ZZ", "3")); got != `-ERR unknown SET option "ZZ"` {
 		t.Fatalf("SET ZZ -> %q", got)
 	}
 }
@@ -137,15 +123,15 @@ func TestTTLSemantics(t *testing.T) {
 func TestTTLExpiredMasking(t *testing.T) {
 	s, pm, clk := newTTLServer(t, core.Config{Dir: t.TempDir(), DeviceSize: 64 << 20})
 
-	expectReply(t, s, "OK", "SET", "dies", "soon", "EX", "5")
-	expectReply(t, s, "OK", "SET", "lives", "on")
-	expectReply(t, s, "COUNT 2", "COUNT")
+	expectReply(t, s, "+OK", "SET", "dies", "soon", "EX", "5")
+	expectReply(t, s, "+OK", "SET", "lives", "on")
+	expectReply(t, s, ":2", "COUNT")
 
 	clk.advance(6 * time.Second)
-	expectReply(t, s, "MISSING", "GET", "dies")
-	expectReply(t, s, "-2", "TTL", "dies")
-	expectReply(t, s, "COUNT 1", "COUNT")
-	expectReply(t, s, "VALUE on\nMISSING", "MGET", "lives", "dies")
+	expectReply(t, s, "(nil)", "GET", "dies")
+	expectReply(t, s, ":-2", "TTL", "dies")
+	expectReply(t, s, ":1", "COUNT")
+	expectReply(t, s, "*[$on (nil)]", "MGET", "lives", "dies")
 
 	// The GET queued a lazy-reap hint; running it must physically delete
 	// the record (tree slot empty), not just mask it.
@@ -164,12 +150,11 @@ func TestTTLExpiredMasking(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// DEL of an expired-but-unswept record counts it as absent ("MISSING"
-	// is the legacy rendering of DEL's 0).
-	expectReply(t, s, "OK", "SET", "dies2", "v", "PX", "100")
+	// DEL of an expired-but-unswept record counts it as absent.
+	expectReply(t, s, "+OK", "SET", "dies2", "v", "PX", "100")
 	clk.advance(time.Second)
-	expectReply(t, s, "MISSING", "DEL", "dies2")
-	expectReply(t, s, "MISSING", "GET", "dies2")
+	expectReply(t, s, ":0", "DEL", "dies2")
+	expectReply(t, s, "(nil)", "GET", "dies2")
 }
 
 // TestTTLSweep exercises the wheel sweeper: due entries retire their
@@ -181,18 +166,18 @@ func TestTTLSweep(t *testing.T) {
 
 	const dying = 10
 	for i := 0; i < dying; i++ {
-		expectReply(t, s, "OK", "SET", fmt.Sprintf("d%d", i), "v", "EX", "5")
+		expectReply(t, s, "+OK", "SET", fmt.Sprintf("d%d", i), "v", "EX", "5")
 	}
-	expectReply(t, s, "OK", "SET", "future", "v", "EX", "1000")
-	expectReply(t, s, "OK", "SET", "forever", "v")
+	expectReply(t, s, "+OK", "SET", "future", "v", "EX", "1000")
+	expectReply(t, s, "+OK", "SET", "forever", "v")
 
 	// Stale-entry scenarios: both got wheel entries at +5s, then their
 	// records' own deadlines were cleared. The sweep must unlink the
 	// entries without touching the records.
-	expectReply(t, s, "OK", "SET", "rescued", "v", "EX", "5")
-	expectReply(t, s, "1", "PERSIST", "rescued")
-	expectReply(t, s, "OK", "SET", "rewritten", "v", "EX", "5")
-	expectReply(t, s, "OK", "SET", "rewritten", "v2")
+	expectReply(t, s, "+OK", "SET", "rescued", "v", "EX", "5")
+	expectReply(t, s, ":1", "PERSIST", "rescued")
+	expectReply(t, s, "+OK", "SET", "rewritten", "v", "EX", "5")
+	expectReply(t, s, "+OK", "SET", "rewritten", "v2")
 
 	// Nothing due yet: the sweep is a no-op.
 	if n, err := s.sweepAll(clk.now()); err != nil || n != 0 {
@@ -218,11 +203,11 @@ func TestTTLSweep(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	expectReply(t, s, "VALUE v", "GET", "future")
-	expectReply(t, s, "VALUE v", "GET", "forever")
-	expectReply(t, s, "VALUE v", "GET", "rescued")
-	expectReply(t, s, "VALUE v2", "GET", "rewritten")
-	expectReply(t, s, "COUNT 4", "COUNT")
+	expectReply(t, s, "$v", "GET", "future")
+	expectReply(t, s, "$v", "GET", "forever")
+	expectReply(t, s, "$v", "GET", "rescued")
+	expectReply(t, s, "$v2", "GET", "rewritten")
+	expectReply(t, s, ":4", "COUNT")
 
 	// A second sweep finds nothing: the due entries were freed, the stale
 	// ones unlinked.
@@ -248,8 +233,8 @@ func TestTTLSurvivesRestart(t *testing.T) {
 		DeviceSize: 64 << 20,
 	}
 	s, pm, clk := newTTLServer(t, cfg)
-	expectReply(t, s, "OK", "SET", "longttl", "v", "EX", "1000")
-	expectReply(t, s, "OK", "SET", "shortttl", "v", "EX", "5")
+	expectReply(t, s, "+OK", "SET", "longttl", "v", "EX", "1000")
+	expectReply(t, s, "+OK", "SET", "shortttl", "v", "EX", "5")
 	if err := pm.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -262,14 +247,14 @@ func TestTTLSurvivesRestart(t *testing.T) {
 	// Same epoch, 10 recovered seconds later: shortttl's deadline has
 	// passed, longttl keeps its remaining time.
 	clk2.ns.Store(clk.now() + 10*int64(time.Second))
-	expectReply(t, s2, "990", "TTL", "longttl")
-	expectReply(t, s2, "VALUE v", "GET", "longttl")
-	expectReply(t, s2, "MISSING", "GET", "shortttl")
+	expectReply(t, s2, ":990", "TTL", "longttl")
+	expectReply(t, s2, "$v", "GET", "longttl")
+	expectReply(t, s2, "(nil)", "GET", "shortttl")
 	// The recovered wheel drives the sweep without any new write.
 	if n, err := s2.sweepAll(clk2.now()); err != nil || n != 1 {
 		t.Fatalf("post-recovery sweep reclaimed %d, err %v", n, err)
 	}
-	expectReply(t, s2, "COUNT 1", "COUNT")
+	expectReply(t, s2, ":1", "COUNT")
 }
 
 // TestTTLHashInteraction pins the TTL rules for hash records: HSET on a
@@ -278,23 +263,23 @@ func TestTTLSurvivesRestart(t *testing.T) {
 func TestTTLHashInteraction(t *testing.T) {
 	s, _, clk := newTTLServer(t, core.Config{Dir: t.TempDir(), DeviceSize: 64 << 20})
 
-	expectReply(t, s, "2", "HSET", "h", "f1", "v1", "f2", "v2")
-	expectReply(t, s, "1", "EXPIRE", "h", "100")
-	expectReply(t, s, "100", "TTL", "h")
+	expectReply(t, s, ":2", "HSET", "h", "f1", "v1", "f2", "v2")
+	expectReply(t, s, ":1", "EXPIRE", "h", "100")
+	expectReply(t, s, ":100", "TTL", "h")
 	// Updating a field must not clear the hash's deadline.
-	expectReply(t, s, "1", "HSET", "h", "f3", "v3")
-	expectReply(t, s, "100", "TTL", "h")
+	expectReply(t, s, ":1", "HSET", "h", "f3", "v3")
+	expectReply(t, s, ":100", "TTL", "h")
 
 	clk.advance(101 * time.Second)
-	expectReply(t, s, "MISSING", "HGET", "h", "f1")
-	expectReply(t, s, "0", "HLEN", "h")
-	expectReply(t, s, "COUNT 0", "COUNT")
+	expectReply(t, s, "(nil)", "HGET", "h", "f1")
+	expectReply(t, s, ":0", "HLEN", "h")
+	expectReply(t, s, ":0", "COUNT")
 
 	// Writing into the expired slot starts a fresh, persistent hash: the
 	// dead fields must not resurrect alongside the new one.
-	expectReply(t, s, "1", "HSET", "h", "f9", "v9")
-	expectReply(t, s, "-1", "TTL", "h")
-	expectReply(t, s, "1", "HLEN", "h")
-	expectReply(t, s, "MISSING", "HGET", "h", "f1")
-	expectReply(t, s, "VALUE v9", "HGET", "h", "f9")
+	expectReply(t, s, ":1", "HSET", "h", "f9", "v9")
+	expectReply(t, s, ":-1", "TTL", "h")
+	expectReply(t, s, ":1", "HLEN", "h")
+	expectReply(t, s, "(nil)", "HGET", "h", "f1")
+	expectReply(t, s, "$v9", "HGET", "h", "f9")
 }

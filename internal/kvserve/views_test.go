@@ -26,7 +26,7 @@ import (
 // partition goroutines, which then read their argument views concurrently.
 // Every key must end up with its own value.
 func TestPipelinedViewsSurviveBufferReuse(t *testing.T) {
-	_, addr, _ := startRESPServer(t, core.Config{Dir: t.TempDir(), DeviceSize: 64 << 20, GroupCommit: true})
+	_, _, addr := startServer(t, core.Config{Dir: t.TempDir(), DeviceSize: 64 << 20, GroupCommit: true})
 	c := respDial(t, addr)
 	const n = 600 // × ~1 KiB: nine times the 64 KiB input buffer
 	value := func(i int) []byte { return bytes.Repeat([]byte{'A' + byte(i%53)}, 1000+i%50) }
@@ -64,7 +64,7 @@ func TestPipelinedViewsSurviveBufferReuse(t *testing.T) {
 // after; then a bulk past the value cap but within the protocol's, which
 // must earn a command error and leave the session open.
 func TestPipelinedBufferGrowth(t *testing.T) {
-	_, addr, _ := startRESPServer(t, core.Config{Dir: t.TempDir(), DeviceSize: 64 << 20})
+	_, _, addr := startServer(t, core.Config{Dir: t.TempDir(), DeviceSize: 64 << 20})
 	c := respDial(t, addr)
 	big1, big2 := bytes.Repeat([]byte("x"), MaxValueLen), bytes.Repeat([]byte("y"), MaxValueLen)
 	over := bytes.Repeat([]byte("z"), resp.MaxBulkLen)
@@ -98,7 +98,7 @@ func TestPipelinedBufferGrowth(t *testing.T) {
 // the torn command look available: reading it would wait on the stream and
 // refill the buffer under the first command's key.
 func TestSkippedUnitsBeforeTornFrame(t *testing.T) {
-	_, addr, _ := startRESPServer(t, core.Config{Dir: t.TempDir(), DeviceSize: 64 << 20})
+	_, _, addr := startServer(t, core.Config{Dir: t.TempDir(), DeviceSize: 64 << 20})
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)

@@ -42,7 +42,6 @@ package mtm
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -311,11 +310,13 @@ type TM struct {
 	mgr *logManager
 	gc  *groupCommitter
 
-	// readers pools ReadTx contexts for View. Pooling matters beyond
+	// readers is View's free list of ReadTx contexts, so there are never
+	// more than the peak number of concurrent Views. Reuse matters beyond
 	// allocation cost: each ReadTx owns a region.Mem whose device context
 	// registers with the emulator for the device's lifetime, so minting
 	// one per View would grow the context table without bound.
-	readers sync.Pool
+	readersMu sync.Mutex
+	readers   []*ReadTx
 
 	// activeWriters counts transactions in flight — begun and not yet
 	// enqueued on an epoch, rolled back, or finished read-only; epoch
@@ -359,18 +360,6 @@ func Open(rt *region.Runtime, name string, cfg Config) (*TM, error) {
 	tm.latMask = uint64(cfg.LatencySampleRate - 1)
 	telLatencySampleRate.Set(int64(cfg.LatencySampleRate))
 	tm.locks = make([]atomic.Uint64, lockCount)
-	tm.readers.New = func() any {
-		// No read cache here: View attaches a slab from the runtime free
-		// list per snapshot and releases it on return, so cache warmth
-		// lives in the free list rather than dying with pool entries
-		// (sync.Pool empties on GC, and drops puts outright under -race).
-		mem := rt.NewMemory()
-		return &ReadTx{
-			tm:  tm,
-			mem: mem,
-			rng: rand.New(rand.NewSource(readTxSeed.Add(1))),
-		}
-	}
 	tm.logBytes = (rawl.Size(cfg.LogWords) + scm.PageSize - 1) &^ (scm.PageSize - 1)
 	tm.slotSize = tm.logBytes + scm.PageSize
 

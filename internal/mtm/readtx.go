@@ -1,8 +1,7 @@
 package mtm
 
 import (
-	"math/rand"
-	"sync/atomic"
+	"math/rand/v2"
 	"time"
 
 	"repro/internal/pmem"
@@ -71,11 +70,7 @@ type ReadTx struct {
 	rv  uint64 // read snapshot timestamp
 
 	reads []readEntry
-	rng   *rand.Rand
 }
-
-// readTxSeed derandomizes backoff seeds across pooled readers.
-var readTxSeed atomic.Int64
 
 // View runs fn as a snapshot read transaction — the read-only counterpart
 // of Thread.Atomic. Every load inside fn observes one consistent committed
@@ -100,7 +95,7 @@ func (tm *TM) View(fn func(r *ReadTx) error) error {
 func (tm *TM) ViewSpanned(parent uint64, fn func(r *ReadTx) error) error {
 	sp := telemetry.SpanBegin(telemetry.PhaseView, 0, parent)
 	defer sp.End()
-	r := tm.readers.Get().(*ReadTx)
+	r := tm.getReader()
 	if tm.cfg.ReadCacheWords > 0 {
 		r.mem.EnableReadCache(tm.cfg.ReadCacheWords)
 	}
@@ -119,33 +114,48 @@ func (tm *TM) ViewSpanned(parent uint64, fn func(r *ReadTx) error) error {
 		telReadTxRetries.Inc()
 		// Randomized exponential backoff, as in Atomic: the conflicting
 		// writer finishes its commit in the meantime.
-		spinFor(time.Duration(r.rng.Int63n(int64(backoff) + 1)))
+		spinFor(time.Duration(rand.Int64N(int64(backoff) + 1)))
 		if backoff < 128*time.Microsecond {
 			backoff *= 2
 		}
 	}
 }
 
-// maxPooledReadCap bounds the read-set capacity a pooled ReadTx may
+// getReader pops a reader off the free list, or mints one when every
+// reader is inside a View. It comes without a read cache: View attaches a
+// slab from the runtime free list per snapshot.
+func (tm *TM) getReader() *ReadTx {
+	tm.readersMu.Lock()
+	defer tm.readersMu.Unlock()
+	n := len(tm.readers)
+	if n == 0 {
+		return &ReadTx{tm: tm, mem: tm.rt.NewMemory()}
+	}
+	r := tm.readers[n-1]
+	tm.readers = tm.readers[:n-1]
+	return r
+}
+
+// maxPooledReadCap bounds the read-set capacity a free-listed ReadTx may
 // retain. A single large scan would otherwise pin its grown reads slice
-// in the sync.Pool for the pool entry's lifetime — memory that nothing
-// ever shrinks. Oversized read sets are dropped on put; the next View
-// through that entry simply regrows from empty.
+// for the reader's lifetime — memory that nothing ever shrinks. Oversized
+// read sets are dropped on put; the next View on that reader simply
+// regrows from empty.
 const maxPooledReadCap = 4096
 
-// putReader returns a reader to the pool, capping what it retains. The
-// read-cache slab goes back to the runtime free list rather than riding
-// along: a pooled ReadTx can be discarded at any GC (and randomly under
-// the race detector), and a slab lost with it takes its accumulated
-// warmth — the very thing the cache trades memory for. In the free list
-// the slab survives the reader and the next View resumes on it warm.
+// putReader returns a reader to the free list, capping what it retains.
+// The read-cache slab goes back to the runtime free list rather than
+// riding along, so its accumulated warmth — the very thing the cache
+// trades memory for — serves the next View on whichever reader it runs.
 func (tm *TM) putReader(r *ReadTx) {
 	if cap(r.reads) > maxPooledReadCap {
 		r.reads = nil
 	}
 	r.mem.FlushCacheStats()
 	r.mem.ReleaseReadCache()
-	tm.readers.Put(r)
+	tm.readersMu.Lock()
+	tm.readers = append(tm.readers, r)
+	tm.readersMu.Unlock()
 }
 
 // attempt runs fn once over a fresh snapshot, translating conflict panics

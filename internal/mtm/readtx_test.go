@@ -3,6 +3,7 @@ package mtm
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -50,6 +51,26 @@ func TestViewReturnsUserError(t *testing.T) {
 	want := fmt.Errorf("user error")
 	if err := e.tm.View(func(r *ReadTx) error { return want }); err != want {
 		t.Fatalf("View returned %v, want %v", err, want)
+	}
+}
+
+// TestViewReusesReaderAcrossGC pins View's reader reuse: a reader freed by
+// one View serves the next even across garbage collections. A reader that
+// a GC dropped would be replaced by a new one, each registering a device
+// context that is never removed.
+func TestViewReusesReaderAcrossGC(t *testing.T) {
+	e := newEnv(t, Config{})
+	var first, next *ReadTx
+	if err := e.tm.View(func(r *ReadTx) error { first = r; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.GC()
+	if err := e.tm.View(func(r *ReadTx) error { next = r; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if next != first {
+		t.Fatal("View minted a new reader after GC instead of reusing the freed one")
 	}
 }
 

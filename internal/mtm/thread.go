@@ -5,7 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"runtime"
 	"slices"
 	"sync/atomic"
@@ -131,7 +131,6 @@ type Thread struct {
 	pending pendingCommit
 
 	tx     Tx
-	rng    *rand.Rand
 	latSeq uint64 // transaction count for latency-histogram sampling
 
 	// undoDirty records that committed undo batch/marker records are
@@ -275,7 +274,6 @@ func (tm *TM) bindSlot(slot int) (*Thread, error) {
 		mem:       mem,
 		log:       log,
 		largeSlot: tm.largeSlotAddr(slot),
-		rng:       rand.New(rand.NewSource(int64(slot + 1))),
 	}
 	if tm.cfg.Heap != nil {
 		t.alloc = tm.cfg.Heap.NewAllocator()
@@ -570,7 +568,7 @@ func (t *Thread) Atomic(fn func(tx *Tx) error) error {
 			}
 		}
 		// Randomized exponential backoff to break livelock.
-		spinFor(time.Duration(t.rng.Int63n(int64(backoff) + 1)))
+		spinFor(time.Duration(rand.Int64N(int64(backoff) + 1)))
 		if backoff < 128*time.Microsecond {
 			backoff *= 2
 		}

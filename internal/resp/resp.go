@@ -10,8 +10,7 @@
 // resp kernel, so CI needs no external redis-cli.
 //
 // Bulk strings carry arbitrary bytes — including spaces, newlines, and
-// NULs — which is what lifts the legacy line protocol's "values without
-// spaces" restriction end to end.
+// NULs — so keys and values are binary-safe end to end.
 //
 // Neither side of the pair allocates per frame. A Reader owns one input
 // buffer and hands commands out as views into it; a Writer owns one output
@@ -297,8 +296,7 @@ func intLine(b []byte, from int) (v int64, next int, err error) {
 }
 
 // Value is one parsed RESP reply, for the client side of the protocol
-// (tests, cmd/respsmoke, the bench kernel) and for kvserve's line
-// protocol, which renders replies as RESP and translates them.
+// (tests, cmd/respsmoke, the bench kernel).
 type Value struct {
 	Type  byte // '+', '-', ':', '$', '*'
 	Str   string

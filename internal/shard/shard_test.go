@@ -359,9 +359,9 @@ func TestSingleShardCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 	tree := pds.NewBPTree(root)
-	rec, _ := EncodeKV("legacy", "value")
+	rec, _ := EncodeKV("classic", "value")
 	if err := pm.Atomic(func(tx *mtm.Tx) error {
-		return tree.Put(tx, HashKey("legacy"), rec)
+		return tree.Put(tx, HashKey("classic"), rec)
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -373,8 +373,8 @@ func TestSingleShardCompat(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sharded open of pre-sharding image: %v", err)
 	}
-	if v, err := st.Get("legacy"); err != nil || v != "value" {
-		t.Fatalf("legacy key = %q, %v", v, err)
+	if v, err := st.Get("classic"); err != nil || v != "value" {
+		t.Fatalf("classic key = %q, %v", v, err)
 	}
 	if err := st.Set("fresh", "new"); err != nil {
 		t.Fatal(err)
