@@ -2,8 +2,10 @@ package kvserve
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/resp"
@@ -12,9 +14,12 @@ import (
 // TestConnectionChurn is the regression for the slot-exhaustion bug: a
 // server with Threads:8 must serve 4x that many sequential connections
 // without ever answering ErrTooManyThreads, because each disconnect
-// returns its leased log slot to the pool.
+// returns its leased log slot to the pool. Each connection also sends a
+// 16-deep pipelined batch, which starts its session's partition workers;
+// once the server closes, every worker and session goroutine is gone.
 func TestConnectionChurn(t *testing.T) {
-	_, pm, addr := startServer(t, core.Config{
+	goroutines := runtime.NumGoroutine()
+	srv, pm, addr := startServer(t, core.Config{
 		Dir: t.TempDir(), DeviceSize: 128 << 20, Threads: 8,
 	})
 	const conns = 4 * 8
@@ -25,6 +30,27 @@ func TestConnectionChurn(t *testing.T) {
 		}
 		if got := c.text(t, "GET", fmt.Sprintf("churn%d", i)); got != "$v"+fmt.Sprint(i) {
 			t.Fatalf("conn %d GET -> %q", i, got)
+		}
+		for j := 0; j < 8; j++ {
+			key := fmt.Sprintf("churn%d.%d", i, j)
+			c.w.WriteCommandStrings("SET", key, key)
+			c.w.WriteCommandStrings("GET", key)
+		}
+		if err := c.w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < 16; j++ {
+			v, err := c.r.ReadValue()
+			if err != nil {
+				t.Fatalf("conn %d batch reply %d: %v", i, j, err)
+			}
+			want := "+OK"
+			if j%2 == 1 {
+				want = fmt.Sprintf("$churn%d.%d", i, j/2)
+			}
+			if got := show(v); got != want {
+				t.Fatalf("conn %d batch reply %d -> %q, want %q", i, j, got, want)
+			}
 		}
 		if got := c.text(t, "QUIT"); got != "+OK" {
 			t.Fatalf("conn %d QUIT -> %q", i, got)
@@ -39,6 +65,20 @@ func TestConnectionChurn(t *testing.T) {
 	}
 	c.conn.Close()
 	_ = pm
+
+	// Close waits for sessions and their workers to return; a returning
+	// goroutine may still be counted for a moment.
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const margin = 2
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > goroutines+margin && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > goroutines+margin {
+		t.Fatalf("%d goroutines after the server closed, %d before it started", n, goroutines)
+	}
 }
 
 // TestDelCollision pins the DEL collision fix: with a hash that maps

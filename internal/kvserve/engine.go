@@ -82,7 +82,10 @@ type call struct {
 	failed bool     // the reply is an error
 	quit   bool     // the command ends the session
 
-	rec []byte // record scratch: an encoding on its way in, a header or record on its way out
+	rec    []byte            // record scratch: an encoding on its way in, a header or record on its way out
+	recs   [][]byte          // MSET's records, views into rec
+	fields []shard.HashField // a hash's fields, decoded
+	hash   []byte            // a hash's payload, encoded
 }
 
 // run serves cmd as one request: the request span — a root (parent 0):
@@ -409,8 +412,7 @@ func cmdMSet(c *call) {
 	}
 	// The records sit back to back in c.rec. Growing it mid-loop moves
 	// the buffer, not the records already sliced out of the old one.
-	recs := make([][]byte, 0, len(args)/2)
-	c.rec = c.rec[:0]
+	c.recs, c.rec = c.recs[:0], c.rec[:0]
 	for i := 0; i < len(args); i += 2 {
 		err := checkKeySize(args[i])
 		if err == nil {
@@ -424,9 +426,9 @@ func cmdMSet(c *call) {
 			c.fail(err.Error())
 			return
 		}
-		recs = append(recs, c.rec[start:len(c.rec):len(c.rec)])
+		c.recs = append(c.recs, c.rec[start:len(c.rec):len(c.rec)])
 	}
-	if err := c.s.store.MPut(c.parent, recs); err != nil {
+	if err := c.s.store.MPut(c.parent, c.recs); err != nil {
 		c.fail(err.Error())
 		return
 	}
@@ -465,14 +467,18 @@ func cmdCount(c *call) {
 // every batch: the batch itself, a call for the commands the session
 // goroutine runs in order — rendering straight into the connection's
 // reply buffer — and a call per partition, each with a sink of its own,
-// for keyed commands of a partitioned batch.
+// for keyed commands of a partitioned batch. Partition 0 runs on the
+// session goroutine; each other partition has a worker goroutine of its
+// own, started at the session's first partitioned batch and stopped by
+// close.
 type session struct {
 	s       *Server
 	cmds    []command // the batch being served, in request order
 	out     call
 	parts   [batchPartitions]call
-	pending [batchPartitions][]int // command indices queued per partition
-	wg      sync.WaitGroup
+	pending [batchPartitions][]int         // command indices queued per partition
+	work    [batchPartitions]chan struct{} // a token runs the partition's pending commands; nil until started
+	wg      sync.WaitGroup                 // partitions still running the current run
 }
 
 func (s *Server) newSession(w *resp.Writer) *session {
@@ -487,7 +493,7 @@ func (s *Server) newSession(w *resp.Writer) *session {
 // reports whether a command (QUIT) closed the session; commands pipelined
 // after it are dropped unanswered. In a batch of at least minPartitioned
 // commands, runs of keyed single-key commands spread across
-// batchPartitions goroutines by key hash; every other command is a barrier
+// batchPartitions partitions by key hash; every other command is a barrier
 // that waits for the run before it and executes alone on the session
 // goroutine.
 func (ss *session) serve() (quit bool) {
@@ -513,7 +519,7 @@ func (ss *session) serve() (quit bool) {
 // replies into the connection's buffer in request order.
 func (ss *session) spread(from, to int) {
 	if to-from <= 2 {
-		// Not worth goroutine coordination.
+		// Not worth handing to the partition workers.
 		for i := from; i < to; i++ {
 			ss.out.run(&ss.cmds[i])
 		}
@@ -523,13 +529,15 @@ func (ss *session) spread(from, to int) {
 		p := int(ss.cmds[i].h % batchPartitions)
 		ss.pending[p] = append(ss.pending[p], i)
 	}
+	if ss.work[1] == nil {
+		ss.start()
+	}
 	for p := 1; p < batchPartitions; p++ {
 		if len(ss.pending[p]) > 0 {
 			ss.wg.Add(1)
-			go ss.runPartition(p)
+			ss.work[p] <- struct{}{}
 		}
 	}
-	ss.wg.Add(1)
 	ss.runPartition(0)
 	ss.wg.Wait()
 	var off [batchPartitions]int
@@ -544,8 +552,32 @@ func (ss *session) spread(from, to int) {
 	}
 }
 
+// start launches the partition workers. The server's WaitGroup counts
+// them, so Close waits for them as it does for their session.
+func (ss *session) start() {
+	for p := 1; p < batchPartitions; p++ {
+		ss.work[p] = make(chan struct{}, 1)
+		ss.s.wg.Add(1)
+		go func(p int) {
+			defer ss.s.wg.Done()
+			for range ss.work[p] {
+				ss.runPartition(p)
+				ss.wg.Done()
+			}
+		}(p)
+	}
+}
+
+// close stops the partition workers, if they were started.
+func (ss *session) close() {
+	for p := 1; p < batchPartitions; p++ {
+		if ss.work[p] != nil {
+			close(ss.work[p])
+		}
+	}
+}
+
 func (ss *session) runPartition(p int) {
-	defer ss.wg.Done()
 	c := &ss.parts[p]
 	for _, i := range ss.pending[p] {
 		c.run(&ss.cmds[i])

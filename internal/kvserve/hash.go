@@ -17,8 +17,8 @@ import (
 
 // loadHash reads the command's key's hash fields inside a transaction or
 // view. ok=false means logically absent (missing, collision, or expired);
-// a live record of the wrong type fails with ErrWrongType. The fields are
-// views into c.rec.
+// a live record of the wrong type fails with ErrWrongType. The fields,
+// decoded into c.fields, are views into c.rec.
 func (c *call) loadHash(n *node, r mtm.Reader) (hdr shard.Header, fields []shard.HashField, ok bool, err error) {
 	hdr, v, ok, err := c.record(n, r)
 	if err != nil || !ok {
@@ -27,24 +27,25 @@ func (c *call) loadHash(n *node, r mtm.Reader) (hdr shard.Header, fields []shard
 	if hdr.Type != shard.RecHash {
 		return hdr, nil, false, shard.ErrWrongType
 	}
-	fields, err = shard.DecodeHashFields(c.payload(hdr, v))
-	return hdr, fields, err == nil, err
+	c.fields, err = shard.DecodeHashFields(c.fields[:0], c.payload(hdr, v))
+	return hdr, c.fields, err == nil, err
 }
 
 // storeHash writes the command's key's hash back with fields as its new
 // field set, keeping the deadline hdr carries. The fields may still alias
-// c.rec: they are encoded into a payload of their own before c.rec takes
-// the new header.
+// c.rec: they are encoded into c.hash before c.rec takes the new header.
+// fields, grown or cut from c.fields, becomes c.fields.
 func (c *call) storeHash(n *node, tx *mtm.Tx, hdr shard.Header, fields []shard.HashField) error {
-	payload := shard.EncodeHashFields(fields)
-	err := checkValueSize(len(payload))
+	c.fields = fields
+	c.hash = shard.AppendHashFields(c.hash[:0], fields)
+	err := checkValueSize(len(c.hash))
 	if err == nil {
 		c.rec, err = shard.AppendHeader(c.rec[:0], c.args[1], shard.RecHash, hdr.Expire)
 	}
 	if err != nil {
 		return err
 	}
-	return putRecord(n, tx, c.h, c.rec, payload)
+	return putRecord(n, tx, c.h, c.rec, c.hash)
 }
 
 func cmdHSet(c *call) {

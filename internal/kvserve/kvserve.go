@@ -25,8 +25,10 @@
 // replies) are served transparently in batches: buffered commands are
 // dispatched concurrently across a small set of partitions — keyed by
 // hash, so commands on the same key keep their order — and the replies
-// are written back in request order. With group commit enabled the whole
-// batch shares durability fences.
+// are written back in request order. The session goroutine runs one
+// partition itself; the others run on worker goroutines the session
+// starts at its first partitioned batch and stops when it ends. With
+// group commit enabled the whole batch shares durability fences.
 package kvserve
 
 import (
@@ -222,8 +224,8 @@ func (s *Server) Close() error {
 }
 
 // Batch-dispatch tuning: how many pipelined commands one round serves,
-// and how many goroutines (the session's own included) a batch of at least
-// minPartitioned commands spreads across.
+// and how many partitions (the session goroutine's own included) a batch
+// of at least minPartitioned commands spreads across.
 const (
 	maxBatch        = 128
 	batchPartitions = 4

@@ -13,6 +13,7 @@ func (s *Server) respSession(conn net.Conn) {
 	w := resp.NewWriter(conn)
 	defer w.Flush()
 	ss := s.newSession(w)
+	defer ss.close()
 	for {
 		// One blocking read, then drain whatever a pipelining client
 		// already has buffered: a request-per-reply client always sees a

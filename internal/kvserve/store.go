@@ -73,11 +73,7 @@ func (ms *mtmStore) MPut(parent uint64, recs [][]byte) error {
 	k := s.shard(slot(recs[0]))
 	for _, rec := range recs[1:] {
 		if s.shard(slot(rec)) != k {
-			keys := make([]string, len(recs))
-			for i := range recs {
-				keys[i] = string(shard.RecordKey(recs[i]))
-			}
-			return ms.xs.MSetRecs(keys, recs)
+			return ms.xs.MPut(recs)
 		}
 	}
 	return ms.Update(parent, k, func(n *node, tx *mtm.Tx) error {

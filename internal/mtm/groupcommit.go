@@ -37,36 +37,42 @@ type pendingCommit struct {
 }
 
 // epoch is one group of transactions made durable by a single covering
-// fence. Epochs form a chain through prev/done, so they flush strictly in
-// order; the chain wait doubles as natural batching under load.
+// fence. Flushed epochs go back on the committer's free list, so an epoch
+// and its members slice are reused rather than allocated per group.
 type epoch struct {
 	id      uint64
-	members []*pendingCommit
-	sealed  bool          // no further members may join
-	full    chan struct{} // closed when the batch cap seals the epoch
-	done    chan struct{} // closed when every member is durable
-	prev    chan struct{} // previous epoch's done channel (nil for the first)
+	members []*pendingCommit // members[0] is the leader
+	sealed  bool             // no further members may join
 }
 
 // groupCommitter coalesces the durability fences of concurrent
 // transactions. A committing transaction publishes its write set, takes a
 // commit timestamp, and enqueues on the current epoch; the first member
-// becomes the leader and, after the previous epoch finishes and an
+// becomes the leader and, after the previous epoch has flushed and an
 // optional gathering window passes, streams every member's redo record
 // into that member's own thread log and issues one FenceGroup covering
-// them all. Members park on the epoch's done channel, which transfers
-// ownership of their memory views to the leader for the flush.
+// them all. Members park on their thread's wake channel, which transfers
+// ownership of their memory views to the leader for the flush; the
+// leader wakes each one after the fence and the lock release.
 type groupCommitter struct {
 	tm *TM
 
-	mu       sync.Mutex
-	cur      *epoch
-	nextID   uint64
-	lastDone chan struct{}
+	mu      sync.Mutex
+	cur     *epoch
+	nextID  uint64
+	flushed uint64    // id of the newest flushed epoch; epoch flushed+1 leads next
+	turn    sync.Cond // on mu: broadcast when flushed advances
+	free    []*epoch  // flushed epochs awaiting reuse
+
+	// The gathering window. Only the leader whose turn it is gathers, so
+	// one timer and one seal signal serve every epoch. seal is sent,
+	// without blocking and under mu, when the batch cap seals the open
+	// epoch.
+	timer *time.Timer
+	seal  chan struct{}
 
 	// flushEpoch scratch, reused across epochs. Epochs flush strictly
-	// serially (each leader waits for the previous epoch's done), so a
-	// single set is safe.
+	// serially (each leader waits for its turn), so a single set is safe.
 	live  []*pendingCommit
 	peers []*scm.Context
 	bits  []pheap.BitOp // every live member's heap ops
@@ -74,7 +80,26 @@ type groupCommitter struct {
 }
 
 func newGroupCommitter(tm *TM) *groupCommitter {
-	return &groupCommitter{tm: tm}
+	gc := &groupCommitter{tm: tm, timer: time.NewTimer(time.Hour), seal: make(chan struct{}, 1)}
+	gc.timer.Stop()
+	gc.turn.L = &gc.mu
+	return gc
+}
+
+// open starts the next epoch, reusing a flushed one when there is one.
+// Called with gc.mu held.
+func (gc *groupCommitter) open() *epoch {
+	var e *epoch
+	if n := len(gc.free); n > 0 {
+		e, gc.free[n-1] = gc.free[n-1], nil
+		gc.free = gc.free[:n-1]
+	} else {
+		e = new(epoch)
+	}
+	gc.nextID++
+	e.id, e.sealed = gc.nextID, false
+	gc.cur = e
+	return e
 }
 
 // commit makes tx durable through a group-commit epoch. Called with the
@@ -93,22 +118,17 @@ func (gc *groupCommitter) commit(tx *Tx) error {
 		start = time.Now()
 	}
 	// The enqueue span covers everything from joining the epoch to the
-	// done broadcast: for a member that is the wait, for the leader it
-	// encloses the lead span.
+	// wake-up: for a member that is the wait, for the leader it encloses
+	// the lead span.
 	enq := telemetry.SpanBegin(telemetry.PhaseGCEnqueue, t.id, t.txnSpan)
+	if t.wake == nil {
+		t.wake = make(chan struct{}, 1)
+	}
 
 	gc.mu.Lock()
 	e := gc.cur
 	if e == nil {
-		gc.nextID++
-		e = &epoch{
-			id:   gc.nextID,
-			full: make(chan struct{}),
-			done: make(chan struct{}),
-			prev: gc.lastDone,
-		}
-		gc.lastDone = e.done
-		gc.cur = e
+		e = gc.open()
 	}
 	pc := &t.pending
 	pc.tx = tx
@@ -123,7 +143,10 @@ func (gc *groupCommitter) commit(tx *Tx) error {
 	if len(e.members) >= gc.tm.cfg.GroupCommitBatch && !e.sealed {
 		e.sealed = true
 		gc.cur = nil
-		close(e.full)
+		select {
+		case gc.seal <- struct{}{}:
+		default:
+		}
 	}
 	gc.mu.Unlock()
 
@@ -132,7 +155,7 @@ func (gc *groupCommitter) commit(tx *Tx) error {
 		gc.lead(e)
 		lead.End()
 	} else {
-		<-e.done
+		<-t.wake
 	}
 	enq.End()
 	if timed {
@@ -141,13 +164,17 @@ func (gc *groupCommitter) commit(tx *Tx) error {
 	return gc.finish(pc)
 }
 
-// lead runs the epoch leader protocol: wait for the previous epoch, let
+// lead runs the epoch leader protocol: wait for the previous epoch to
+// flush (e stays open meanwhile, which batches naturally under load), let
 // an optional gathering window pass while other writers are still
-// producing, seal the epoch, flush it, and wake the members.
+// producing, seal the epoch, flush it, wake the members and recycle the
+// epoch.
 func (gc *groupCommitter) lead(e *epoch) {
-	if e.prev != nil {
-		<-e.prev
+	gc.mu.Lock()
+	for gc.flushed+1 != e.id {
+		gc.turn.Wait()
 	}
+	gc.mu.Unlock()
 	if w := gc.tm.cfg.GroupCommitWait; w > 0 {
 		// Yield once before sealing: on a saturated scheduler the run
 		// queue holds the other committers, and letting them run walks
@@ -159,27 +186,61 @@ func (gc *groupCommitter) lead(e *epoch) {
 		// Gathering window: worth a timed wait only when transactions
 		// are still in flight and might yet arrive.
 		if gc.tm.activeWriters.Load() > 0 {
-			timer := time.NewTimer(w)
-			select {
-			case <-e.full:
-			case <-timer.C:
-			}
-			timer.Stop()
+			gc.gather(e, w)
 		}
 	}
 	gc.mu.Lock()
 	if gc.cur == e {
 		gc.cur = nil
 	}
-	if !e.sealed {
-		e.sealed = true
-		close(e.full)
-	}
-	members := e.members
+	e.sealed = true
 	gc.mu.Unlock()
 
-	gc.flushEpoch(e.id, members)
-	close(e.done)
+	gc.flushEpoch(e.id, e.members)
+
+	gc.mu.Lock()
+	gc.flushed = e.id
+	gc.turn.Broadcast()
+	for _, pc := range e.members[1:] {
+		pc.tx.t.wake <- struct{}{} // never blocks: one wake per park
+	}
+	clear(e.members)
+	e.members = e.members[:0]
+	gc.free = append(gc.free, e)
+	gc.mu.Unlock()
+}
+
+// gather holds e open for up to w, or until the batch cap seals it.
+func (gc *groupCommitter) gather(e *epoch, w time.Duration) {
+	gc.mu.Lock()
+	// A buffered seal signal belongs to an epoch that filled before its
+	// leader's turn came: drop it. From here on a signal can only mean e
+	// filled, since e stays the open epoch until it seals.
+	select {
+	case <-gc.seal:
+	default:
+	}
+	sealed := e.sealed
+	gc.mu.Unlock()
+	if sealed {
+		return
+	}
+	// A tick left over from an earlier window would end this one at once.
+	select {
+	case <-gc.timer.C:
+	default:
+	}
+	gc.timer.Reset(w)
+	select {
+	case <-gc.seal:
+		if !gc.timer.Stop() {
+			select {
+			case <-gc.timer.C:
+			default:
+			}
+		}
+	case <-gc.timer.C:
+	}
 }
 
 // flushEpoch makes every member durable under one covering fence and
@@ -211,9 +272,9 @@ func (gc *groupCommitter) flushEpoch(id uint64, members []*pendingCommit) {
 	defer flushSp.End()
 
 	// Stream each member's redo record into its own thread log. Members
-	// are parked on the epoch's done channel, so the leader temporarily
-	// owns their memory views; the enqueue under gc.mu and the done
-	// broadcast order the handoff both ways.
+	// are parked on their wake channels, so the leader temporarily owns
+	// their memory views; the enqueue under gc.mu and the wake-up order
+	// the handoff both ways.
 	for _, pc := range live {
 		tx := pc.tx
 		tx.recBuf = tx.appendPairs(append(tx.recBuf[:0], tagRedoGroup, pc.ts, id, n, uint64(tx.pairs())))
@@ -289,8 +350,8 @@ func (gc *groupCommitter) flushEpoch(id uint64, members []*pendingCommit) {
 	telGCSize.Observe(int64(n))
 }
 
-// finish completes a member's commit on its own goroutine after the
-// epoch's done broadcast: post-commit cleanup on success, full rollback
+// finish completes a member's commit on its own goroutine after its
+// epoch flushed: post-commit cleanup on success, full rollback
 // when the leader could not log it.
 func (gc *groupCommitter) finish(pc *pendingCommit) error {
 	tx := pc.tx

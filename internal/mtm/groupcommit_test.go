@@ -163,6 +163,71 @@ func TestGroupCommitIdleSingleCommit(t *testing.T) {
 	}
 }
 
+// TestGroupCommitEpochReuse runs many small epochs (a batch cap of 2)
+// under 16 concurrent committers and checks the committer's bookkeeping:
+// every epoch ever opened is back on the free list afterwards, and there
+// are never more of them than committers in flight (plus one), since an
+// open epoch holds at least one parked committer. Every commit is counted
+// as an epoch member exactly once, no epoch exceeds the cap, and every
+// committer's last value is durable.
+func TestGroupCommitEpochReuse(t *testing.T) {
+	const committers, commits, batch = 16, 50, 2
+	e := newEnv(t, Config{GroupCommit: true, GroupCommitBatch: batch})
+	defer e.tm.Close()
+	startEpochs, startMembers := telGCEpochs.Value(), telGCMembers.Value()
+	var wg sync.WaitGroup
+	errs := make([]error, committers)
+	for g := 0; g < committers; g++ {
+		th, err := e.tm.NewThread()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(g int, th *Thread) {
+			defer wg.Done()
+			defer th.Close()
+			for i := 1; i <= commits; i++ {
+				if err := th.Atomic(func(tx *Tx) error {
+					tx.StoreU64(e.data.Add(int64(g)*64), uint64(i))
+					return nil
+				}); err != nil {
+					errs[g] = err
+					return
+				}
+			}
+		}(g, th)
+	}
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Fatalf("committer %d: %v", g, err)
+		}
+	}
+	gc := e.tm.gc
+	gc.mu.Lock()
+	free, cur, flushed, opened := len(gc.free), gc.cur, gc.flushed, gc.nextID
+	gc.mu.Unlock()
+	if cur != nil || flushed != opened {
+		t.Fatalf("after the last commit: open epoch %v, %d of %d epochs flushed", cur != nil, flushed, opened)
+	}
+	if free < 1 || free > committers+1 {
+		t.Errorf("free list holds %d epochs, want 1..%d", free, committers+1)
+	}
+	epochs, members := telGCEpochs.Value()-startEpochs, telGCMembers.Value()-startMembers
+	if members != committers*commits {
+		t.Errorf("mtm_group_commit_members_total moved by %d, want %d commits", members, committers*commits)
+	}
+	if epochs != opened || epochs*batch < members {
+		t.Errorf("%d epochs flushed (%d opened) for %d members, want one per opened epoch and at most %d members each", epochs, opened, members, batch)
+	}
+	e.dev.Crash(scm.DropAll{})
+	for g := 0; g < committers; g++ {
+		if got := e.mem.LoadU64(e.data.Add(int64(g) * 64)); got != commits {
+			t.Fatalf("committer %d: word = %d after crash, want %d", g, got, commits)
+		}
+	}
+}
+
 // TestGroupCommitRollsBackIncompleteEpoch fabricates the on-device state
 // of a crash between two members' log appends — one record claiming a
 // two-member epoch — and verifies recovery drops it: the epoch is

@@ -127,8 +127,12 @@ type Thread struct {
 
 	// pending is this thread's group-commit enqueue slot, embedded so
 	// joining an epoch allocates nothing. Valid only between the
-	// coordinator's enqueue and the epoch's done broadcast.
+	// coordinator's enqueue and the member's wake-up.
 	pending pendingCommit
+	// wake parks this thread as a non-leading epoch member: the leader
+	// sends one token once the epoch is durable and its locks released.
+	// Made on the thread's first group commit, 1-buffered.
+	wake chan struct{}
 
 	tx     Tx
 	latSeq uint64 // transaction count for latency-histogram sampling

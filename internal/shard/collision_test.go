@@ -116,8 +116,8 @@ func TestRollForwardSkipsCollision(t *testing.T) {
 	recA, _ := EncodeKV("col-a", "va")
 	recB, _ := EncodeKV(keyB, "vb")
 	mask := uint64(1<<uint(ka) | 1<<uint(kb))
-	stagePut(t, st, ka, 21, encodeIntent(statePrepared, mask, [][]byte{recA}))
-	stagePut(t, st, kb, 21, encodeIntent(statePrepared, mask, [][]byte{recB}))
+	stagePut(t, st, ka, 21, appendIntent(nil, statePrepared, mask, [][]byte{recA}))
+	stagePut(t, st, kb, 21, appendIntent(nil, statePrepared, mask, [][]byte{recB}))
 
 	skipsBefore := telXCollisionSkips.Value()
 	commits, aborts, err := st.resolveIntents()

@@ -1,8 +1,10 @@
 package shard
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/mtm"
 	"repro/internal/pds"
@@ -45,6 +47,31 @@ func HashKey(s string) uint64 { return hashKey(s) }
 // connection's input buffer).
 func HashKeyBytes(b []byte) uint64 { return hashKey(b) }
 
+// keySlot is key's tree key: HashKey, unless a collision test replaced
+// st.hash.
+func keySlot[K ~string | ~[]byte](st *Store, key K) uint64 {
+	if st.hash == nil {
+		return hashKey(key)
+	}
+	return st.hash(string(key))
+}
+
+// keyShard is the shard key routes to.
+func keyShard[K ~string | ~[]byte](st *Store, key K) int {
+	return int(keySlot(st, key) % uint64(len(st.shards)))
+}
+
+// touched is the set of shards keys route to, as a bit mask (a store has
+// at most MaxShards = 64): multi-key operations visit those shards in
+// ascending order — the deterministic order every multi-shard operation
+// uses — and pick their keys out again on each.
+func touched[K ~string | ~[]byte](st *Store, keys []K) (mask uint64) {
+	for _, key := range keys {
+		mask |= 1 << uint(keyShard(st, key))
+	}
+	return mask
+}
+
 func hashKey[K ~string | ~[]byte](s K) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {
@@ -78,7 +105,7 @@ func DecodeKV(b []byte) (key, value string, err error) {
 // slot that is empty or holds another key's record answers ErrNotFound.
 // Only the header is loaded; the payload stays in the tree.
 func (st *Store) find(sh *Shard, r mtm.Reader, key string) (Header, pds.Stored, error) {
-	v, err := sh.Tree.Find(r, st.hash(key))
+	v, err := sh.Tree.Find(r, keySlot(st, key))
 	if err != nil {
 		return Header{}, v, err
 	}
@@ -110,31 +137,33 @@ func (st *Store) lookup(sh *Shard, r mtm.Reader, key string) (string, error) {
 }
 
 // checkCollision fails with ErrHashCollision when key's slot already
-// holds a different key's record; an absent or same-key slot is fine.
-func (st *Store) checkCollision(sh *Shard, r mtm.Reader, key string) error {
-	v, err := sh.Tree.Find(r, st.hash(key))
+// holds a different key's record; an absent or same-key slot is fine. The
+// stored header is loaded into buf, which is returned for reuse.
+func (st *Store) checkCollision(sh *Shard, r mtm.Reader, key, buf []byte) ([]byte, error) {
+	v, err := sh.Tree.Find(r, keySlot(st, key))
 	if err == ErrNotFound {
-		return nil
+		return buf, nil
 	}
 	if err != nil {
-		return err
+		return buf, err
 	}
-	h, _, err := LoadHeader(v, nil)
-	if err == nil && string(h.Key) != key {
-		err = fmt.Errorf("%w: %q and stored %q share hash %#x", ErrHashCollision, key, h.Key, st.hash(key))
+	h, buf, err := LoadHeader(v, buf)
+	if err == nil && !bytes.Equal(h.Key, key) {
+		err = fmt.Errorf("%w: %q and stored %q share hash %#x", ErrHashCollision, key, h.Key, keySlot(st, key))
 	}
-	return err
+	return buf, err
 }
 
-// checkedPut stores rec, key's record, at key's slot in one descent that
+// checkedPut stores rec at its key's slot in one descent that
 // compares the stored key in place: overwriting the same key is the
 // normal update, overwriting a colliding key would destroy its record,
 // so that fails with ErrHashCollision and the transaction aborts
 // untouched.
-func (st *Store) checkedPut(sh *Shard, tx *mtm.Tx, key string, rec []byte) error {
-	err := sh.Tree.Upsert(tx, st.hash(key), rec, nil, KeyPrefixLen(rec))
+func (st *Store) checkedPut(sh *Shard, tx *mtm.Tx, rec []byte) error {
+	key := RecordKey(rec)
+	err := sh.Tree.Upsert(tx, keySlot(st, key), rec, nil, KeyPrefixLen(rec))
 	if err == pds.ErrMismatch {
-		return fmt.Errorf("%w: %q at hash %#x", ErrHashCollision, key, st.hash(key))
+		return fmt.Errorf("%w: %q at hash %#x", ErrHashCollision, key, keySlot(st, key))
 	}
 	return err
 }
@@ -145,15 +174,15 @@ func (st *Store) Set(key, value string) error {
 	if err != nil {
 		return err
 	}
-	sh := st.shards[st.ShardOf(key)]
+	sh := st.shards[keyShard(st, key)]
 	return sh.PM.Atomic(func(tx *mtm.Tx) error {
-		return st.checkedPut(sh, tx, key, rec)
+		return st.checkedPut(sh, tx, rec)
 	})
 }
 
 // Get reads key from a snapshot of its shard; ErrNotFound when absent.
 func (st *Store) Get(key string) (string, error) {
-	sh := st.shards[st.ShardOf(key)]
+	sh := st.shards[keyShard(st, key)]
 	var value string
 	err := sh.PM.View(func(r *mtm.ReadTx) error {
 		v, err := st.lookup(sh, r, key)
@@ -168,7 +197,7 @@ func (st *Store) Get(key string) (string, error) {
 
 // Del durably deletes key from its shard; ErrNotFound when absent.
 func (st *Store) Del(key string) error {
-	sh := st.shards[st.ShardOf(key)]
+	sh := st.shards[keyShard(st, key)]
 	return sh.PM.Atomic(func(tx *mtm.Tx) error {
 		// Compare the stored key before deleting: the tree is keyed by
 		// hash, and deleting on a collision would destroy a different
@@ -176,7 +205,7 @@ func (st *Store) Del(key string) error {
 		if _, _, err := st.find(sh, tx, key); err != nil {
 			return err
 		}
-		return sh.Tree.Delete(tx, st.hash(key))
+		return sh.Tree.Delete(tx, keySlot(st, key))
 	})
 }
 
@@ -188,15 +217,15 @@ func (st *Store) Del(key string) error {
 func (st *Store) MGet(keys []string) (values []string, present []bool, err error) {
 	values = make([]string, len(keys))
 	present = make([]bool, len(keys))
-	parts := st.partition(keys)
-	for k, idxs := range parts {
-		if len(idxs) == 0 {
-			continue
-		}
+	for mask := touched(st, keys); mask != 0; mask &= mask - 1 {
+		k := bits.TrailingZeros64(mask)
 		sh := st.shards[k]
 		verr := sh.PM.View(func(r *mtm.ReadTx) error {
-			for _, i := range idxs {
-				v, err := st.lookup(sh, r, keys[i])
+			for i, key := range keys {
+				if keyShard(st, key) != k {
+					continue
+				}
+				v, err := st.lookup(sh, r, key)
 				if err == ErrNotFound {
 					continue
 				}
@@ -236,43 +265,45 @@ func (st *Store) MSet(keys, values []string) error {
 
 // MSetRecs is MSet over pre-encoded records: keys[i] names the routing
 // key of recs[i], which must be an EncodeRecord encoding of that same
-// key (any type, any expiry). The RESP engine uses this to write typed
-// records — hashes, TTL-carrying strings — through the same cross-shard
-// atomicity protocol as plain MSET.
+// key (any type, any expiry).
 func (st *Store) MSetRecs(keys []string, recs [][]byte) error {
 	if len(keys) != len(recs) {
 		return fmt.Errorf("shard: MSetRecs with %d keys but %d records", len(keys), len(recs))
 	}
-	if len(keys) == 0 {
-		return nil
+	for i, key := range keys {
+		if key != string(RecordKey(recs[i])) {
+			return fmt.Errorf("shard: MSetRecs key %q names a record of key %q", key, RecordKey(recs[i]))
+		}
 	}
-	parts := st.partition(keys)
+	return st.MPut(recs)
+}
+
+// MPut durably stores every record under the key it carries, atomically
+// across all the shards they route to, like MSet. The records are
+// EncodeRecord encodings of any type and expiry: the RESP engine writes
+// typed records — hashes, TTL-carrying strings — through the same
+// cross-shard atomicity protocol as plain MSET.
+func (st *Store) MPut(recs [][]byte) error {
 	var mask uint64
-	participants := 0
-	for k, idxs := range parts {
-		if len(idxs) > 0 {
-			mask |= 1 << uint(k)
-			participants++
-		}
+	for _, rec := range recs {
+		mask |= 1 << uint(keyShard(st, RecordKey(rec)))
 	}
-	if participants == 1 {
-		// All pairs land on one shard: one ordinary durable transaction.
-		for k, idxs := range parts {
-			if len(idxs) == 0 {
-				continue
+	switch {
+	case mask == 0:
+		return nil
+	case mask&(mask-1) != 0:
+		return st.msetCross(mask, recs)
+	}
+	// All pairs land on one shard: one ordinary durable transaction.
+	sh := st.shards[bits.TrailingZeros64(mask)]
+	return sh.PM.Atomic(func(tx *mtm.Tx) error {
+		for _, rec := range recs {
+			if err := st.checkedPut(sh, tx, rec); err != nil {
+				return err
 			}
-			sh := st.shards[k]
-			return sh.PM.Atomic(func(tx *mtm.Tx) error {
-				for _, i := range idxs {
-					if err := st.checkedPut(sh, tx, keys[i], recs[i]); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
 		}
-	}
-	return st.msetCross(parts, mask, keys, recs)
+		return nil
+	})
 }
 
 // MDel durably deletes every named key, one local transaction per
@@ -281,23 +312,23 @@ func (st *Store) MSetRecs(keys []string, recs [][]byte) error {
 // are skipped, not errors. Cross-shard MDEL is not atomic as a unit;
 // each shard's deletions are.
 func (st *Store) MDel(keys []string) (int, error) {
-	parts := st.partition(keys)
 	deleted := 0
-	for k, idxs := range parts {
-		if len(idxs) == 0 {
-			continue
-		}
+	for mask := touched(st, keys); mask != 0; mask &= mask - 1 {
+		k := bits.TrailingZeros64(mask)
 		sh := st.shards[k]
 		n := 0
 		err := sh.PM.Atomic(func(tx *mtm.Tx) error {
 			n = 0 // conflict retries rerun the closure
-			for _, i := range idxs {
-				if _, _, err := st.find(sh, tx, keys[i]); err == ErrNotFound {
+			for _, key := range keys {
+				if keyShard(st, key) != k {
+					continue
+				}
+				if _, _, err := st.find(sh, tx, key); err == ErrNotFound {
 					continue // absent, or a colliding key's record
 				} else if err != nil {
 					return err
 				}
-				if err := sh.Tree.Delete(tx, st.hash(keys[i])); err != nil {
+				if err := sh.Tree.Delete(tx, keySlot(st, key)); err != nil {
 					return err
 				}
 				n++
@@ -327,16 +358,4 @@ func (st *Store) Count() (int, error) {
 		total += n
 	}
 	return total, nil
-}
-
-// partition groups key indices by destination shard. The result is
-// indexed by shard, so iterating it visits shards in ascending order —
-// the deterministic order every multi-shard operation uses.
-func (st *Store) partition(keys []string) [][]int {
-	parts := make([][]int, len(st.shards))
-	for i, key := range keys {
-		k := st.ShardOf(key)
-		parts[k] = append(parts[k], i)
-	}
-	return parts
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/blob"
 	"repro/internal/pds"
@@ -34,7 +33,7 @@ const (
 	// RecString is a plain byte-string value.
 	RecString RecType = 0
 	// RecHash is a field→value map (HSET/HGET), encoded with
-	// EncodeHashFields.
+	// AppendHashFields.
 	RecHash RecType = 1
 )
 
@@ -49,7 +48,7 @@ type Record struct {
 	Key    string
 	Type   RecType
 	Expire int64  // UNIX nanoseconds; 0 = no expiry
-	Value  []byte // string bytes, or EncodeHashFields payload
+	Value  []byte // string bytes, or AppendHashFields payload
 }
 
 // Expired reports whether the record's deadline has passed at now.
@@ -187,61 +186,60 @@ type HashField struct {
 	Value []byte
 }
 
-// EncodeHashFields encodes a hash payload: a two-byte field count, then
-// per field a two-byte name length, the name, a four-byte value length,
-// and the value. Fields are sorted by name so equal hashes encode to
-// equal bytes regardless of update order.
-func EncodeHashFields(fields []HashField) []byte {
-	sort.Slice(fields, func(i, j int) bool {
-		return bytes.Compare(fields[i].Name, fields[j].Name) < 0
-	})
+// AppendHashFields appends the encoding of a hash payload to dst: a
+// two-byte field count, then per field a two-byte name length, the name,
+// a four-byte value length, and the value. Fields are sorted by name, in
+// place, so equal hashes encode to equal bytes regardless of update
+// order.
+func AppendHashFields(dst []byte, fields []HashField) []byte {
+	slices.SortFunc(fields, func(a, b HashField) int { return bytes.Compare(a.Name, b.Name) })
 	n := 2
 	for _, f := range fields {
 		n += 2 + len(f.Name) + 4 + len(f.Value)
 	}
-	out := make([]byte, 0, n)
-	out = binary.LittleEndian.AppendUint16(out, uint16(len(fields)))
+	dst = binary.LittleEndian.AppendUint16(slices.Grow(dst, n), uint16(len(fields)))
 	for _, f := range fields {
-		out = binary.LittleEndian.AppendUint16(out, uint16(len(f.Name)))
-		out = append(out, f.Name...)
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(f.Value)))
-		out = append(out, f.Value...)
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(f.Name)))
+		dst = append(dst, f.Name...)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(f.Value)))
+		dst = append(dst, f.Value...)
 	}
-	return out
+	return dst
 }
 
-// DecodeHashFields decodes a hash payload. The returned slices alias p.
-func DecodeHashFields(p []byte) ([]HashField, error) {
+// DecodeHashFields appends the fields of the hash payload p to dst. The
+// fields' slices alias p.
+func DecodeHashFields(dst []HashField, p []byte) ([]HashField, error) {
 	if len(p) < 2 {
-		return nil, errors.New("shard: short hash payload")
+		return dst, errors.New("shard: short hash payload")
 	}
 	n := int(binary.LittleEndian.Uint16(p))
 	p = p[2:]
-	fields := make([]HashField, 0, n)
+	dst = slices.Grow(dst, n)
 	for i := 0; i < n; i++ {
 		if len(p) < 2 {
-			return nil, errors.New("shard: truncated hash field")
+			return dst, errors.New("shard: truncated hash field")
 		}
 		nl := int(binary.LittleEndian.Uint16(p))
 		p = p[2:]
 		if len(p) < nl+4 {
-			return nil, errors.New("shard: truncated hash field name")
+			return dst, errors.New("shard: truncated hash field name")
 		}
 		name := p[:nl]
 		p = p[nl:]
 		vl := int(binary.LittleEndian.Uint32(p))
 		p = p[4:]
 		if err := blob.CheckRead(int64(vl), MaxValueLen); err != nil {
-			return nil, fmt.Errorf("shard: hash field value length: %w", err)
+			return dst, fmt.Errorf("shard: hash field value length: %w", err)
 		}
 		if len(p) < vl {
-			return nil, errors.New("shard: truncated hash field value")
+			return dst, errors.New("shard: truncated hash field value")
 		}
-		fields = append(fields, HashField{Name: name, Value: p[:vl]})
+		dst = append(dst, HashField{Name: name, Value: p[:vl]})
 		p = p[vl:]
 	}
 	if len(p) != 0 {
-		return nil, errors.New("shard: trailing bytes in hash payload")
+		return dst, errors.New("shard: trailing bytes in hash payload")
 	}
-	return fields, nil
+	return dst, nil
 }

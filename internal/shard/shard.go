@@ -119,9 +119,13 @@ type Shard struct {
 type Store struct {
 	cfg    Config
 	shards []*Shard
-	hash   func(string) uint64
-	now    func() int64 // clock for expiry masking, fake-able in tests
+	hash   func(string) uint64 // nil routes by HashKey; collision tests substitute their own
+	now    func() int64        // clock for expiry masking, fake-able in tests
 	xid    atomic.Uint64
+
+	// xfree recycles cross-shard MSETs' working memory (xstage.go).
+	xmu   sync.Mutex
+	xfree []*xscratch
 
 	// recoveredCommits/Aborts count cross-shard intents resolved at the
 	// most recent Attach.
@@ -177,7 +181,6 @@ func Attach(devs []*scm.Device, cfg Config) (*Store, error) {
 	}
 	st := &Store{
 		cfg:    cfg,
-		hash:   HashKey,
 		now:    func() int64 { return time.Now().UnixNano() },
 		shards: make([]*Shard, cfg.Shards),
 	}
@@ -289,7 +292,7 @@ func (st *Store) NShards() int { return len(st.shards) }
 
 // ShardOf returns the shard index key routes to.
 func (st *Store) ShardOf(key string) int {
-	return int(st.hash(key) % uint64(len(st.shards)))
+	return keyShard(st, key)
 }
 
 // Shard returns shard k (for stats and tests).

@@ -1,8 +1,14 @@
 package shard
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -127,20 +133,25 @@ func TestCrossShardMSetAppliesEverywhere(t *testing.T) {
 	}
 	// 16 FNV-hashed keys over 4 shards: this particular MSET must span
 	// several shards, or the test exercises nothing.
-	parts := st.partition(keys)
-	spanned := 0
-	for _, idxs := range parts {
-		if len(idxs) > 0 {
-			spanned++
-		}
-	}
-	if spanned < 2 {
+	if spanned := bits.OnesCount64(touched(st, keys)); spanned < 2 {
 		t.Fatalf("MSET spanned %d shards; fix the key set", spanned)
 	}
 	for i := range keys {
 		if v, err := st.Get(keys[i]); err != nil || v != values[i] {
 			t.Fatalf("Get %s = %q, %v", keys[i], v, err)
 		}
+	}
+	// MSetRecs routes by the records' own keys, so it refuses a key that
+	// does not name its record, before anything is written.
+	rec, err := EncodeKV("ms-0", "other")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.MSetRecs([]string{"ms-1"}, [][]byte{rec}); err == nil {
+		t.Fatal("MSetRecs accepted a key naming another key's record")
+	}
+	if v, err := st.Get("ms-0"); err != nil || v != values[0] {
+		t.Fatalf("Get ms-0 after a refused MSetRecs = %q, %v", v, err)
 	}
 	// Intent tables are clean after a completed MSET.
 	for k := 0; k < st.NShards(); k++ {
@@ -204,7 +215,7 @@ func TestRecoveryRollsBackPartialPrepare(t *testing.T) {
 	rec0, _ := EncodeKV("torn-a", "x")
 	// Participants 0 and 2; only shard 0 got its prepare durable.
 	mask := uint64(1<<0 | 1<<2)
-	stagePut(t, st, 0, 7, encodeIntent(statePrepared, mask, [][]byte{rec0}))
+	stagePut(t, st, 0, 7, appendIntent(nil, statePrepared, mask, [][]byte{rec0}))
 
 	st2 := crashReattach(t, st, cfg, func() scm.CrashPolicy { return scm.KeepAll{} })
 	defer st2.Close()
@@ -237,8 +248,8 @@ func TestRecoveryRollsForwardFullPrepare(t *testing.T) {
 	recA, _ := EncodeKV("fwd-a", "va")
 	recB, _ := EncodeKV(keyB, "vb")
 	mask := uint64(1<<uint(ka) | 1<<uint(kb))
-	stagePut(t, st, ka, 9, encodeIntent(statePrepared, mask, [][]byte{recA}))
-	stagePut(t, st, kb, 9, encodeIntent(statePrepared, mask, [][]byte{recB}))
+	stagePut(t, st, ka, 9, appendIntent(nil, statePrepared, mask, [][]byte{recA}))
+	stagePut(t, st, kb, 9, appendIntent(nil, statePrepared, mask, [][]byte{recB}))
 
 	st2 := crashReattach(t, st, cfg, func() scm.CrashPolicy { return scm.KeepAll{} })
 	defer st2.Close()
@@ -276,9 +287,9 @@ func TestRecoveryRollsForwardAfterPartialApply(t *testing.T) {
 	if err := st.Set("pa-a", "va"); err != nil {
 		t.Fatal(err)
 	}
-	stagePut(t, st, ka, 11, encodeIntent(stateApplied, mask, nil))
+	stagePut(t, st, ka, 11, appendIntent(nil, stateApplied, mask, nil))
 	// Shard kb crashed still prepared.
-	stagePut(t, st, kb, 11, encodeIntent(statePrepared, mask, [][]byte{recB}))
+	stagePut(t, st, kb, 11, appendIntent(nil, statePrepared, mask, [][]byte{recB}))
 
 	st2 := crashReattach(t, st, cfg, func() scm.CrashPolicy { return scm.KeepAll{} })
 	defer st2.Close()
@@ -426,7 +437,34 @@ func TestConfigValidation(t *testing.T) {
 
 func TestIntentCodec(t *testing.T) {
 	recs := [][]byte{{1, 2, 3}, {}, []byte("hello")}
-	blob := encodeIntent(statePrepared, 0b1011, recs)
+	// The on-device format, as the allocating encoder this one replaced
+	// wrote it: images staged before the change still recover.
+	golden := []byte{
+		1,                         // statePrepared
+		0x0b, 0, 0, 0, 0, 0, 0, 0, // participant mask 0b1011
+		3, 0, // records
+		3, 0, 0, 0, 1, 2, 3,
+		0, 0, 0, 0,
+		5, 0, 0, 0, 'h', 'e', 'l', 'l', 'o',
+	}
+	blob := appendIntent(nil, statePrepared, 0b1011, recs)
+	if !bytes.Equal(blob, golden) {
+		t.Fatalf("encoded % x\nwant    % x", blob, golden)
+	}
+	// Encoding into a reused buffer overwrites its leftovers, and
+	// appending keeps what precedes.
+	reused := append(make([]byte, 0, 64), bytes.Repeat([]byte{0xee}, 40)...)
+	if got := appendIntent(reused[:0], statePrepared, 0b1011, recs); !bytes.Equal(got, golden) {
+		t.Fatalf("into a reused buffer: % x", got)
+	}
+	if got := appendIntent([]byte("pre"), statePrepared, 0b1011, recs); !bytes.Equal(got, append([]byte("pre"), golden...)) {
+		t.Fatalf("after a prefix: % x", got)
+	}
+	applied := appendIntent(reused[:0], stateApplied, 1<<63|1, nil)
+	if want := []byte{2, 1, 0, 0, 0, 0, 0, 0, 0x80, 0, 0}; !bytes.Equal(applied, want) {
+		t.Fatalf("applied record % x, want % x", applied, want)
+	}
+
 	it, err := decodeIntent(blob)
 	if err != nil {
 		t.Fatal(err)
@@ -442,5 +480,80 @@ func TestIntentCodec(t *testing.T) {
 	}
 	if _, err := decodeIntent([]byte{99, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}); err == nil {
 		t.Error("bad state accepted")
+	}
+}
+
+// encodeHashFieldsRef is the allocating hash encoder AppendHashFields
+// replaced, kept as the format's reference.
+func encodeHashFieldsRef(fields []HashField) []byte {
+	sorted := append([]HashField(nil), fields...)
+	sort.Slice(sorted, func(i, j int) bool { return bytes.Compare(sorted[i].Name, sorted[j].Name) < 0 })
+	out := binary.LittleEndian.AppendUint16(nil, uint16(len(sorted)))
+	for _, f := range sorted {
+		out = binary.LittleEndian.AppendUint16(out, uint16(len(f.Name)))
+		out = append(out, f.Name...)
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(f.Value)))
+		out = append(out, f.Value...)
+	}
+	return out
+}
+
+// TestHashCodec pins the hash payload format: encoding into a reused
+// buffer with leftover bytes gives the reference encoder's bytes, fields
+// come out sorted by name whatever order they went in, and decoding into a
+// reused slice round-trips.
+func TestHashCodec(t *testing.T) {
+	golden := []byte{
+		2, 0, // fields
+		1, 0, 'a', 3, 0, 0, 0, 'o', 'n', 'e',
+		2, 0, 'b', 'b', 0, 0, 0, 0,
+	}
+	fields := []HashField{{Name: []byte("bb"), Value: []byte{}}, {Name: []byte("a"), Value: []byte("one")}}
+	if got := encodeHashFieldsRef(fields); !bytes.Equal(got, golden) {
+		t.Fatalf("reference encoder % x, want % x", got, golden)
+	}
+	buf := bytes.Repeat([]byte{0xee}, 64)
+	var decoded []HashField
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 200; round++ {
+		n := rng.Intn(12)
+		if round == 0 {
+			n = len(fields)
+		} else {
+			fields = fields[:0]
+			for i := 0; i < n; i++ {
+				// Distinct names, as HSET keeps them; random order.
+				name := []byte(fmt.Sprintf("f%03d", rng.Intn(1000)*12+i))
+				fields = append(fields, HashField{Name: name, Value: bytes.Repeat([]byte{byte(i)}, rng.Intn(40))})
+			}
+		}
+		want := encodeHashFieldsRef(fields)
+		buf = AppendHashFields(buf[:0], fields)
+		if !bytes.Equal(buf, want) {
+			t.Fatalf("round %d: encoded % x\nwant    % x", round, buf, want)
+		}
+		if round == 0 && !bytes.Equal(buf, golden) {
+			t.Fatalf("encoded % x, want % x", buf, golden)
+		}
+		if !slices.IsSortedFunc(fields, func(a, b HashField) int { return bytes.Compare(a.Name, b.Name) }) {
+			t.Fatalf("round %d: fields left unsorted", round)
+		}
+		var err error
+		if decoded, err = DecodeHashFields(decoded[:0], buf); err != nil {
+			t.Fatalf("round %d: decode: %v", round, err)
+		}
+		if len(decoded) != n {
+			t.Fatalf("round %d: decoded %d fields, want %d", round, len(decoded), n)
+		}
+		for i := range decoded {
+			if !bytes.Equal(decoded[i].Name, fields[i].Name) || !bytes.Equal(decoded[i].Value, fields[i].Value) {
+				t.Fatalf("round %d field %d: %q=%q, want %q=%q", round, i, decoded[i].Name, decoded[i].Value, fields[i].Name, fields[i].Value)
+			}
+		}
+	}
+	for _, bad := range [][]byte{nil, {1}, {1, 0}, {1, 0, 1, 0, 'a', 9, 0, 0, 0}, append(golden[:len(golden):len(golden)], 0)} {
+		if _, err := DecodeHashFields(nil, bad); err == nil {
+			t.Errorf("malformed payload % x decoded", bad)
+		}
 	}
 }

@@ -2,8 +2,11 @@ package shard
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/mtm"
@@ -68,26 +71,22 @@ const (
 	stateApplied  = byte(2)
 )
 
-// encodeIntent builds an intent-table record: state, participant mask,
-// then this shard's tree records (already in EncodeKV form, so applying
-// is hash(key)→record puts).
-func encodeIntent(state byte, mask uint64, recs [][]byte) []byte {
+// appendIntent appends an intent-table record to dst: state, participant
+// mask, then this shard's tree records (already in EncodeRecord form, so
+// applying is hash(key)→record puts).
+func appendIntent(dst []byte, state byte, mask uint64, recs [][]byte) []byte {
 	n := 1 + 8 + 2
 	for _, rec := range recs {
 		n += 4 + len(rec)
 	}
-	out := make([]byte, 0, n)
-	out = append(out, state)
-	for s := 0; s < 64; s += 8 {
-		out = append(out, byte(mask>>uint(s)))
-	}
-	out = append(out, byte(len(recs)), byte(len(recs)>>8))
+	dst = append(slices.Grow(dst, n), state)
+	dst = binary.LittleEndian.AppendUint64(dst, mask)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(recs)))
 	for _, rec := range recs {
-		l := len(rec)
-		out = append(out, byte(l), byte(l>>8), byte(l>>16), byte(l>>24))
-		out = append(out, rec...)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(rec)))
+		dst = append(dst, rec...)
 	}
-	return out
+	return dst
 }
 
 type intent struct {
@@ -192,21 +191,52 @@ func powerGuard(fn func() error) (err error, cut bool) {
 	return fn(), false
 }
 
+// xscratch is one cross-shard MSET's working memory. The store recycles
+// it (getScratch, putScratch), so a warm MSET allocates none of it.
+type xscratch struct {
+	stages [MaxShards]*pds.HashTable // participants' intent tables, once prepared
+	recs   [][]byte                  // one participant's records
+	intent []byte                    // the intent record being staged
+	hdr    []byte                    // collision checks' header buffer
+}
+
+func (st *Store) getScratch() *xscratch {
+	st.xmu.Lock()
+	defer st.xmu.Unlock()
+	n := len(st.xfree)
+	if n == 0 {
+		return new(xscratch)
+	}
+	x := st.xfree[n-1]
+	st.xfree[n-1] = nil
+	st.xfree = st.xfree[:n-1]
+	return x
+}
+
+func (st *Store) putScratch(x *xscratch) {
+	x.stages = [MaxShards]*pds.HashTable{}
+	clear(x.recs)
+	st.xmu.Lock()
+	st.xfree = append(st.xfree, x)
+	st.xmu.Unlock()
+}
+
 // msetCross runs the cross-shard intent protocol for an MSET touching
-// two or more shards. parts indexes pair positions by shard; mask is the
-// participant set.
-func (st *Store) msetCross(parts [][]int, mask uint64, keys []string, recs [][]byte) error {
+// two or more shards: mask is the participant set, and each record
+// routes by the key it carries.
+func (st *Store) msetCross(mask uint64, recs [][]byte) error {
 	telXMSets.Inc()
 	xid := st.xid.Add(1)
+	x := st.getScratch()
+	defer st.putScratch(x)
 
 	// deleteIntent best-effort removes xid's record from live shard j
 	// (recovery handles leftovers; a second power cut just re-raises).
-	stages := make([]*pds.HashTable, len(st.shards))
 	deleteIntent := func(j int) (cut bool) {
-		if len(parts[j]) == 0 || stages[j] == nil {
+		shj, stj := st.shards[j], x.stages[j]
+		if stj == nil {
 			return false
 		}
-		shj, stj := st.shards[j], stages[j]
 		_, cut = powerGuard(func() error {
 			return shj.PM.Atomic(func(tx *mtm.Tx) error {
 				err := stj.Delete(tx, xid)
@@ -224,30 +254,31 @@ func (st *Store) msetCross(parts [][]int, mask uint64, keys []string, recs [][]b
 	// A power cut here aborts too — the cut shard's record (durable or
 	// not) is aborted at its recovery because the survivors' records are
 	// gone — and then re-raises the PowerFailure to the caller.
-	for k, idxs := range parts {
-		if len(idxs) == 0 {
-			continue
-		}
+	for m := mask; m != 0; m &= m - 1 {
+		k := bits.TrailingZeros64(m)
 		sh := st.shards[k]
 		var cut bool
 		stage, err := sh.ensureStage()
 		if err == nil {
-			shardRecs := make([][]byte, 0, len(idxs))
-			for _, i := range idxs {
-				shardRecs = append(shardRecs, recs[i])
+			x.recs = x.recs[:0]
+			for _, rec := range recs {
+				if keyShard(st, RecordKey(rec)) == k {
+					x.recs = append(x.recs, rec)
+				}
 			}
-			blob := encodeIntent(statePrepared, mask, shardRecs)
+			x.intent = appendIntent(x.intent[:0], statePrepared, mask, x.recs)
 			err, cut = powerGuard(func() error {
 				return sh.PM.Atomic(func(tx *mtm.Tx) error {
 					// Collisions are detected here, before the commit
 					// point, so the whole MSET aborts cleanly instead of
 					// clobbering (or skipping) the colliding key later.
-					for _, i := range idxs {
-						if cerr := st.checkCollision(sh, tx, keys[i]); cerr != nil {
+					for _, rec := range x.recs {
+						var cerr error
+						if x.hdr, cerr = st.checkCollision(sh, tx, RecordKey(rec), x.hdr); cerr != nil {
 							return cerr
 						}
 					}
-					return stage.Put(tx, xid, blob)
+					return stage.Put(tx, xid, x.intent)
 				})
 			})
 		}
@@ -261,7 +292,7 @@ func (st *Store) msetCross(parts [][]int, mask uint64, keys []string, recs [][]b
 			}
 			return fmt.Errorf("shard: mset prepare on shard %d: %w", k, err)
 		}
-		stages[k] = stage
+		x.stages[k] = stage
 	}
 
 	// Phase 2: apply. Every prepare is durable, so the transaction is
@@ -272,29 +303,31 @@ func (st *Store) msetCross(parts [][]int, mask uint64, keys []string, recs [][]b
 	// undecided prepared record), cleanup is skipped so the dead shard's
 	// recovery sees the applied records and rolls itself forward, and the
 	// PowerFailure is re-raised.
+	x.intent = appendIntent(x.intent[:0], stateApplied, mask, nil)
 	var firstErr error
 	anyCut := false
-	for k, idxs := range parts {
-		if len(idxs) == 0 {
-			continue
-		}
-		sh, stage := st.shards[k], stages[k]
+	for m := mask; m != 0; m &= m - 1 {
+		k := bits.TrailingZeros64(m)
+		sh, stage := st.shards[k], x.stages[k]
 		skipped := 0
 		err, cut := powerGuard(func() error {
 			return sh.PM.Atomic(func(tx *mtm.Tx) error {
 				skipped = 0 // conflict retries rerun the closure
-				for _, i := range idxs {
+				for _, rec := range recs {
+					if keyShard(st, RecordKey(rec)) != k {
+						continue
+					}
 					// Past the commit point a collision (a racing write
 					// landed a colliding key after our prepare) cannot
 					// abort the MSET anymore; skip the pair rather than
 					// destroy the newer record, and count the skip.
-					if err := st.checkedPut(sh, tx, keys[i], recs[i]); errors.Is(err, ErrHashCollision) {
+					if err := st.checkedPut(sh, tx, rec); errors.Is(err, ErrHashCollision) {
 						skipped++
 					} else if err != nil {
 						return err
 					}
 				}
-				return stage.Put(tx, xid, encodeIntent(stateApplied, mask, nil))
+				return stage.Put(tx, xid, x.intent)
 			})
 		})
 		if err == nil && !cut && skipped > 0 {
@@ -318,8 +351,8 @@ func (st *Store) msetCross(parts [][]int, mask uint64, keys []string, recs [][]b
 	// Phase 3: cleanup, best effort — recovery deletes leftovers. A power
 	// cut mid-cleanup is harmless (remaining records are applied, inert)
 	// but still re-raised after the surviving shards are swept.
-	for k := range parts {
-		if deleteIntent(k) {
+	for m := mask; m != 0; m &= m - 1 {
+		if deleteIntent(bits.TrailingZeros64(m)) {
 			anyCut = true
 		}
 	}
@@ -424,20 +457,19 @@ func (st *Store) resolveIntents() (commits, aborts int, err error) {
 						return serr
 					}
 					for _, rec := range it.recs {
-						h, derr := DecodeHeader(rec)
-						if derr != nil {
+						if _, derr := DecodeHeader(rec); derr != nil {
 							return derr
 						}
 						// Recovery must finish: a pair whose slot a
 						// different key took since the prepare is skipped
 						// and counted, never clobbered and never fatal.
-						if perr := st.checkedPut(sh, tx, string(h.Key), rec); errors.Is(perr, ErrHashCollision) {
+						if perr := st.checkedPut(sh, tx, rec); errors.Is(perr, ErrHashCollision) {
 							skipped++
 						} else if perr != nil {
 							return perr
 						}
 					}
-					return stage.Put(tx, xid, encodeIntent(stateApplied, it.mask, nil))
+					return stage.Put(tx, xid, appendIntent(nil, stateApplied, it.mask, nil))
 				}); err != nil {
 					return commits, aborts, fmt.Errorf("shard %d: roll-forward xid %d: %w", k, xid, err)
 				}
